@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, HypothesisFailed, NoUnitPivot, VerificationFailed
-from .evaluate import DEFAULT_BUDGET, PointCloud, image, roots_of_unity
+from .evaluate import DEFAULT_BUDGET, PointCloud, image, odometer_blocks, roots_of_unity
 from .modring import mod_inverse
 from .orbits import OrbitRep, canonicalize, orbit_count
 from .report import IdentityReport
@@ -93,6 +93,16 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * work[m - 1][m - 1]
 
 
+def _trailing_zero_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Number of all-zero rows at the bottom of rows."""
+    k = 0
+    for row in reversed(rows):
+        if any(row):
+            break
+        k += 1
+    return k
+
+
 def _symmetric_lift(v: int, n: int) -> int:
     """Representative of v mod n in (-n/2, n/2]."""
     v %= n
@@ -133,12 +143,7 @@ class ReductionCertificate:
             raise VerificationFailed(
                 f"determinant {det} is not a unit mod {n}", witness={"rep": self.matrix.rep}
             )
-        k = 0
-        for row in reversed(self.reduced):
-            if any(row):
-                break
-            k += 1
-        if k != self.zero_rows:
+        if _trailing_zero_rows(self.reduced) != self.zero_rows:
             raise VerificationFailed("trailing zero row count mismatch")
 
     def to_json(self) -> str:
@@ -169,12 +174,9 @@ def certificate_from_rows(
     n = matrix.n
     reducer = tuple(tuple(v % n for v in row) for row in reducer_rows)
     reduced = _mat_mul_mod(reducer, matrix.rows, n)
-    k = 0
-    for row in reversed(reduced):
-        if any(row):
-            break
-        k += 1
-    return ReductionCertificate(matrix, reducer, reduced, _det_int(reducer) % n, k, complete)
+    return ReductionCertificate(
+        matrix, reducer, reduced, _det_int(reducer) % n, _trailing_zero_rows(reduced), complete
+    )
 
 
 def row_reduce_mod_n(matrix: OrbitMatrix, allow_partial: bool = False) -> ReductionCertificate:
@@ -308,18 +310,10 @@ def sample_torus_map(
     table = roots_of_unity(grid)
     values = []
     block = max(1, 2_000_000 // max(len(rows[0]), 1))
-    lo = 0
-    while lo < total:
-        hi = min(lo + block, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        m = np.empty((hi - lo, v), dtype=np.int64)
-        for col in range(v - 1, -1, -1):
-            m[:, col] = idx % grid
-            idx //= grid
+    for m in odometer_blocks(grid, v, block):
         phases = m @ emat
         np.mod(phases, grid, out=phases)
         values.append(table[phases].sum(axis=1))
-        lo = hi
     flat = np.concatenate(values) if values else np.empty(0, dtype=complex)
     return PointCloud.from_values(grid, v, None, flat.tolist())
 
@@ -420,12 +414,11 @@ def hypocycloid_orbit_check(
     tol: float = 1e-9,
     budget: int = DEFAULT_BUDGET,
     samples: int = 4096,
-    workers: int = 1,
 ) -> IdentityReport:
     """Every value of sigma_X for X = orbit of (1,...,1,1-d) lies in the
     filled d-cusp hypocycloid."""
     rep = canonicalize((1,) * (d - 1) + (1 - d,), n)
-    cloud = image(rep, budget=budget, workers=workers)
+    cloud = image(rep, budget=budget)
     ok = hypocycloid_contains_many(cloud.values, d, tol, samples)
     passed = bool(ok.all())
     witness = None

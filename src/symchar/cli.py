@@ -45,13 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def fmt_float(v: float) -> str:
-    r = round(v, 11)
-    return f"{0.0 if r == 0 else r:.11f}"
-
-
 def fmt_complex(z: complex) -> str:
-    return f"{fmt_float(z.real)}{'+' if z.imag >= 0 or round(z.imag, 11) == 0 else '-'}{fmt_float(abs(z.imag))}i"
+    re, im = render.round11(z.real), render.round11(z.imag)
+    return f"{re:.11f}{'+' if im >= 0 else '-'}{abs(im):.11f}i"
 
 
 def _output_path(path: str | None) -> str | None:
@@ -72,7 +68,6 @@ class JobSpec:
     n: int
     entries: tuple[int, ...]
     budget: int
-    workers: int
     out: str | None = None
     fmt: str = "csv"
 
@@ -88,14 +83,10 @@ def _jobspec(args, entries) -> JobSpec:
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     if budget <= 0:
         raise UsageError("budget must be positive")
-    workers = getattr(args, "workers", 1)
-    if workers <= 0:
-        raise UsageError("workers must be positive")
     job = JobSpec(
         args.n,
         tuple(entries),
         budget,
-        workers,
         _output_path(getattr(args, "out", None)),
         getattr(args, "format", "csv"),
     )
@@ -152,7 +143,7 @@ def cmd_eval(args) -> int:
 
 def cmd_image(args) -> int:
     job = _jobspec(args, args.entries)
-    cloud = image(job.rep(), budget=job.budget, full_group=args.full_group, workers=job.workers)
+    cloud = image(job.rep(), budget=job.budget, full_group=args.full_group)
     _write_or_print(render.export_points(cloud.values, job.fmt), job.out)
     return 0
 
@@ -165,8 +156,8 @@ def cmd_render(args) -> int:
         spec = render.BitmapSpec(args.range, args.unit_res)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cloud = image(job.rep(), budget=job.budget, workers=job.workers)
-    img = render.render_bitmap(cloud.values, spec, workers=job.workers)
+    cloud = image(job.rep(), budget=job.budget)
+    img = render.render_bitmap(cloud.values, spec)
     render.write_png(img, job.out)
     print(f"wrote {job.out} ({spec.side}x{spec.side}, {len(cloud.values)} points)")
     return 0
@@ -207,7 +198,7 @@ def cmd_reduce(args) -> int:
 def cmd_table(args) -> int:
     if args.n <= 0 or args.d <= 0:
         raise UsageError("n and d must be positive")
-    tab = table.build_table(args.n, args.d, max_orbits=args.max_orbits, workers=args.workers)
+    tab = table.build_table(args.n, args.d, max_orbits=args.max_orbits)
     if args.check_unitary:
         uni = table.build_unitary(tab)
         print(
@@ -273,7 +264,7 @@ def cmd_verify(args) -> int:
         print(report.to_json())
         return 0 if report.passed else 1
     if check == "hypocycloid":
-        report = asymptotic.hypocycloid_orbit_check(n, d, budget=args.budget, workers=args.workers)
+        report = asymptotic.hypocycloid_orbit_check(n, d, budget=args.budget)
         print(report.to_json())
         return 0 if report.passed else 1
     if check == "permanent":
@@ -291,7 +282,7 @@ def cmd_verify(args) -> int:
         print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
         return 0 if bad == 0 else 1
     if check == "unitary":
-        tab = table.build_table(n, d, workers=args.workers)
+        tab = table.build_table(n, d)
         uni = table.build_unitary(tab)
         ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
         print(
@@ -318,11 +309,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="symchar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True, workers=True):
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max superclass evaluations")
-        if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel block evaluation")
+    def add_budget(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max superclass evaluations")
 
     p = sub.add_parser("orbits", help="list canonical orbit representatives")
     p.add_argument("n", type=int)
@@ -333,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("rest", nargs=argparse.REMAINDER)
     p.add_argument("--oracle", action="store_true", help="also print the permanent-based value")
-    add_common(p, workers=False)
+    add_budget(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("image", help="deduplicated value set of sigma_X")
@@ -342,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--full-group", action="store_true", help="sweep all n^d points, not superclass reps")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("render", help="render the image of sigma_X to PNG")
@@ -351,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--range", type=float, required=True, help="plot half-width")
     p.add_argument("--unit-res", type=int, required=True, help="pixels per unit")
     p.add_argument("-o", "--out", required=True)
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("reduce", help="row-reduce the orbit matrix over Z/nZ")
@@ -362,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, help="also sample the torus map on this grid")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
-    add_common(p, workers=False)
+    add_budget(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("table", help="supercharacter table at (n, d)")
@@ -371,14 +359,13 @@ def build_parser() -> _Parser:
     p.add_argument("--check-unitary", action="store_true", help="print normalization residuals instead of the table")
     p.add_argument("--max-orbits", type=int, default=2000)
     p.add_argument("-o", "--out")
-    add_common(p, budget=False)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("walk", help="restricted-walk modulus reduction check")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("a", type=int)
-    add_common(p, workers=False)
+    add_budget(p)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("solve", help="solve a*j + b*k + d*j*k = gcd(n,d) mod n")
@@ -410,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=int, help="walk step (verify walk)")
     p.add_argument("--samples", type=int, default=10, help="random y per orbit (verify permanent)")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

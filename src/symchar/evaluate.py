@@ -12,10 +12,9 @@ identities become exact index shifts and reversals of c.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, floor
+from math import floor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,10 +130,6 @@ def dot_counts_symmetrized(rep: OrbitRep, y: Sequence[int], max_d: int = 6) -> C
     return CountsVector(n, tuple(counts))
 
 
-def counts_to_complex(cv: CountsVector) -> complex:
-    return cv.value()
-
-
 def supercharacter(rep: OrbitRep, y: Sequence[int]) -> complex:
     """sigma_X(y) for X the orbit of rep."""
     return dot_counts(rep, y).value()
@@ -224,11 +219,10 @@ class PointCloud:
     d: int
     rep: OrbitRep | None
     values: tuple[complex, ...]
-    counts: tuple[CountsVector, ...] | None = field(default=None, repr=False)
 
     @classmethod
-    def from_values(cls, n, d, rep, values, counts=None):
-        return cls(n, d, rep, dedupe_values(values), counts)
+    def from_values(cls, n, d, rep, values):
+        return cls(n, d, rep, dedupe_values(values))
 
 
 class _Matcher:
@@ -262,13 +256,8 @@ class _Matcher:
 def values_match(a: Iterable[complex], b: Iterable[complex], tol: float = 1e-9) -> bool:
     """Symmetric set equality up to tol: every point of each side is
     within tol of some point of the other."""
-    a = list(a)
-    b = list(b)
-    mb = _Matcher(b, tol)
-    if any(not mb.contains(z) for z in a):
-        return False
-    ma = _Matcher(a, tol)
-    return all(ma.contains(z) for z in b)
+    only_a, only_b = cloud_difference(a, b, tol)
+    return not only_a and not only_b
 
 
 def cloud_difference(a: Iterable[complex], b: Iterable[complex], tol: float = 1e-9) -> tuple[list[complex], list[complex]]:
@@ -293,33 +282,29 @@ def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> 
 # image computation
 
 
-def _superclass_blocks(n: int, d: int, start: int, stop: int, block_rows: int):
-    """Yield (start, reps_array) blocks of canonical representatives."""
-    lo = start
-    while lo < stop:
-        hi = min(lo + block_rows, stop)
-        block = np.fromiter(
+def _superclass_blocks(n: int, d: int, block_rows: int):
+    """Yield arrays of canonical representatives, block_rows at a time."""
+    total = orbit_count(n, d)
+    for lo in range(0, total, block_rows):
+        hi = min(lo + block_rows, total)
+        yield np.fromiter(
             (v for rep in enumerate_orbits(n, d, lo, hi) for v in rep.entries),
             dtype=np.int64,
             count=(hi - lo) * d,
         ).reshape(hi - lo, d)
-        yield lo, block
-        lo = hi
 
 
-def _full_group_blocks(n: int, d: int, block_rows: int):
-    """Yield blocks of all n^d points in odometer (lexicographic) order."""
-    total = n**d
-    lo = 0
-    while lo < total:
-        hi = min(lo + block_rows, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        block = np.empty((hi - lo, d), dtype=np.int64)
-        for col in range(d - 1, -1, -1):
-            block[:, col] = idx % n
-            idx //= n
-        yield lo, block
-        lo = hi
+def odometer_blocks(base: int, width: int, block_rows: int):
+    """Yield all base**width digit tuples in odometer (lexicographic) order,
+    as (rows, width) integer arrays of at most block_rows rows."""
+    total = base**width
+    for lo in range(0, total, block_rows):
+        idx = np.arange(lo, min(lo + block_rows, total), dtype=np.int64)
+        block = np.empty((len(idx), width), dtype=np.int64)
+        for col in range(width - 1, -1, -1):
+            block[:, col] = idx % base
+            idx //= base
+        yield block
 
 
 def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
@@ -336,17 +321,13 @@ def image(
     rep: OrbitRep,
     budget: int = DEFAULT_BUDGET,
     full_group: bool = False,
-    keep_counts: bool = False,
-    workers: int = 1,
 ) -> PointCloud:
     """All values of sigma_X, deduplicated.
 
     By default y runs over the canonical superclass representatives (the
     value is constant on superclasses); full_group=True instead sweeps all
-    n^d points as an oracle for that constancy.  The evaluation is done in
-    fixed-size blocks; `workers` only controls how many blocks are in
-    flight at once, and blocks are merged in index order, so the result is
-    identical for any worker count.
+    n^d points as an oracle for that constancy.  The evaluation is done
+    one fixed-size block at a time, in index order.
     """
     n, d = rep.n, rep.d
     total = n**d if full_group else orbit_count(n, d)
@@ -355,30 +336,20 @@ def image(
     r = orbit_size(rep)
     block_rows = max(1, _BLOCK_CELLS // max(r, 1))
     if full_group:
-        blocks = _full_group_blocks(n, d, block_rows)
+        blocks = odometer_blocks(n, d, block_rows)
     else:
-        blocks = _superclass_blocks(n, d, 0, total, block_rows)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(lo, pool.submit(values_on_block, rep, blk)) for lo, blk in blocks]
-            pieces = [f.result() for _, f in sorted(futures, key=lambda t: t[0])]
-    else:
-        pieces = [values_on_block(rep, blk) for _, blk in blocks]
+        blocks = _superclass_blocks(n, d, block_rows)
+    pieces = [values_on_block(rep, blk) for blk in blocks]
     values = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-    counts = None
-    if keep_counts:
-        if full_group:
-            raise ValueError("keep_counts is only supported for the superclass sweep")
-        counts = tuple(dot_counts(rep, y.entries) for y in enumerate_orbits(n, d))
-    return PointCloud.from_values(n, d, rep, values.tolist(), counts)
+    return PointCloud.from_values(n, d, rep, values.tolist())
 
 
-def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET, workers: int = 1) -> PointCloud:
+def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> PointCloud:
     """Union of the images of every orbit at (n, d), deduplicated."""
     count = orbit_count(n, d)
     if count * count > budget:
         raise BudgetExceeded(count * count, budget)
     values: list[complex] = []
     for rep in enumerate_orbits(n, d):
-        values.extend(image(rep, budget=budget, workers=workers).values)
+        values.extend(image(rep, budget=budget).values)
     return PointCloud.from_values(n, d, None, values)

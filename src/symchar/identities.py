@@ -27,13 +27,13 @@ from .errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from .evaluate import (
     DEFAULT_BUDGET,
     PointCloud,
+    cloud_difference,
     dot_counts,
     image,
     rotation_closed,
     roots_of_unity,
     supercharacter,
     union_image,
-    values_match,
 )
 from .modring import solve_bilinear_congruence
 from .orbits import (
@@ -182,14 +182,12 @@ def full_union_symmetry(
 
 def spike_detect(x_rep: OrbitRep) -> int | None:
     """Smallest r with r*1 - X = X as orbits, or None if there is none."""
-    for r in range(x_rep.n):
-        if canonicalize([r - v for v in x_rep.entries], x_rep.n) == x_rep:
-            return r
-    return None
+    shifts = spike_shifts(x_rep)
+    return shifts[0] if shifts else None
 
 
 def spike_shifts(x_rep: OrbitRep) -> list[int]:
-    """All r with r*1 - X = X."""
+    """All r with r*1 - X = X, in increasing order."""
     return [
         r
         for r in range(x_rep.n)
@@ -338,14 +336,11 @@ def walk_reduction_check(
     r = n // gcd(n, a)
     big = image(canonicalize((0,) * (d - 1) + (a,), n), budget=budget)
     small = image(canonicalize((0,) * (d - 1) + (1,), r), budget=budget)
-    passed = values_match(big.values, small.values, tol)
+    only_big, only_small = cloud_difference(big.values, small.values, tol)
+    passed = not only_big and not only_small
     witness = None
     if not passed:
-        only_big, only_small = (
-            [z for z in big.values][:4],
-            [z for z in small.values][:4],
-        )
-        witness = {"n": n, "a": a, "r": r, "sample_big": only_big, "sample_small": only_small}
+        witness = {"n": n, "a": a, "r": r, "only_big": only_big, "only_small": only_small}
     return IdentityReport(
         "walk-reduction",
         {"n": n, "d": d, "a": a, "reduced_modulus": r},

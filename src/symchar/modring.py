@@ -16,13 +16,6 @@ from math import gcd
 from .errors import NotAUnit, VerificationFailed
 
 
-def normalize(a: int, n: int) -> int:
-    """Canonical representative of a mod n in [0, n)."""
-    if n <= 0:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return a % n
-
-
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a mod n, raising NotAUnit when gcd(a, n) != 1."""
     if n <= 0:
@@ -31,10 +24,6 @@ def mod_inverse(a: int, n: int) -> int:
         return pow(a, -1, n)
     except ValueError:
         raise NotAUnit(f"{a} is not invertible mod {n}") from None
-
-
-def is_unit(a: int, n: int) -> bool:
-    return gcd(a, n) == 1
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -4,8 +4,7 @@ A superclass is the orbit of a tuple under permutation of its entries, so
 it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
 which matches itertools.combinations_with_replacement(range(n), d); the
-enumeration can be ranked/unranked so disjoint index ranges can be
-streamed by parallel consumers.
+enumeration can be ranked/unranked, so streaming may start at any index.
 """
 
 from __future__ import annotations
@@ -156,8 +155,8 @@ def enumerate_orbits(n: int, d: int, start: int = 0, stop: int | None = None) ->
 
     The full stream (defaults) visits all C(n+d-1, d) orbits in
     lexicographic order.  A nonzero start is unranked once and the stream
-    continues with constant-time stepping, so disjoint ranges from
-    split_ranges glue back to the full enumeration.
+    continues with constant-time stepping, so consecutive ranges glue back
+    to the full enumeration.
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
@@ -181,18 +180,3 @@ def enumerate_orbits(n: int, d: int, start: int = 0, stop: int | None = None) ->
         v = a[i] + 1
         for t in range(i, d):
             a[t] = v
-
-
-def split_ranges(n: int, d: int, parts: int) -> list[tuple[int, int]]:
-    """Partition the orbit index range into `parts` contiguous slices."""
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    total = orbit_count(n, d)
-    base, extra = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -83,7 +82,8 @@ class GrayImage:
             raise ValueError(f"expected {side}x{side} pixels, got {self.pixels.shape}")
 
 
-def _stamp_chunk(values: Sequence[complex], spec: BitmapSpec) -> np.ndarray:
+def render_bitmap(values: Iterable[complex], spec: BitmapSpec) -> GrayImage:
+    """Stamp every point into one accumulator and invert."""
     res = spec.res
     side = spec.side
     unit = spec.unit_res
@@ -95,23 +95,6 @@ def _stamp_chunk(values: Sequence[complex], spec: BitmapSpec) -> np.ndarray:
             # 1-based center (row, col); the 3x3 block is rows row-1..row+1
             box = acc[row - 2 : row + 1, col - 2 : col + 1]
             np.maximum(box, KERNEL, out=box)
-    return acc
-
-
-def render_bitmap(values: Iterable[complex], spec: BitmapSpec, workers: int = 1) -> GrayImage:
-    """Stamp every point and invert.  Output is independent of workers:
-    chunks accumulate into private arrays merged by elementwise max."""
-    values = list(values)
-    chunk = 8192
-    chunks = [values[lo : lo + chunk] for lo in range(0, len(values), chunk)] or [[]]
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(lambda c: _stamp_chunk(c, spec), chunks))
-    else:
-        accs = [_stamp_chunk(c, spec) for c in chunks]
-    acc = accs[0]
-    for other in accs[1:]:
-        np.maximum(acc, other, out=acc)
     return GrayImage(spec, 1.0 - acc)
 
 
@@ -151,17 +134,20 @@ def write_png(img: GrayImage, path) -> None:
         fh.write(encode_png(img))
 
 
+def round11(v: float) -> float:
+    """v rounded to 11 decimal places, with -0.0 folded into +0.0 so that
+    it never prints as "-0.00000000000"."""
+    r = round(v, 11)
+    return 0.0 if r == 0 else r
+
+
 def export_points(values: Iterable[complex], fmt: str = "csv") -> str:
     """Serialize a deduplicated point list: CSV rows or a JSON array.
 
     Floats are printed with 11 decimal places (12 significant digits at
     plot scale) so files diff cleanly across runs.
     """
-    def fold(v: float) -> float:
-        r = round(v, 11)
-        return 0.0 if r == 0 else r  # avoid "-0.00000000000"
-
-    pts = [(fold(z.real), fold(z.imag)) for z in values]
+    pts = [(round11(z.real), round11(z.imag)) for z in values]
     if fmt == "csv":
         lines = ["re,im"]
         lines += [f"{re:.11f},{im:.11f}" for re, im in pts]

@@ -59,7 +59,7 @@ class UnitaryTable:
     residual_unitary: float = 0.0
 
 
-def build_table(n: int, d: int, max_orbits: int = 2000, workers: int = 1) -> SuperTable:
+def build_table(n: int, d: int, max_orbits: int = 2000) -> SuperTable:
     """Evaluate S[i][j] = sigma_{X_i}(X_j) for all orbit pairs."""
     count = orbit_count(n, d)
     if count > max_orbits:
@@ -68,17 +68,8 @@ def build_table(n: int, d: int, max_orbits: int = 2000, workers: int = 1) -> Sup
     reps = np.array([rep.entries for rep in orbits], dtype=np.int64)
     sizes = np.array([orbit_size(rep) for rep in orbits], dtype=np.int64)
     values = np.empty((count, count), dtype=complex)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fill(i):
-            values[i] = values_on_block(orbits[i], reps)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(count)))
-    else:
-        for i, rep in enumerate(orbits):
-            values[i] = values_on_block(rep, reps)
+    for i, rep in enumerate(orbits):
+        values[i] = values_on_block(rep, reps)
     return SuperTable(n, d, orbits, sizes, values)
 
 

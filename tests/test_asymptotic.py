@@ -191,7 +191,7 @@ def test_degenerate_two_cusp():
 
 
 def test_orbit_check_small():
-    report = hypocycloid_orbit_check(19, 6, workers=4)
+    report = hypocycloid_orbit_check(19, 6)
     assert report.passed, report.to_json()
     assert 0 < report.info["fill_ratio"] <= 1
 

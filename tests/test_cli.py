@@ -112,6 +112,12 @@ def test_usage_exit_code(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_workers_option_rejected(capsys):
+    code, _, err = run_cli(["image", "7", "0", "1", "3", "--workers", "2"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_verify_translation(capsys):
     code, out, _ = run_cli(["verify", "translation", "--n", "3", "--d", "2"], capsys)
     assert code == 0
@@ -221,7 +227,7 @@ def test_render_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.png", tmp_path / "b.png"
     args = ["render", "7", "1", "1", "5", "--range", "4", "--unit-res", "8"]
     assert run_cli(args + ["-o", str(a)], capsys)[0] == 0
-    assert run_cli(args + ["-o", str(b), "--workers", "6"], capsys)[0] == 0
+    assert run_cli(args + ["-o", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
 
 

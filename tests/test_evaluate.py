@@ -161,20 +161,5 @@ def test_union_image_contains_each_orbit():
             assert values_match([v], cloud.values) or any(abs(v - u) <= 1e-9 for u in cloud.values)
 
 
-def test_workers_do_not_change_values():
-    rep = canonicalize((1, 1, 1, 1, 1, 14), 19)
-    a = image(rep, workers=1)
-    b = image(rep, workers=8)
-    assert a.values == b.values
-
-
-def test_image_keep_counts():
-    rep = canonicalize((1, 2), 5)
-    cloud = image(rep, keep_counts=True)
-    assert cloud.counts is not None
-    for v, cv in zip(cloud.values, cloud.counts):
-        assert abs(v - cv.value()) < 1e-9
-
-
 def test_default_budget_value():
     assert DEFAULT_BUDGET == 5_000_000

@@ -1,0 +1,41 @@
+"""Golden SHA-256 digests of CLI output, pinned so refactors stay byte-identical.
+
+Each command covers one shared code path: the single-accumulator bitmap
+stamping, the superclass and full-group (odometer) image sweeps, the torus
+odometer and zero-row count of `reduce`, the spike scan, and the 11-place
+float formatting of `eval`.  A digest may change only with a deliberate
+change of output, never with a refactor.
+"""
+
+import hashlib
+
+import pytest
+
+from symchar.cli import main
+
+GOLDEN = [
+    (
+        ["render", "19", "1", "1", "1", "1", "1", "14", "--range", "7", "--unit-res", "30", "-o", "out.png"],
+        "22c230deee1e5bd925e63f3eb1372ec6420779cba213efed169d3a3bb380458a",
+        "090c1d2969a107be58d57f846d8f19ccd82e646bea7e8cbed9c2055be6eff0ce",
+    ),
+    (["image", "11", "3", "4", "5", "6", "9", "10", "--format", "csv"], "60938960c0a5a5d5cafba2eddacc9e7015e50ba87b44a21e7d27d1830f6d7835", None),
+    (["image", "5", "0", "1", "2", "--full-group", "--format", "csv"], "dd3d2985646ab6426a929c1575cc2ee66de8b9afcc516080c614a308beb2c745", None),
+    (["reduce", "47", "1", "2", "44", "--grid", "47"], "f3e06852cedfebdfe929e61f2c5c1f3771dcc7729505011d9d2ea5d1627f2f17", None),
+    (["verify", "spikes", "--n", "6", "--d", "4"], "94febc3d79b8f257b755b5812ddf106e4d4b3d21844d1082064e404a18bd9864", None),
+    (["eval", "7", "1", "2", "4", "--", "1", "3", "5"], "f5f331c74cf5f5ce6a7d36c85e076b9749a3032e0b3c009d31d5aec99d642d8c", None),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv, stdout_digest, file_digest", GOLDEN, ids=[g[0][0] + "-" + g[0][1] for g in GOLDEN])
+def test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SYMCHAR_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+    if file_digest is not None:
+        assert sha256((tmp_path / argv[-1]).read_bytes()) == file_digest

@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symchar import identities
 from symchar.errors import HypothesisFailed
-from symchar.evaluate import dot_counts, image, supercharacter
+from symchar.evaluate import PointCloud, dot_counts, image, supercharacter
 from symchar.identities import (
     conjugate_identity,
     dihedral_order,
@@ -156,6 +157,26 @@ def test_walk_reduction_identity_step():
 def test_walk_zero_step_rejected():
     with pytest.raises(HypothesisFailed):
         walk_reduction_check(6, 2, 6)
+
+
+def test_walk_witness_names_the_mismatch(monkeypatch):
+    real_image = identities.image
+    moved = {}
+
+    def perturbed_image(rep, **kwargs):
+        cloud = real_image(rep, **kwargs)
+        if rep.n != 3:  # perturb only the reduced-modulus cloud
+            return cloud
+        moved["from"] = cloud.values[1]
+        moved["to"] = cloud.values[1] + 1e-6
+        values = cloud.values[:1] + (moved["to"],) + cloud.values[2:]
+        return PointCloud(cloud.n, cloud.d, cloud.rep, values)
+
+    monkeypatch.setattr(identities, "image", perturbed_image)
+    report = walk_reduction_check(24, 3, 8)
+    assert not report.passed
+    assert report.witness["only_big"] == [moved["from"]]
+    assert report.witness["only_small"] == [moved["to"]]
 
 
 @settings(max_examples=150, deadline=None)

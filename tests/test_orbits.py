@@ -15,7 +15,6 @@ from symchar.orbits import (
     rank_orbit,
     residue_multiplicities,
     shift_orbit,
-    split_ranges,
     stabilizer_order,
     unrank_orbit,
 )
@@ -94,13 +93,3 @@ def test_enumerate_with_bounds():
     assert full == list(enumerate_orbits(6, 3, 0, len(full)))
     assert full[10:25] == list(enumerate_orbits(6, 3, 10, 25))
     assert list(enumerate_orbits(6, 3, len(full))) == []
-
-
-def test_split_ranges_cover():
-    total = orbit_count(7, 3)
-    pieces = split_ranges(7, 3, 4)
-    assert pieces[0][0] == 0 and pieces[-1][1] == total
-    glued = []
-    for lo, hi in pieces:
-        glued.extend(enumerate_orbits(7, 3, lo, hi))
-    assert glued == list(enumerate_orbits(7, 3))

@@ -119,14 +119,6 @@ def test_write_png(tmp_path):
     assert decode_png(out.read_bytes()).shape == (8, 8)
 
 
-def test_render_deterministic_across_workers():
-    vals = [complex(np.cos(k), np.sin(2 * k)) * 1.7 for k in range(500)]
-    spec = BitmapSpec(2, 16)
-    a = encode_png(render_bitmap(vals, spec, workers=1))
-    b = encode_png(render_bitmap(vals, spec, workers=8))
-    assert a == b
-
-
 def test_empty_cloud_all_white():
     spec = BitmapSpec(2, 4)
     img = render_bitmap([], spec)

@@ -111,10 +111,3 @@ def test_superclass_transform_shape_check():
 def test_orbit_budget():
     with pytest.raises(BudgetExceeded):
         build_table(50, 4, max_orbits=100)
-
-
-def test_workers_match_serial():
-    a = build_table(5, 3, workers=1)
-    b = build_table(5, 3, workers=6)
-    assert np.array_equal(a.values, b.values)
-    assert a.orbits == b.orbits
