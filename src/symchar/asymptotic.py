@@ -315,7 +315,7 @@ def sample_torus_map(
         np.mod(phases, grid, out=phases)
         values.append(table[phases].sum(axis=1))
     flat = np.concatenate(values) if values else np.empty(0, dtype=complex)
-    return PointCloud.from_values(grid, v, None, flat.tolist())
+    return PointCloud.from_values(grid, v, None, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +391,25 @@ def hypocycloid_contains_many(
     true curve by up to that much, so points exactly on the curve (which
     the image does attain) land outside the polygon by up to the chord
     deviation, far above any useful tol.
+
+    Points with |z| < (d-2) - 2*sagitta pass without a winding count.
+    The curve's radius is at least d-2 and every chord lies within
+    sagitta of it, so that disc misses the polyline and contains the
+    origin: each of its points winds like the origin, which is inside.
     """
-    pts = np.array([[z.real, z.imag] for z in values], dtype=float)
-    if len(pts) == 0:
+    z = np.asarray(values, dtype=complex)
+    if len(z) == 0:
         return np.zeros(0, dtype=bool)
     poly = hypocycloid_boundary(d, samples)
-    margin = tol + polygon_sagitta_bound(d, samples)
-    ok = _winding_numbers(poly, pts) != 0
-    rest = ~ok
-    if rest.any():
-        ok[rest] = _dist_to_polyline(poly, pts[rest]) <= margin
+    sagitta = polygon_sagitta_bound(d, samples)
+    ok = np.abs(z) < (d - 2) - 2 * sagitta
+    rest = np.flatnonzero(~ok)
+    pts = np.column_stack([z.real[rest], z.imag[rest]])
+    inside = _winding_numbers(poly, pts) != 0
+    outside = ~inside
+    if outside.any():
+        inside[outside] = _dist_to_polyline(poly, pts[outside]) <= tol + sagitta
+    ok[rest] = inside
     return ok
 
 

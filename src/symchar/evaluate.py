@@ -27,6 +27,7 @@ from .orbits import (
     orbit_count,
     orbit_size,
     stabilizer_order,
+    superclass_array,
 )
 
 DEFAULT_BUDGET = 5_000_000
@@ -195,19 +196,25 @@ def _round_coord(v: float) -> float:
     return 0.0 if r == 0 else r  # fold -0.0 into +0.0
 
 
-def dedupe_values(values: Iterable[complex]) -> tuple[complex, ...]:
+def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
     """Deduplicate complex values, keyed on coordinates rounded to 1e-9.
 
     The first value seen in iteration order represents its bucket, so the
-    result is deterministic for a deterministic input order.
+    result is deterministic for a deterministic input order.  Exact
+    repeats are dropped first, as whole arrays: the first occurrence of
+    each bucket is also the first occurrence of its exact value, so only
+    those first occurrences, kept in input order, need rounding.
     """
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=complex)
+    _, first = np.unique(arr, return_index=True, equal_nan=False)
+    first.sort()
     seen: dict[tuple[float, float], None] = {}
     out = []
-    for z in values:
+    for z in arr[first].tolist():
         key = (_round_coord(z.real), _round_coord(z.imag))
         if key not in seen:
             seen[key] = None
-            out.append(complex(z))
+            out.append(z)
     return tuple(out)
 
 
@@ -283,15 +290,10 @@ def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> 
 
 
 def _superclass_blocks(n: int, d: int, block_rows: int):
-    """Yield arrays of canonical representatives, block_rows at a time."""
-    total = orbit_count(n, d)
-    for lo in range(0, total, block_rows):
-        hi = min(lo + block_rows, total)
-        yield np.fromiter(
-            (v for rep in enumerate_orbits(n, d, lo, hi) for v in rep.entries),
-            dtype=np.int64,
-            count=(hi - lo) * d,
-        ).reshape(hi - lo, d)
+    """Yield int64 arrays of canonical representatives, block_rows at a time."""
+    reps = superclass_array(n, d)
+    for lo in range(0, len(reps), block_rows):
+        yield reps[lo : lo + block_rows].astype(np.int64)
 
 
 def odometer_blocks(base: int, width: int, block_rows: int):
@@ -341,7 +343,7 @@ def image(
         blocks = _superclass_blocks(n, d, block_rows)
     pieces = [values_on_block(rep, blk) for blk in blocks]
     values = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-    return PointCloud.from_values(n, d, rep, values.tolist())
+    return PointCloud.from_values(n, d, rep, values)
 
 
 def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> PointCloud:

@@ -23,10 +23,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, HypothesisFailed, VerificationFailed
+from .errors import HypothesisFailed, VerificationFailed
 from .evaluate import (
     DEFAULT_BUDGET,
-    PointCloud,
+    CountsVector,
     cloud_difference,
     dot_counts,
     image,
@@ -234,15 +234,15 @@ def spike_identity(
     g = gcd(r, n)
     rays = 2 * n // g
 
-    def counts_ok(yv: Sequence[int]) -> bool:
-        cv = dot_counts(x_rep, yv)
+    def counts_ok(cv: CountsVector, yv: Sequence[int]) -> bool:
         sy = sum(yv) % n
         target = tuple(cv.counts[(r * sy - t) % n] for t in range(n))
         return cv.counts == target
 
     if y is not None:
-        cv_ok = counts_ok(y)
-        z = supercharacter(x_rep, y)
+        cv = dot_counts(x_rep, y)
+        cv_ok = counts_ok(cv, y)
+        z = cv.value()
         ray_ok = _on_ray_set(z, n, g, tol)
         passed = cv_ok and ray_ok
         witness = None if passed else {"x": x_rep, "y": list(y), "value": z}
@@ -253,21 +253,23 @@ def spike_identity(
             passed,
             witness,
         )
+    # one pass for both checks; each stops at its own first failure
     bad_counts = None
-    for y_rep in enumerate_orbits(n, x_rep.d):
-        if not counts_ok(y_rep.entries):
-            bad_counts = y_rep
-            break
     ray_max: list[float] = [0.0] * rays
     bad_ray = None
     for y_rep in enumerate_orbits(n, x_rep.d):
-        z = supercharacter(x_rep, y_rep.entries)
-        if not _on_ray_set(z, n, g, tol):
-            bad_ray = (y_rep, z)
+        cv = dot_counts(x_rep, y_rep.entries)
+        if bad_counts is None and not counts_ok(cv, y_rep.entries):
+            bad_counts = y_rep
+        if bad_ray is None:
+            z = cv.value()
+            if not _on_ray_set(z, n, g, tol):
+                bad_ray = (y_rep, z)
+            elif abs(z) >= tol:
+                m = int(round((np.angle(z) % (2 * pi)) / (pi * g / n))) % rays
+                ray_max[m] = max(ray_max[m], abs(z))
+        if bad_counts is not None and bad_ray is not None:
             break
-        if abs(z) >= tol:
-            m = int(round((np.angle(z) % (2 * pi)) / (pi * g / n))) % rays
-            ray_max[m] = max(ray_max[m], abs(z))
     passed = bad_counts is None and bad_ray is None
     witness = None
     if bad_counts is not None:

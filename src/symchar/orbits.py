@@ -5,6 +5,7 @@ it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
 which matches itertools.combinations_with_replacement(range(n), d); the
 enumeration can be ranked/unranked, so streaming may start at any index.
+Whole sweeps take all representatives at once as one array instead.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -180,3 +183,27 @@ def enumerate_orbits(n: int, d: int, start: int = 0, stop: int | None = None) ->
         v = a[i] + 1
         for t in range(i, d):
             a[t] = v
+
+
+def superclass_array(n: int, d: int) -> np.ndarray:
+    """All C(n+d-1, d) canonical representatives as one (rows, d) array.
+
+    Rows are in the lexicographic order of enumerate_orbits.  Built by
+    prefix extension: each row ending in v is repeated n - v times and
+    extended by v, v+1, ..., n-1.  Entries use the smallest unsigned
+    dtype that holds n - 1.
+    """
+    if n <= 0:
+        raise ValueError(f"modulus must be positive, got {n}")
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d}")
+    dtype = np.min_scalar_type(n - 1)
+    rows = np.arange(n, dtype=dtype)[:, None]
+    for _ in range(d - 1):
+        last = rows[:, -1].astype(np.int64)
+        reps = n - last
+        ends = np.cumsum(reps)
+        # copy i of a row starting at position s gets last + (i - s)
+        col = np.arange(ends[-1]) - np.repeat(ends - reps - last, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), col.astype(dtype)])
+    return rows

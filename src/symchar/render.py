@@ -25,7 +25,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from math import floor
 from typing import Iterable
 
 import numpy as np
@@ -39,9 +38,10 @@ KERNEL = np.array(
 )
 
 
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
-    return floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
+def round_half_away(x):
+    """Round to nearest integer, ties away from zero, elementwise; the
+    result is a float (array)."""
+    return np.where(x >= 0, np.floor(x + 0.5), -np.floor(-x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,16 @@ def render_bitmap(values: Iterable[complex], spec: BitmapSpec) -> GrayImage:
     res = spec.res
     side = spec.side
     unit = spec.unit_res
+    z = np.fromiter(values, dtype=complex)
+    row = round_half_away(res - unit * z.imag)
+    col = round_half_away(res + unit * z.real)
+    interior = (1 < row) & (row < side) & (1 < col) & (col < side)
+    # 1-based center (row, col); the 3x3 block is 0-based rows row-2..row
+    row = row[interior].astype(np.int64) - 2
+    col = col[interior].astype(np.int64) - 2
     acc = np.zeros((side, side))
-    for z in values:
-        row = round_half_away(res - unit * z.imag)
-        col = round_half_away(res + unit * z.real)
-        if 1 < row < side and 1 < col < side:
-            # 1-based center (row, col); the 3x3 block is rows row-1..row+1
-            box = acc[row - 2 : row + 1, col - 2 : col + 1]
-            np.maximum(box, KERNEL, out=box)
+    for (dr, dc), weight in np.ndenumerate(KERNEL):
+        np.maximum.at(acc, (row + dr, col + dc), weight)
     return GrayImage(spec, 1.0 - acc)
 
 

@@ -1,4 +1,3 @@
-import cmath
 from math import cos, gcd, pi, sin
 
 import numpy as np
@@ -6,6 +5,8 @@ import pytest
 
 from symchar.asymptotic import (
     ExponentMatrix,
+    _dist_to_polyline,
+    _winding_numbers,
     ReductionCertificate,
     certificate_from_rows,
     hypocycloid_boundary,
@@ -177,6 +178,31 @@ def test_containment_basics():
     assert not hypocycloid_contains(2 + 2j, 3)
     flags = hypocycloid_contains_many([0j, 6 + 0j, 7 + 0j], 6)
     assert flags.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("samples", [64, 4096])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_inner_disc_shortcut_keeps_verdicts(d, samples):
+    rng = np.random.default_rng(d * samples)
+    sagitta = polygon_sagitta_bound(d, samples)
+    inner = (d - 2) - 2 * sagitta
+    angles = rng.uniform(0, 2 * pi, 200)
+    cusps = d * np.exp(2j * pi * np.arange(d) / d)
+    pts = np.concatenate(
+        [
+            (inner + 1e-12) * np.exp(1j * angles),
+            (inner - 1e-12) * np.exp(1j * angles),
+            cusps,
+            rng.uniform(-d, d, 400) + 1j * rng.uniform(-d, d, 400),
+        ]
+    )
+    # the unfiltered rule: nonzero winding, else within tol + sagitta
+    poly = hypocycloid_boundary(d, samples)
+    xy = np.column_stack([pts.real, pts.imag])
+    expected = _winding_numbers(poly, xy) != 0
+    expected[~expected] = _dist_to_polyline(poly, xy[~expected]) <= 1e-9 + sagitta
+    assert hypocycloid_contains_many(pts.tolist(), d, 1e-9, samples).tolist() == expected.tolist()
+    assert hypocycloid_contains_many(cusps, d, 1e-9, samples).all()
 
 
 def test_sagitta_bound_scales():

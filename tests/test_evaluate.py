@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from symchar.errors import BudgetExceeded, DimensionTooLarge
 from symchar.evaluate import (
     CountsVector,
+    DEDUPE_DECIMALS,
     DEFAULT_BUDGET,
     constancy_check,
     dedupe_values,
@@ -139,6 +140,47 @@ def test_dedupe_values():
     out = dedupe_values(vals)
     assert len(out) == 2
     assert out[0] == 1 + 0j  # first-seen representative survives
+
+
+def reference_dedupe(values):
+    """One dict lookup per value, in input order: the rule dedupe_values
+    must reproduce exactly."""
+    def rounded(v):
+        r = round(v, DEDUPE_DECIMALS)
+        return 0.0 if r == 0 else r
+
+    seen = {}
+    out = []
+    for z in values:
+        key = (rounded(z.real), rounded(z.imag))
+        if key not in seen:
+            seen[key] = None
+            out.append(complex(z))
+    return tuple(out)
+
+
+# +-0.0, values 0.5e-9 apart and values on (or a hair off) rounding boundaries
+_coords = st.sampled_from(
+    [0.0, -0.0, 5e-10, -5e-10, 1e-9, 1.5e-9, 2.5e-9, 0.1234567895, 0.12345678949999999, -0.1234567895, 1.0, 1.0000000005, -1.0000000005]
+) | st.floats(min_value=-2, max_value=2, allow_nan=False).map(lambda v: round(v, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _coords, _coords), max_size=60), st.data())
+def test_dedupe_values_matches_reference(vals, data):
+    # exact repeats of earlier values, placed anywhere in the list
+    for _ in range(data.draw(st.integers(0, 10))):
+        if vals:
+            vals.insert(data.draw(st.integers(0, len(vals))), data.draw(st.sampled_from(vals)))
+    expected = repr(reference_dedupe(vals))
+    assert repr(dedupe_values(vals)) == expected
+    assert repr(dedupe_values(np.array(vals, dtype=complex))) == expected
+    assert repr(dedupe_values(iter(vals))) == expected
+
+
+def test_dedupe_values_keeps_first_signed_zero():
+    assert repr(dedupe_values([complex(-0.0, 0.0), 0j, complex(0.0, -0.0)])) == repr((complex(-0.0, 0.0),))
+    assert dedupe_values([]) == ()
 
 
 def test_values_match_respects_tolerance():

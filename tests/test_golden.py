@@ -2,8 +2,9 @@
 
 Each command covers one shared code path: the single-accumulator bitmap
 stamping, the superclass and full-group (odometer) image sweeps, the torus
-odometer and zero-row count of `reduce`, the spike scan, and the 11-place
-float formatting of `eval`.  A digest may change only with a deliberate
+odometer and zero-row count of `reduce`, the spike scan, the 11-place
+float formatting of `eval`, and the dedupe counts and containment verdicts
+of `verify hypocycloid`.  A digest may change only with a deliberate
 change of output, never with a refactor.
 """
 
@@ -24,6 +25,9 @@ GOLDEN = [
     (["reduce", "47", "1", "2", "44", "--grid", "47"], "f3e06852cedfebdfe929e61f2c5c1f3771dcc7729505011d9d2ea5d1627f2f17", None),
     (["verify", "spikes", "--n", "6", "--d", "4"], "94febc3d79b8f257b755b5812ddf106e4d4b3d21844d1082064e404a18bd9864", None),
     (["eval", "7", "1", "2", "4", "--", "1", "3", "5"], "f5f331c74cf5f5ce6a7d36c85e076b9749a3032e0b3c009d31d5aec99d642d8c", None),
+    (["verify", "hypocycloid", "--n", "13", "--d", "6"], "7acc238c6c2d6a30c11224afb28fd9361ba1ca21c5bb9484cdf28b0bd9902461", None),
+    (["verify", "hypocycloid", "--n", "19", "--d", "5"], "b6a82772703d17471039d16feb187afba3a8abdc83235b06ec73b002c82e2382", None),
+    (["image", "24", "1", "1", "1", "1", "1", "19", "--format", "csv"], "d39c27e39f7c2db113903c50f6ae08f1a352adf29313c6fe789a34e2ddba9ada", None),
 ]
 
 

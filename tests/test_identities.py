@@ -1,4 +1,3 @@
-import cmath
 from math import gcd
 
 import pytest
@@ -128,6 +127,22 @@ def test_spike_rays_17():
     assert report.passed, report.to_json()
     assert report.params["rays"] == 34
     assert len(report.info["ray_max_modulus"]) == 34
+
+
+def test_spike_identity_counts_each_superclass_once(monkeypatch):
+    from symchar import evaluate
+
+    calls = []
+
+    def counting(rep, y):
+        calls.append(tuple(y))
+        return dot_counts(rep, y)
+
+    monkeypatch.setattr(identities, "dot_counts", counting)
+    monkeypatch.setattr(evaluate, "dot_counts", counting)
+    report = spike_identity(canonicalize((1, 2, 3), 17), 4)
+    assert report.passed
+    assert calls == [rep.entries for rep in enumerate_orbits(17, 3)]
 
 
 def test_spike_sweep_small():

@@ -1,5 +1,7 @@
+from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,10 @@ from symchar.orbits import (
     residue_multiplicities,
     shift_orbit,
     stabilizer_order,
+    superclass_array,
     unrank_orbit,
 )
+from symchar.evaluate import _superclass_blocks
 
 
 def test_canonicalize_reduces_and_sorts():
@@ -93,3 +97,30 @@ def test_enumerate_with_bounds():
     assert full == list(enumerate_orbits(6, 3, 0, len(full)))
     assert full[10:25] == list(enumerate_orbits(6, 3, 10, 25))
     assert list(enumerate_orbits(6, 3, len(full))) == []
+
+
+def test_superclass_array_matches_combinations():
+    for n in range(1, 13):
+        for d in range(1, 7):
+            arr = superclass_array(n, d)
+            assert arr.dtype == np.uint8
+            assert arr.tolist() == [list(c) for c in combinations_with_replacement(range(n), d)]
+
+
+def test_superclass_array_dtype_and_validation():
+    assert superclass_array(256, 1).dtype == np.uint8
+    wide = superclass_array(257, 2)
+    assert wide.dtype == np.uint16
+    assert wide.tolist() == [list(c) for c in combinations_with_replacement(range(257), 2)]
+    with pytest.raises(ValueError):
+        superclass_array(0, 2)
+    with pytest.raises(ValueError):
+        superclass_array(3, 0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 56, 1000])
+def test_superclass_blocks_glue_to_enumeration(block_rows):
+    blocks = list(_superclass_blocks(6, 3, block_rows))
+    assert all(b.dtype == np.int64 and len(b) <= block_rows for b in blocks)
+    rows = [tuple(r) for b in blocks for r in b.tolist()]
+    assert rows == [rep.entries for rep in enumerate_orbits(6, 3)]

@@ -1,6 +1,7 @@
 import json
 import struct
 import zlib
+from math import floor
 
 import numpy as np
 import pytest
@@ -138,6 +139,34 @@ def test_permuting_cloud_is_bit_identical():
     a = encode_png(render_bitmap(vals, spec))
     b = encode_png(render_bitmap(list(reversed(vals)), spec))
     assert a == b
+
+
+def reference_bitmap(values, spec):
+    """One 3x3 stamp per point, in a Python loop: the rule render_bitmap
+    must reproduce exactly."""
+    def rnd(x):
+        return floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
+
+    res, side, unit = spec.res, spec.side, spec.unit_res
+    acc = np.zeros((side, side))
+    for z in values:
+        row = rnd(res - unit * z.imag)
+        col = rnd(res + unit * z.real)
+        if 1 < row < side and 1 < col < side:
+            box = acc[row - 2 : row + 1, col - 2 : col + 1]
+            np.maximum(box, KERNEL, out=box)
+    return 1.0 - acc
+
+
+def test_render_matches_reference_loop():
+    rng = np.random.default_rng(5)
+    spec = BitmapSpec(3, 4)
+    # points spread past the frame, on half-pixel ties and stacked on each other
+    vals = list(rng.uniform(-3.6, 3.6, 400) + 1j * rng.uniform(-3.6, 3.6, 400))
+    vals += [complex(k / 8, -k / 8) for k in range(-28, 29)] + [0.25 + 0.5j] * 3
+    img = render_bitmap(vals, spec)
+    assert np.array_equal(img.pixels, reference_bitmap(vals, spec))
+    assert np.array_equal(render_bitmap(np.array(vals), spec).pixels, img.pixels)
 
 
 def test_export_points_empty():

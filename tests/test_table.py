@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from symchar.errors import BudgetExceeded, DimensionMismatch
-from symchar.orbits import canonicalize, enumerate_orbits
 from symchar.table import (
     build_table,
     build_unitary,
