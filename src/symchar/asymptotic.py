@@ -320,101 +320,75 @@ def sample_torus_map(
 
 # ---------------------------------------------------------------------------
 # hypocycloid geometry
+#
+# z(t) = (d-1) e^{it} + e^{-i(d-1)t} = e^{it} ((d-1) + e^{-idt}) is invariant
+# under rotation by 2 pi/d and under conjugation (t -> -t).  For d >= 3 it is
+# star-shaped: Im(z' conj z) = (d-1)(d-2)(1 - cos dt) >= 0, so the angle
+# arg z(t) = t + arg((d-1) + e^{-idt}) increases with t, and each ray from the
+# origin meets the curve once, at radius |(d-1) + e^{-idt}|.
 
 
-def hypocycloid_boundary(d: int, samples: int = 4096) -> np.ndarray:
-    """Closed polyline through samples points of the d-cusp hypocycloid."""
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise root of fn, increasing on each [lo, hi], by 64 halvings."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = fn(mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _param_at_angle(theta: np.ndarray, d: int) -> np.ndarray:
+    """t with arg z(t) = theta; |arg((d-1) + e^{-idt})| <= asin(1/(d-1))
+    brackets it."""
+    half = np.arcsin(1.0 / (d - 1))
+    return _bisect(lambda t: t + np.angle((d - 1) + np.exp(-1j * d * t)) - theta, theta - half, theta + half)
+
+
+def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e-9) -> np.ndarray:
+    """Which values lie in the filled d-cusp hypocycloid, up to tol.
+
+    tol is a Euclidean distance: a value passes exactly when its distance
+    to the filled region is at most tol, and each pass is witnessed by the
+    value being inside or by a curve point within tol of it.  For d = 2
+    the region is the segment [-2, 2].
+
+    For d >= 3 each value p is folded by the dihedral symmetry into the
+    wedge 0 <= arg p <= pi/d, which holds the arc 0 <= t <= pi/d.  It passes
+    if |p| exceeds the curve's radius on its ray by at most tol.  Otherwise
+    it lies outside, and a curve point within tol of it makes an angle of
+    at most asin(tol/|p|) with it.  The candidates are the nearest point of
+    the arc within that angle (the root of the derivative of |z(t) - p|^2,
+    which increases there) and the cusp d, which that root can miss when p
+    lies beyond the cusp.
+    """
     if d < 2:
         raise ValueError("needs d >= 2")
-    if samples < 3 * d:
-        raise ValueError(f"samples {samples} too coarse for {d} cusps")
-    t = 2 * pi * np.arange(samples) / samples
-    x = (d - 1) * np.cos(t) + np.cos((d - 1) * t)
-    y = (d - 1) * np.sin(t) - np.sin((d - 1) * t)
-    return np.column_stack([x, y])
-
-
-def polygon_sagitta_bound(d: int, samples: int) -> float:
-    """Max distance from the curve to the inscribed polygon's chords.
-
-    Linear interpolation error: (h^2 / 8) * max |r''|, with
-    |r''| <= (d-1) + (d-1)^2 = d(d-1) for this parametrization.
-    """
-    h = 2 * pi / samples
-    return h * h * d * (d - 1) / 8.0
-
-
-def _winding_numbers(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Winding number of the closed polyline around each point (nonzero rule)."""
-    x1 = poly[:, 0]
-    y1 = poly[:, 1]
-    x2 = np.roll(poly[:, 0], -1)
-    y2 = np.roll(poly[:, 1], -1)
-    out = np.zeros(len(pts), dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(len(poly), 1))
-    for lo in range(0, len(pts), chunk):
-        px = pts[lo : lo + chunk, 0][:, None]
-        py = pts[lo : lo + chunk, 1][:, None]
-        cross = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
-        up = (y1 <= py) & (y2 > py) & (cross > 0)
-        down = (y1 > py) & (y2 <= py) & (cross < 0)
-        out[lo : lo + chunk] = up.sum(axis=1) - down.sum(axis=1)
-    return out
-
-
-def _dist_to_polyline(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polyline."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    ab2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
-    out = np.empty(len(pts))
-    chunk = max(1, 1_000_000 // max(len(poly), 1))
-    for lo in range(0, len(pts), chunk):
-        p = pts[lo : lo + chunk]
-        ap = p[:, None, :] - a[None, :, :]
-        t = np.clip((ap * ab[None, :, :]).sum(axis=2) / ab2[None, :], 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        diff = p[:, None, :] - closest
-        out[lo : lo + chunk] = np.sqrt((diff * diff).sum(axis=2).min(axis=1))
-    return out
-
-
-def hypocycloid_contains_many(
-    values: Sequence[complex], d: int, tol: float = 1e-9, samples: int = 4096
-) -> np.ndarray:
-    """Containment test against the filled d-cusp hypocycloid.
-
-    A point passes if it is inside the inscribed sample polygon (nonzero
-    winding) or within tol + sagitta of the polyline.  The sagitta term
-    is forced by the discretization: the polygon's chords undercut the
-    true curve by up to that much, so points exactly on the curve (which
-    the image does attain) land outside the polygon by up to the chord
-    deviation, far above any useful tol.
-
-    Points with |z| < (d-2) - 2*sagitta pass without a winding count.
-    The curve's radius is at least d-2 and every chord lies within
-    sagitta of it, so that disc misses the polyline and contains the
-    origin: each of its points winds like the origin, which is inside.
-    """
     z = np.asarray(values, dtype=complex)
-    if len(z) == 0:
-        return np.zeros(0, dtype=bool)
-    poly = hypocycloid_boundary(d, samples)
-    sagitta = polygon_sagitta_bound(d, samples)
-    ok = np.abs(z) < (d - 2) - 2 * sagitta
+    if d == 2:
+        return np.abs(z - np.clip(z.real, -2.0, 2.0)) <= tol
+    r = np.abs(z)
+    wedge = 2 * pi / d
+    phi = np.mod(np.angle(z), wedge)
+    phi = np.minimum(phi, wedge - phi)
+    ok = r <= np.abs((d - 1) + np.exp(-1j * d * _param_at_angle(phi, d))) + tol
     rest = np.flatnonzero(~ok)
-    pts = np.column_stack([z.real[rest], z.imag[rest]])
-    inside = _winding_numbers(poly, pts) != 0
-    outside = ~inside
-    if outside.any():
-        inside[outside] = _dist_to_polyline(poly, pts[outside]) <= tol + sagitta
-    ok[rest] = inside
+    if len(rest):
+        p = r[rest] * np.exp(1j * phi[rest])
+        spread = np.arcsin(tol / r[rest])
+        lo = np.maximum(_param_at_angle(phi[rest] - spread, d), 0.0)
+        hi = np.minimum(_param_at_angle(phi[rest] + spread, d), pi / d)
+
+        def curve(t):
+            return (d - 1) * np.exp(1j * t) + np.exp(-1j * (d - 1) * t)
+
+        def slope(t):  # d/dt |z(t) - p|^2 / 2
+            tangent = 1j * (d - 1) * (np.exp(1j * t) - np.exp(-1j * (d - 1) * t))
+            return ((curve(t) - p) * np.conj(tangent)).real
+
+        nearest = np.abs(curve(_bisect(slope, lo, hi)) - p)
+        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= tol
     return ok
-
-
-def hypocycloid_contains(z: complex, d: int, tol: float = 1e-9, samples: int = 4096) -> bool:
-    return bool(hypocycloid_contains_many([z], d, tol, samples)[0])
 
 
 def hypocycloid_orbit_check(
@@ -422,18 +396,19 @@ def hypocycloid_orbit_check(
     d: int,
     tol: float = 1e-9,
     budget: int = DEFAULT_BUDGET,
-    samples: int = 4096,
 ) -> IdentityReport:
-    """Every value of sigma_X for X = orbit of (1,...,1,1-d) lies in the
-    filled d-cusp hypocycloid."""
+    """Every value of sigma_X for X = orbit of (1,...,1,1-d) lies within tol
+    of the filled d-cusp hypocycloid; the witness lists every value that
+    does not."""
+    if d < 2:
+        raise ValueError("needs d >= 2")
     rep = canonicalize((1,) * (d - 1) + (1 - d,), n)
     cloud = image(rep, budget=budget)
-    ok = hypocycloid_contains_many(cloud.values, d, tol, samples)
+    ok = hypocycloid_contains_many(cloud.values, d, tol)
     passed = bool(ok.all())
     witness = None
     if not passed:
-        bad = [cloud.values[i] for i in np.flatnonzero(~ok)[:4]]
-        witness = {"x": rep, "outside": bad}
+        witness = {"x": rep, "outside": [cloud.values[i] for i in np.flatnonzero(~ok)]}
     superclasses = orbit_count(n, d)
     return IdentityReport(
         "hypocycloid",

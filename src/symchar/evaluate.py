@@ -314,9 +314,14 @@ def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
     n = rep.n
     table = roots_of_unity(n)
     elems = orbit_array(rep)
+    # The result is allocated before `dots` so that `dots` is the newest
+    # heap chunk and its block-sized memory is reused by the next block.
+    # Allocated after it, the result could pin that hole, and the peak RSS
+    # of a d=6 render moved between 122 and 152 MB with heap layout alone.
+    out = np.empty(len(block), dtype=complex)
     dots = block @ elems.T
     np.mod(dots, n, out=dots)
-    return table[dots].sum(axis=1)
+    return table[dots].sum(axis=1, out=out)
 
 
 def image(

@@ -1,21 +1,18 @@
+from dataclasses import replace
 from math import cos, gcd, pi, sin
 
 import numpy as np
 import pytest
 
+import symchar.asymptotic as asymptotic
 from symchar.asymptotic import (
     ExponentMatrix,
-    _dist_to_polyline,
-    _winding_numbers,
     ReductionCertificate,
     certificate_from_rows,
-    hypocycloid_boundary,
-    hypocycloid_contains,
     hypocycloid_contains_many,
     hypocycloid_exponents,
     hypocycloid_orbit_check,
     orbit_matrix,
-    polygon_sagitta_bound,
     row_reduce_mod_n,
     sample_torus_map,
     torus_map,
@@ -154,66 +151,121 @@ def test_sample_budget():
         sample_torus_map(hypocycloid_exponents(6), 100, budget=1000)
 
 
-def test_boundary_shape_and_cusp():
-    # open polyline of exactly `samples` rows; segments close via roll
-    d = 4
-    poly = hypocycloid_boundary(d, 2048)
-    assert poly.shape == (2048, 2)
-    # theta = 0 is the cusp at d on the real axis
-    assert np.allclose(poly[0], [d, 0], atol=1e-12)
-
-
 def test_boundary_point_on_curve():
     # theta = pi/4, d = 4: x = 3 cos(pi/4) + cos(3 pi/4), y = 3 sin(pi/4) - sin(3 pi/4)
     z = complex(3 * cos(pi / 4) + cos(3 * pi / 4), 3 * sin(pi / 4) - sin(3 * pi / 4))
-    assert hypocycloid_contains(z, 4)
-    assert hypocycloid_contains(z * 0.99, 4)
-    assert not hypocycloid_contains(z * 1.05, 4)
+    assert hypocycloid_contains_many([z, z * 0.99, z * 1.05], 4).tolist() == [True, True, False]
 
 
 def test_containment_basics():
-    assert hypocycloid_contains(0, 3)
-    assert hypocycloid_contains(3, 3)  # cusp of the 3-cusp curve
-    assert not hypocycloid_contains(3.2, 3)
-    assert not hypocycloid_contains(2 + 2j, 3)
+    # 3 is the cusp of the 3-cusp curve
+    assert hypocycloid_contains_many([0j, 3, 3.2, 2 + 2j], 3).tolist() == [True, True, False, False]
     flags = hypocycloid_contains_many([0j, 6 + 0j, 7 + 0j], 6)
     assert flags.tolist() == [True, True, False]
-
-
-@pytest.mark.parametrize("samples", [64, 4096])
-@pytest.mark.parametrize("d", range(2, 9))
-def test_inner_disc_shortcut_keeps_verdicts(d, samples):
-    rng = np.random.default_rng(d * samples)
-    sagitta = polygon_sagitta_bound(d, samples)
-    inner = (d - 2) - 2 * sagitta
-    angles = rng.uniform(0, 2 * pi, 200)
-    cusps = d * np.exp(2j * pi * np.arange(d) / d)
-    pts = np.concatenate(
-        [
-            (inner + 1e-12) * np.exp(1j * angles),
-            (inner - 1e-12) * np.exp(1j * angles),
-            cusps,
-            rng.uniform(-d, d, 400) + 1j * rng.uniform(-d, d, 400),
-        ]
-    )
-    # the unfiltered rule: nonzero winding, else within tol + sagitta
-    poly = hypocycloid_boundary(d, samples)
-    xy = np.column_stack([pts.real, pts.imag])
-    expected = _winding_numbers(poly, xy) != 0
-    expected[~expected] = _dist_to_polyline(poly, xy[~expected]) <= 1e-9 + sagitta
-    assert hypocycloid_contains_many(pts.tolist(), d, 1e-9, samples).tolist() == expected.tolist()
-    assert hypocycloid_contains_many(cusps, d, 1e-9, samples).all()
-
-
-def test_sagitta_bound_scales():
-    assert polygon_sagitta_bound(6, 4096) < 1e-5
-    assert polygon_sagitta_bound(6, 8192) < polygon_sagitta_bound(6, 4096)
+    assert hypocycloid_contains_many([], 5).tolist() == []
 
 
 def test_degenerate_two_cusp():
     # d = 2 collapses to the segment [-2, 2] on the real axis
-    assert hypocycloid_contains(1.5, 2)
-    assert not hypocycloid_contains(1.5 + 0.1j, 2)
+    assert hypocycloid_contains_many([1.5, 1.5 + 0.1j], 2).tolist() == [True, False]
+
+
+def _curve(t, d):
+    return (d - 1) * np.exp(1j * t) + np.exp(-1j * (d - 1) * t)
+
+
+def _outward_normal(t, d):
+    tangent = 1j * (d - 1) * (np.exp(1j * t) - np.exp(-1j * (d - 1) * t))
+    return -1j * tangent / np.abs(tangent)
+
+
+def _oracle_distance(p, d, mp):
+    """Distance from p to the filled d-cusp hypocycloid, at 40 digits.
+
+    A nearest curve point is a critical point of |z(t) - p|^2.  With
+    w = e^{it}, w^d * 2 Re[(z - p) conj z'] / (d - 1) is a polynomial of
+    degree 2d in w: its roots near the unit circle (numpy) and the cusps
+    are the candidates, each Newton-polished in t with mpmath.  p is inside
+    when it lies on the inner side of the normal at its nearest smooth
+    point; a nearest cusp means p is outside.
+    """
+    a = d - 1
+    coeffs = np.zeros(2 * d + 1, dtype=complex)  # coeffs[k + d] multiplies w^k
+    for k1, c1 in ((1, a), (1 - d, 1), (0, -p)):
+        for k2, c2 in ((-1, 1), (d - 1, -1)):
+            coeffs[k1 + k2 + d] += -1j * c1 * c2
+            coeffs[d - k1 - k2] += 1j * np.conj(c1) * c2
+    seeds = [np.angle(w) for w in np.roots(coeffs[::-1]) if abs(abs(w) - 1) < 1e-3]
+    seeds += [2 * pi * k / d for k in range(d)]
+    far = np.abs(_curve(np.array(seeds), d) - p)
+    seeds = [t for t, f in zip(seeds, far) if f <= far.min() + 1e-6]
+    with mp.workdps(40):
+        q = mp.mpc(p.real, p.imag)
+
+        def parts(t):
+            e1, e2 = mp.expj(t), mp.expj(-a * t)
+            return a * e1 + e2, 1j * a * (e1 - e2), -a * e1 - a * a * e2
+
+        best = None
+        for t in map(mp.mpf, seeds):
+            for _ in range(8):
+                z, z1, z2 = parts(t)
+                curvature = abs(z1) ** 2 + mp.re((z - q) * mp.conj(z2))
+                if curvature <= 0:
+                    break
+                t -= mp.re((z - q) * mp.conj(z1)) / curvature
+            z, z1, _ = parts(t)
+            if best is None or abs(z - q) < best[0]:
+                best = (abs(z - q), z, z1)
+        dist, z, z1 = best
+        if abs(z1) > 1e-12 and mp.re((q - z) * mp.conj(-1j * z1)) < 0:
+            return 0.0
+        return float(dist)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_containment_matches_nearest_point_oracle(d):
+    # accepted exactly when the distance to the filled region is <= tol;
+    # 100 points lie within 3 tol of the curve, three in four of them within
+    # 0.01 of a cusp, where the curve runs almost radially and the radial
+    # test alone rejects points within tol; 20 more lie anywhere in the box
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-9
+    rng = np.random.default_rng(d)
+    t = 2 * pi * rng.integers(d, size=100) / d + rng.choice([-1, 1], 100) * 10 ** rng.uniform(-4, -2, 100)
+    t[::4] = rng.uniform(0, 2 * pi, 25)
+    offset = rng.uniform(-3 * tol, 3 * tol, 100)
+    direction = np.where(np.arange(100) % 2 == 1, _outward_normal(t, d), np.exp(1j * rng.uniform(0, 2 * pi, 100)))
+    box = rng.uniform(-d, d, 20) + 1j * rng.uniform(-d, d, 20)
+    pts = np.concatenate([_curve(t, d) + offset * direction, box])
+    dist = np.array([_oracle_distance(p, d, mp) for p in pts])
+    clear = np.abs(dist - tol) > 1e-12
+    assert clear.sum() >= 115
+    assert 0 < (dist[clear] <= tol).sum() < clear.sum()
+    got = hypocycloid_contains_many(pts, d, tol)
+    assert got[clear].tolist() == (dist[clear] <= tol).tolist()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_normal_offsets_and_cusps(d):
+    cusps = d * np.exp(2j * pi * np.arange(d) / d)
+    if d == 2:
+        on = np.linspace(-2, 2, 41).astype(complex)
+        outside = np.concatenate([on + 1e-7j, on - 1e-7j, [2 + 1e-7, -2 - 1e-7]])
+        inside = on
+    else:
+        # 60 points on each arc between two cusps, the cusps left out
+        s = np.linspace(1e-3, 2 * pi / d - 1e-3, 60)
+        t = (s[None, :] + 2 * pi * np.arange(d)[:, None] / d).ravel()
+        on = _curve(t, d)
+        outside = on + 1e-7 * _outward_normal(t, d)
+        # near a cusp the region is a horn narrower than 1e-6
+        wide = np.minimum(s, 2 * pi / d - s) > 0.05
+        inward = (on - 1e-6 * _outward_normal(t, d)).reshape(d, 60)[:, wide].ravel()
+        inside = np.concatenate([on, inward])
+    assert hypocycloid_contains_many(cusps, d).all()
+    assert hypocycloid_contains_many(inside, d).all()
+    assert not hypocycloid_contains_many(outside, d).any()
 
 
 def test_orbit_check_small():
@@ -222,8 +274,21 @@ def test_orbit_check_small():
     assert 0 < report.info["fill_ratio"] <= 1
 
 
+def test_orbit_witness_lists_every_outside_point(monkeypatch):
+    real_image = asymptotic.image
+    t = np.linspace(0.2, 5.9, 5)
+    pushed = (_curve(t, 6) + 1e-7 * _outward_normal(t, 6)).tolist()
+
+    def image_with_outliers(rep, budget):
+        cloud = real_image(rep, budget=budget)
+        return replace(cloud, values=cloud.values + tuple(pushed))
+
+    monkeypatch.setattr(asymptotic, "image", image_with_outliers)
+    report = hypocycloid_orbit_check(19, 6)
+    assert not report.passed
+    assert report.witness["outside"] == pushed
+
+
 def test_boundary_validation():
     with pytest.raises(ValueError):
-        hypocycloid_boundary(1)
-    with pytest.raises(ValueError):
-        hypocycloid_boundary(4, 5)
+        hypocycloid_contains_many([0j], 1)

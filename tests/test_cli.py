@@ -112,6 +112,18 @@ def test_usage_exit_code(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_hypocycloid_rejects_small_d_before_the_image(monkeypatch, capsys):
+    import symchar.asymptotic as asymptotic
+
+    def no_image(*args, **kwargs):
+        raise AssertionError("image computed for d < 2")
+
+    monkeypatch.setattr(asymptotic, "image", no_image)
+    code, _, err = run_cli(["verify", "hypocycloid", "--n", "7", "--d", "1"], capsys)
+    assert code == 2
+    assert json.loads(err) == {"error": "usage", "detail": "needs d >= 2"}
+
+
 def test_workers_option_rejected(capsys):
     code, _, err = run_cli(["image", "7", "0", "1", "3", "--workers", "2"], capsys)
     assert code == 2
