@@ -19,7 +19,6 @@ from .errors import (
     VerificationFailed,
 )
 from .evaluate import (
-    CountsVector,
     PointCloud,
     dot_counts,
     image,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "CongruenceSolution",
-    "CountsVector",
     "DimensionMismatch",
     "DimensionTooLarge",
     "HypothesisFailed",

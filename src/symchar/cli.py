@@ -27,13 +27,14 @@ from . import asymptotic, identities, render, table
 from .errors import BudgetExceeded, NoUnitPivot, SymcharError
 from .evaluate import (
     DEFAULT_BUDGET,
+    counts_value,
     dot_counts,
     image,
     permanent_oracle,
     supercharacter,
 )
 from .modring import solve_bilinear_congruence
-from .orbits import canonicalize, enumerate_orbits, orbit_size, stabilizer_order
+from .orbits import canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
 
 
 class UsageError(Exception):
@@ -133,9 +134,9 @@ def cmd_eval(args) -> int:
     if len(ys) != len(xs):
         raise UsageError(f"y has {len(ys)} entries, expected {len(xs)}")
     rep = job.rep()
-    cv = dot_counts(rep, ys)
-    print(f"orbit {' '.join(map(str, rep.entries))}  counts {json.dumps(list(cv.counts), separators=(',', ':'))}")
-    print(f"value {fmt_complex(cv.value())}")
+    counts = dot_counts(rep, ys)
+    print(f"orbit {' '.join(map(str, rep.entries))}  counts {json.dumps(counts.tolist(), separators=(',', ':'))}")
+    print(f"value {fmt_complex(counts_value(counts))}")
     if args.oracle:
         print(f"permanent-oracle {fmt_complex(permanent_oracle(rep, ys))}")
     return 0
@@ -244,15 +245,15 @@ def cmd_verify(args) -> int:
         raise UsageError("--n and --d must be positive")
     check = args.check
     if check == "conjugate":
-        return _emit(identities.sweep_conjugate(n, d))
+        return _emit(identities.sweep_conjugate(n, d, budget=args.budget))
     if check == "translation":
-        return _emit(identities.sweep_translation(n, d))
+        return _emit(identities.sweep_translation(n, d, budget=args.budget))
     if check == "constancy":
-        return _emit(identities.sweep_constancy(n, d))
+        return _emit(identities.sweep_constancy(n, d, budget=args.budget))
     if check == "dihedral":
         return _emit(identities.sweep_dihedral(n, d, budget=args.budget))
     if check == "spikes":
-        return _emit(identities.sweep_spikes(n, d))
+        return _emit(identities.sweep_spikes(n, d, budget=args.budget))
     if check == "full-union":
         order = identities.full_union_symmetry(n, d, budget=args.budget)
         print(json.dumps({"check": "full-union", "n": n, "d": d, "order": order, "passed": True}))
@@ -270,14 +271,17 @@ def cmd_verify(args) -> int:
     if check == "permanent":
         import random
 
+        if args.samples < 1:
+            raise UsageError("--samples must be positive")
+        total = orbit_count(n, d) * args.samples
+        if total > args.budget:
+            raise BudgetExceeded(total, args.budget)
         rng = random.Random(args.seed)
         bad = 0
-        total = 0
         for rep in enumerate_orbits(n, d):
-            for _ in range(args.samples):
-                y = [rng.randrange(n) for _ in range(d)]
-                total += 1
-                if abs(supercharacter(rep, y) - permanent_oracle(rep, y)) > 1e-9:
+            ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
+            for z, y in zip(supercharacter(rep, ys), ys):
+                if abs(z - permanent_oracle(rep, y)) > 1e-9:
                     bad += 1
         print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
         return 0 if bad == 0 else 1

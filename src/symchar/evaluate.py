@@ -4,10 +4,12 @@ For an orbit X of (Z/nZ)^d and a point y, the supercharacter value is
 
     sigma_X(y) = sum over x in X of e(x.y / n),        e(t) = exp(2*pi*i*t)
 
-Everything identity-shaped is done on the integer counts vector
-c_t = #{x in X : x.y = t mod n} rather than on floats: sigma_X(y) is then
-sum_t c_t e(t/n), and the conjugation / translation / reflection
-identities become exact index shifts and reversals of c.
+Everything identity-shaped is done on integer counts rather than on
+floats.  dot_counts(rep, y) gives c_t = #{x in X : x.y = t mod n} as an
+(n,) int64 array for one point y, or as a (rows, n) array for a block of
+points, one row each.  sigma_X(y) is then sum_t c_t e(t/n)
+(counts_value), and the conjugation / translation / reflection
+identities become exact index shifts and reversals along the last axis.
 """
 
 from __future__ import annotations
@@ -58,82 +60,49 @@ def orbit_array(rep: OrbitRep) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CountsVector:
-    """Integer counts c_t = #{x in X : x.y = t mod n} for one (X, y)."""
+def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Exact counts c_t = #{x in X : x.y = t mod n} over the orbit X of rep.
 
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n:
-            raise DimensionMismatch(f"expected {self.n} counts, got {len(self.counts)}")
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def value(self) -> complex:
-        """sum_t c_t e(t/n) via the precomputed root table."""
-        table = roots_of_unity(self.n)
-        acc = 0j
-        for t, c in enumerate(self.counts):
-            if c:
-                acc += c * table[t]
-        return acc
-
-    def shifted(self, t0: int) -> "CountsVector":
-        """Counts of the value multiplied by e(t0/n): new[t] = old[t - t0]."""
-        t0 %= self.n
-        return CountsVector(self.n, tuple(self.counts[(t - t0) % self.n] for t in range(self.n)))
-
-    def reversed_index(self) -> "CountsVector":
-        """Counts of the conjugate value: new[t] = old[-t mod n]."""
-        return CountsVector(self.n, tuple(self.counts[(-t) % self.n] for t in range(self.n)))
-
-    def is_palindromic(self) -> bool:
-        return self == self.reversed_index()
-
-
-def dot_counts(rep: OrbitRep, y: Sequence[int]) -> CountsVector:
-    """Exact counts of x.y mod n over the orbit of rep."""
-    n = rep.n
-    if len(y) != rep.d:
-        raise DimensionMismatch(f"y has length {len(y)}, expected {rep.d}")
-    yr = [v % n for v in y]
-    counts = [0] * n
-    for x in orbit_elements(rep):
-        t = 0
-        for xi, yi in zip(x, yr):
-            t += xi * yi
-        counts[t % n] += 1
-    return CountsVector(n, tuple(counts))
-
-
-def dot_counts_symmetrized(rep: OrbitRep, y: Sequence[int], max_d: int = 6) -> CountsVector:
-    """Counts of pi(x).y over all d! permutations pi (stabilizer included).
-
-    Independent route to the same value: summing over the full group hits
-    each orbit element |stab(x)| times, so these counts equal
-    stabilizer_order(rep) * dot_counts(rep, y).
+    y is one point, shape (d,), giving an (n,) int64 array, or a block of
+    points, shape (rows, d), giving (rows, n) with one counts row per point.
+    Entries of y may be any integers; they are reduced mod n first.
     """
-    from itertools import permutations
+    n, d = rep.n, rep.d
+    ys = np.asarray(y)
+    if ys.dtype == object:  # integers too wide for int64
+        ys = ys % n
+    if ys.ndim not in (1, 2) or ys.shape[-1] != d:
+        raise DimensionMismatch(f"y has shape {ys.shape}, expected ({d},) or (rows, {d})")
+    block = ys.reshape(-1, d)
+    elems = orbit_array(rep)
+    # every temporary below has at most _BLOCK_CELLS cells
+    step = max(1, _BLOCK_CELLS // max(len(elems), n))
+    counts = np.empty((len(block), n), dtype=np.int64)
+    for lo in range(0, len(block), step):
+        dots = (block[lo : lo + step].astype(np.int64) % n) @ elems.T
+        np.mod(dots, n, out=dots)
+        rows = len(dots)
+        dots += n * np.arange(rows)[:, None]
+        counts[lo : lo + rows] = np.bincount(dots.ravel(), minlength=rows * n).reshape(rows, n)
+    return counts.reshape(ys.shape[:-1] + (n,))
 
-    if rep.d > max_d:
-        raise DimensionTooLarge(f"full-group sum over {rep.d}! permutations refused")
-    n = rep.n
-    yr = [v % n for v in y]
-    counts = [0] * n
-    for x in permutations(rep.entries):
-        t = 0
-        for xi, yi in zip(x, yr):
-            t += xi * yi
-        counts[t % n] += 1
-    return CountsVector(n, tuple(counts))
+
+def counts_value(counts: np.ndarray) -> np.ndarray | complex:
+    """sum_t c_t e(t/n) over the last axis of an integer counts array.
+
+    The terms are added in order t = 0, ..., n-1, so every row gets the
+    same float value whatever the block it was computed in.
+    """
+    table = roots_of_unity(counts.shape[-1])
+    acc = np.zeros(counts.shape[:-1], dtype=complex)
+    for t in range(len(table)):
+        acc += counts[..., t] * table[t]
+    return acc[()]
 
 
-def supercharacter(rep: OrbitRep, y: Sequence[int]) -> complex:
-    """sigma_X(y) for X the orbit of rep."""
-    return dot_counts(rep, y).value()
+def supercharacter(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray | complex:
+    """sigma_X(y) for X the orbit of rep, at one point or at each row of a block."""
+    return counts_value(dot_counts(rep, y))
 
 
 def permanent_oracle(rep: OrbitRep, y: Sequence[int], max_d: int = 10) -> complex:
@@ -171,20 +140,6 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int], max_d: int = 10) -> comple
         total += parity * np.prod(rowsum)
     per = total * (-1) ** d
     return complex(per) / stabilizer_order(rep)
-
-
-def constancy_check(x_rep: OrbitRep, y_rep: OrbitRep) -> bool:
-    """dot_counts(X, y) is the same vector for every y in the orbit Y."""
-    if x_rep.n != y_rep.n or x_rep.d != y_rep.d:
-        raise DimensionMismatch("orbits live in different groups")
-    base = None
-    for y in distinct_permutations(y_rep):
-        cv = dot_counts(x_rep, y)
-        if base is None:
-            base = cv
-        elif cv != base:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exact verification of the supercharacter identities.
 
-Every identity here is checked on integer counts vectors, never on
-floats:
+Every identity here is checked on integer counts, never on floats.
+dot_counts gives one counts row c[t] = #{x in X : x.y = t mod n} per point
+y of a block, and each identity compares whole count matrices, so a sweep
+and the per-pair check share one code path (the per-pair check is the
+one-row case):
 
 * conjugation      sigma_X(-y) = conj(sigma_X(y)) = sigma_{-X}(y)
   is an index reversal t -> -t of the counts;
@@ -23,13 +26,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import HypothesisFailed, VerificationFailed
+from .errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from .evaluate import (
     DEFAULT_BUDGET,
-    CountsVector,
     cloud_difference,
+    counts_value,
     dot_counts,
     image,
+    orbit_array,
     rotation_closed,
     roots_of_unity,
     supercharacter,
@@ -44,8 +48,45 @@ from .orbits import (
     orbit_count,
     orbit_sum,
     shift_orbit,
+    superclass_array,
 )
 from .report import IdentityReport
+
+
+def _check_budget(required: int, budget: int) -> None:
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
+def _shifted(counts: np.ndarray, t0: Sequence[int]) -> np.ndarray:
+    """Counts of e(t0/n) times the value, one row per shift t0[i].
+
+    out[i, t] = counts[(t - t0[i]) % n] for a single counts row.
+    """
+    n = len(counts)
+    return counts[(np.arange(n) - np.asarray(t0)[:, None]) % n]
+
+
+def _conjugate_reports(x_rep: OrbitRep, y_reps: Sequence[OrbitRep]) -> Iterator[IdentityReport]:
+    """Conjugation identity at (X, Y) for each Y, from three count matrices."""
+    n = x_rep.n
+    ys = np.array([y_rep.entries for y_rep in y_reps])
+    base = dot_counts(x_rep, ys)
+    neg_y = dot_counts(x_rep, -ys)
+    neg_x = dot_counts(negate_orbit(x_rep), ys)
+    reversed_counts = base[:, -np.arange(n) % n]
+    passed = ((neg_y == reversed_counts) & (neg_x == reversed_counts)).all(axis=1)
+    for i, (y_rep, ok) in enumerate(zip(y_reps, passed.tolist())):
+        witness = None
+        if not ok:
+            witness = {
+                "x": x_rep,
+                "y": y_rep,
+                "counts": base[i].tolist(),
+                "counts_at_minus_y": neg_y[i].tolist(),
+                "counts_of_minus_x": neg_x[i].tolist(),
+            }
+        yield IdentityReport("conjugate", {"x": x_rep, "y": y_rep, "n": n}, True, ok, witness)
 
 
 def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
@@ -54,23 +95,39 @@ def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
     dot_counts(X, -y) must equal the index reversal of dot_counts(X, y),
     and dot_counts(-X, y) must equal the same reversal.
     """
-    n = x_rep.n
-    y = y_rep.entries
-    base = dot_counts(x_rep, y)
-    reversed_counts = base.reversed_index()
-    neg_y = dot_counts(x_rep, [-v for v in y])
-    neg_x = dot_counts(negate_orbit(x_rep), y)
-    passed = neg_y == reversed_counts and neg_x == reversed_counts
-    witness = None
-    if not passed:
-        witness = {
-            "x": x_rep,
-            "y": y_rep,
-            "counts": list(base.counts),
-            "counts_at_minus_y": list(neg_y.counts),
-            "counts_of_minus_x": list(neg_x.counts),
-        }
-    return IdentityReport("conjugate", {"x": x_rep, "y": y_rep, "n": n}, True, passed, witness)
+    return next(_conjugate_reports(x_rep, [y_rep]))
+
+
+def _translation_reports(
+    x_rep: OrbitRep, y_rep: OrbitRep, js: Sequence[int], ks: Sequence[int]
+) -> Iterator[IdentityReport]:
+    """Translation identity at (X, Y) for each j in js and k in ks, k fastest.
+
+    One count matrix per j: row k holds dot_counts(X + j1, y + k1).
+    """
+    n, d = x_rep.n, x_rep.d
+    sx, sy = orbit_sum(x_rep), orbit_sum(y_rep)
+    base = dot_counts(x_rep, y_rep.entries)
+    for j in js:
+        shifts = [(sy * j + sx * k + d * j * k) % n for k in ks]
+        lhs = dot_counts(shift_orbit(x_rep, j), np.add.outer(ks, y_rep.entries))
+        rhs = _shifted(base, shifts)
+        passed = (lhs == rhs).all(axis=1)
+        for i, (k, ok) in enumerate(zip(ks, passed.tolist())):
+            witness = None
+            if not ok:
+                witness = {
+                    "x": x_rep,
+                    "y": y_rep,
+                    "j": j,
+                    "k": k,
+                    "shift": shifts[i],
+                    "lhs": lhs[i].tolist(),
+                    "rhs": rhs[i].tolist(),
+                }
+            yield IdentityReport(
+                "translation", {"x": x_rep, "y": y_rep, "j": j, "k": k, "n": n}, True, ok, witness
+            )
 
 
 def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> IdentityReport:
@@ -79,30 +136,7 @@ def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> Id
     Shifting X by j*1 and y by k*1 multiplies the value by e(t0/n) with
     t0 = [y]j + [x]k + djk, i.e. shifts the counts vector by t0.
     """
-    n, d = x_rep.n, x_rep.d
-    t0 = (orbit_sum(y_rep) * j + orbit_sum(x_rep) * k + d * j * k) % n
-    lhs = dot_counts(shift_orbit(x_rep, j), [v + k for v in y_rep.entries])
-    rhs = dot_counts(x_rep, y_rep.entries).shifted(t0)
-    passed = lhs == rhs
-    witness = None
-    if not passed:
-        witness = {
-            "x": x_rep,
-            "y": y_rep,
-            "j": j,
-            "k": k,
-            "shift": t0,
-            "lhs": list(lhs.counts),
-            "rhs": list(rhs.counts),
-        }
-    return IdentityReport(
-        "translation", {"x": x_rep, "y": y_rep, "j": j, "k": k, "n": n}, True, passed, witness
-    )
-
-
-def real_valued_check(x_rep: OrbitRep) -> bool:
-    """sigma_X is real-valued exactly when -X = X."""
-    return negate_orbit(x_rep) == x_rep
+    return next(_translation_reports(x_rep, y_rep, [j], [k]))
 
 
 def _sample_orbits(n: int, d: int, limit: int = 12) -> list[OrbitRep]:
@@ -127,15 +161,16 @@ def dihedral_order(x_rep: OrbitRep, check: bool = True) -> int:
     sx = orbit_sum(x_rep)
     order = n // gcd(n, sx) if sx else 1
     if check:
+        ells = np.arange(n)
         for y_rep in _sample_orbits(n, x_rep.d):
-            base = dot_counts(x_rep, y_rep.entries)
-            for ell in range(n):
-                lhs = dot_counts(x_rep, [v + ell for v in y_rep.entries])
-                if lhs != base.shifted((sx * ell) % n):
-                    raise VerificationFailed(
-                        "line-shift identity failed",
-                        witness={"x": x_rep, "y": y_rep, "l": ell},
-                    )
+            # row l holds the counts at y + l*1; row 0 is y itself
+            lhs = dot_counts(x_rep, np.add.outer(ells, y_rep.entries))
+            bad = np.flatnonzero(~(lhs == _shifted(lhs[0], sx * ells % n)).all(axis=1))
+            if len(bad):
+                raise VerificationFailed(
+                    "line-shift identity failed",
+                    witness={"x": x_rep, "y": y_rep, "l": int(bad[0])},
+                )
     return order
 
 
@@ -200,89 +235,63 @@ def ray_count(x_rep: OrbitRep, r: int) -> int:
     return 2 * x_rep.n // gcd(r, x_rep.n)
 
 
-def _on_ray_set(z: complex, n: int, g: int, tol: float) -> bool:
-    """Is z within tol of the union of lines at angles pi*m*g/n?
-
-    Checked as Euclidean distance from z to the nearest of those lines
-    through the origin, which avoids amplifying float noise in the
-    argument of small-modulus values.
-    """
-    if abs(z) < tol:
-        return True
-    spacing = pi * g / n
-    theta = np.angle(z) % spacing
-    theta = min(theta, spacing - theta)
-    return abs(z) * np.sin(theta) <= tol
-
-
 def spike_identity(
     x_rep: OrbitRep, r: int, y: OrbitRep | Sequence[int] | None = None, tol: float = 1e-9
 ) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X.
 
     Counts level (exact): dot_counts(X, y) must equal its index reversal
-    shifted by r*[y].  Value level (numeric): sigma_X(y) must lie on one
-    of the 2n/gcd(r,n) rays at angles pi*m*gcd(r,n)/n.
-    When y is None the counts check runs over every superclass Y and the
-    ray check over the whole image.
+    shifted by r*[y].  Value level (numeric): sigma_X(y) must lie within
+    tol of one of the 2n/gcd(r,n) lines through the origin at angles
+    pi*m*gcd(r,n)/n (Euclidean distance, which avoids amplifying float
+    noise in the argument of small-modulus values).
+    When y is None both checks run over every superclass Y in enumeration
+    order.  The witness names the first counts failure, else the first ray
+    failure; info["ray_max_modulus"] holds the largest modulus on each ray
+    over the points before the first ray failure.
     """
-    n = x_rep.n
+    n, d = x_rep.n, x_rep.d
     if canonicalize([r - v for v in x_rep.entries], n) != x_rep:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
-    if isinstance(y, OrbitRep):
-        y = y.entries
     g = gcd(r, n)
     rays = 2 * n // g
+    if y is None:
+        ys = superclass_array(n, d).astype(np.int64)
+    else:
+        ys = (np.array([getattr(y, "entries", y)]) % n).astype(np.int64)
 
-    def counts_ok(cv: CountsVector, yv: Sequence[int]) -> bool:
-        sy = sum(yv) % n
-        target = tuple(cv.counts[(r * sy - t) % n] for t in range(n))
-        return cv.counts == target
+    def y_at(i: int):
+        return OrbitRep(n, tuple(ys[i].tolist())) if y is None else y
 
-    if y is not None:
-        cv = dot_counts(x_rep, y)
-        cv_ok = counts_ok(cv, y)
-        z = cv.value()
-        ray_ok = _on_ray_set(z, n, g, tol)
-        passed = cv_ok and ray_ok
-        witness = None if passed else {"x": x_rep, "y": list(y), "value": z}
-        return IdentityReport(
-            "spike",
-            {"x": x_rep, "r": r, "rays": rays, "all_r": spike_shifts(x_rep)},
-            False,
-            passed,
-            witness,
-        )
-    # one pass for both checks; each stops at its own first failure
-    bad_counts = None
-    ray_max: list[float] = [0.0] * rays
-    bad_ray = None
-    for y_rep in enumerate_orbits(n, x_rep.d):
-        cv = dot_counts(x_rep, y_rep.entries)
-        if bad_counts is None and not counts_ok(cv, y_rep.entries):
-            bad_counts = y_rep
-        if bad_ray is None:
-            z = cv.value()
-            if not _on_ray_set(z, n, g, tol):
-                bad_ray = (y_rep, z)
-            elif abs(z) >= tol:
-                m = int(round((np.angle(z) % (2 * pi)) / (pi * g / n))) % rays
-                ray_max[m] = max(ray_max[m], abs(z))
-        if bad_counts is not None and bad_ray is not None:
-            break
-    passed = bad_counts is None and bad_ray is None
+    counts = dot_counts(x_rep, ys)
+    mirror = (r * (ys.sum(axis=1) % n)[:, None] - np.arange(n)) % n
+    bad_counts = np.flatnonzero(~(counts == np.take_along_axis(counts, mirror, axis=1)).all(axis=1))
+    z = counts_value(counts)
+    # np.hypot, not np.abs: np.abs of a complex array can differ from abs() in the last bit
+    modulus = np.hypot(z.real, z.imag)
+    angle = np.angle(z)
+    spacing = pi * g / n
+    theta = angle % spacing
+    on_ray = (modulus < tol) | (modulus * np.sin(np.minimum(theta, spacing - theta)) <= tol)
+    bad_ray = np.flatnonzero(~on_ray)
+    before = slice(0, bad_ray[0] if len(bad_ray) else len(z))
+    big = modulus[before] >= tol
+    ray = np.rint((angle[before] % (2 * pi)) / spacing).astype(np.int64) % rays
+    ray_max = np.zeros(rays)
+    np.maximum.at(ray_max, ray[big], modulus[before][big])
     witness = None
-    if bad_counts is not None:
-        witness = {"x": x_rep, "y": bad_counts, "failure": "counts"}
-    elif bad_ray is not None:
-        witness = {"x": x_rep, "y": bad_ray[0], "value": bad_ray[1], "failure": "ray"}
+    if len(bad_counts):
+        witness = {"x": x_rep, "y": y_at(bad_counts[0]), "failure": "counts"}
+    elif len(bad_ray):
+        i = bad_ray[0]
+        witness = {"x": x_rep, "y": y_at(i), "value": complex(z[i]), "failure": "ray"}
     return IdentityReport(
         "spike",
         {"x": x_rep, "r": r, "rays": rays, "all_r": spike_shifts(x_rep)},
         False,
-        passed,
+        witness is None,
         witness,
-        info={"ray_max_modulus": ray_max},
+        info={"ray_max_modulus": ray_max.tolist()},
     )
 
 
@@ -296,18 +305,23 @@ def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
         raise HypothesisFailed("needs d >= 2")
     x_rep = canonicalize((0,) + (1,) * (d - 2) + (2,), n)
     table = roots_of_unity(n)
-    lo, hi = float("inf"), float("-inf")
+    ys = superclass_array(n, d).astype(np.int64)
+    z = supercharacter(x_rep, ys)
+    walk = np.zeros(len(ys), dtype=complex)
+    for col in ys.T:
+        walk += table[col]
+    factor = np.hypot(walk.real, walk.imag) ** 2 - d
+    predicted = table[ys.sum(axis=1) % n] * factor
+    error = z - predicted
+    bad = np.flatnonzero(np.hypot(error.real, error.imag) > tol)
+    good = factor[: bad[0] if len(bad) else len(ys)]
+    lo = float(good.min()) if len(good) else float("inf")
+    hi = float(good.max()) if len(good) else float("-inf")
     witness = None
-    for y_rep in enumerate_orbits(n, d):
-        y = y_rep.entries
-        z = supercharacter(x_rep, y)
-        walk = sum(table[v] for v in y)
-        factor = abs(walk) ** 2 - d
-        predicted = table[sum(y) % n] * factor
-        if abs(z - predicted) > tol:
-            witness = {"x": x_rep, "y": y_rep, "value": z, "predicted": predicted}
-            break
-        lo, hi = min(lo, factor), max(hi, factor)
+    if len(bad):
+        i = bad[0]
+        y_rep = OrbitRep(n, tuple(ys[i].tolist()))
+        witness = {"x": x_rep, "y": y_rep, "value": complex(z[i]), "predicted": complex(predicted[i])}
     passed = witness is None and lo >= -d - tol and hi <= d * d - d + tol
     return IdentityReport(
         "spike-factor",
@@ -357,26 +371,39 @@ def walk_reduction_check(
 # sweeps used by the CLI and the test suite
 
 
-def sweep_conjugate(n: int, d: int) -> Iterator[IdentityReport]:
-    for x_rep in enumerate_orbits(n, d):
-        for y_rep in enumerate_orbits(n, d):
-            yield conjugate_identity(x_rep, y_rep)
+def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+    count = orbit_count(n, d)
+    _check_budget(3 * count * count, budget)
+    y_reps = list(enumerate_orbits(n, d))
+    for x_rep in y_reps:
+        yield from _conjugate_reports(x_rep, y_reps)
 
 
-def sweep_translation(n: int, d: int) -> Iterator[IdentityReport]:
-    for x_rep in enumerate_orbits(n, d):
-        for y_rep in enumerate_orbits(n, d):
-            for j in range(n):
-                for k in range(n):
-                    yield translation_identity(x_rep, y_rep, j, k)
+def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+    count = orbit_count(n, d)
+    _check_budget(count * count * n * n, budget)
+    reps = list(enumerate_orbits(n, d))
+    for x_rep in reps:
+        for y_rep in reps:
+            yield from _translation_reports(x_rep, y_rep, range(n), range(n))
 
 
-def sweep_constancy(n: int, d: int) -> Iterator[IdentityReport]:
-    from .evaluate import constancy_check
+def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+    """dot_counts(X, y) is the same row for every y in the orbit Y.
 
-    for x_rep in enumerate_orbits(n, d):
-        for y_rep in enumerate_orbits(n, d):
-            ok = constancy_check(x_rep, y_rep)
+    One count matrix per X over every point of (Z/nZ)^d, grouped by orbit.
+    """
+    _check_budget(orbit_count(n, d) * n**d, budget)
+    y_reps = list(enumerate_orbits(n, d))
+    orbits = [orbit_array(y_rep) for y_rep in y_reps]
+    sizes = [len(orbit) for orbit in orbits]
+    starts = np.cumsum([0] + sizes[:-1])
+    first_row = np.repeat(starts, sizes)
+    points = np.concatenate(orbits)
+    for x_rep in y_reps:
+        counts = dot_counts(x_rep, points)
+        same = (counts == counts[first_row]).all(axis=1)
+        for y_rep, ok in zip(y_reps, np.logical_and.reduceat(same, starts).tolist()):
             yield IdentityReport(
                 "constancy",
                 {"x": x_rep, "y": y_rep, "n": n},
@@ -401,7 +428,11 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET, tol: float = 1e
         )
 
 
-def sweep_spikes(n: int, d: int, tol: float = 1e-9) -> Iterator[IdentityReport]:
+def sweep_spikes(
+    n: int, d: int, tol: float = 1e-9, budget: int = DEFAULT_BUDGET
+) -> Iterator[IdentityReport]:
+    count = orbit_count(n, d)
+    _check_budget(count * count, budget)
     for x_rep in enumerate_orbits(n, d):
         r = spike_detect(x_rep)
         if r is not None:

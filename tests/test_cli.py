@@ -106,6 +106,33 @@ def test_budget_exit_code(capsys):
     assert data["required"] > 100
 
 
+@pytest.mark.parametrize(
+    "check, extra, required",
+    [
+        ("conjugate", [], 3 * 6 * 6),
+        ("translation", [], 6 * 6 * 3 * 3),
+        ("constancy", [], 6 * 3**2),
+        ("spikes", [], 6 * 6),
+        ("permanent", ["--samples", "4"], 6 * 4),
+    ],
+)
+def test_verify_budget_checked_before_the_first_record(check, extra, required, capsys):
+    # n = 3, d = 2: N = C(4, 2) = 6 superclasses
+    argv = ["verify", check, "--n", "3", "--d", "2", *extra, "--budget"]
+    code, out, err = run_cli(argv + [str(required - 1)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "budget_exceeded", "required": required, "budget": required - 1}
+    code, out, err = run_cli(argv + [str(required)], capsys)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_verify_permanent_needs_a_sample(samples, capsys):
+    code, out, err = run_cli(["verify", "permanent", "--n", "3", "--d", "2", "--samples", samples], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_usage_exit_code(capsys):
     code, _, err = run_cli(["image", "0", "1"], capsys)
     assert code == 2

@@ -1,20 +1,22 @@
 import cmath
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symchar.errors import BudgetExceeded, DimensionTooLarge
+from symchar import evaluate
+from symchar.errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from symchar.evaluate import (
-    CountsVector,
     DEDUPE_DECIMALS,
     DEFAULT_BUDGET,
-    constancy_check,
+    counts_value,
     dedupe_values,
     dot_counts,
-    dot_counts_symmetrized,
     image,
+    orbit_elements,
     permanent_oracle,
+    roots_of_unity,
     supercharacter,
     union_image,
     values_match,
@@ -26,31 +28,103 @@ def e(t):
     return cmath.exp(2j * cmath.pi * t)
 
 
+def reference_dot_counts(rep, y):
+    """One orbit element at a time: the counts dot_counts must reproduce."""
+    n = rep.n
+    yr = [v % n for v in y]
+    counts = [0] * n
+    for x in orbit_elements(rep):
+        counts[sum(xi * yi for xi, yi in zip(x, yr)) % n] += 1
+    return counts
+
+
+def reference_value(counts):
+    """sum_t c_t e(t/n) one nonzero count at a time, in order of t."""
+    table = roots_of_unity(len(counts))
+    acc = 0j
+    for t, c in enumerate(counts):
+        if c:
+            acc += c * table[t]
+    return acc
+
+
+def dot_counts_symmetrized(rep, y, max_d=6):
+    """Counts of pi(x).y over all d! permutations pi (stabilizer included).
+
+    Independent route to the same value: summing over the full group hits
+    each orbit element |stab(x)| times, so these counts equal
+    stabilizer_order(rep) * dot_counts(rep, y).
+    """
+    if rep.d > max_d:
+        raise DimensionTooLarge(f"full-group sum over {rep.d}! permutations refused")
+    n = rep.n
+    counts = [0] * n
+    for x in permutations(rep.entries):
+        counts[sum(xi * yi for xi, yi in zip(x, y)) % n] += 1
+    return counts
+
+
 def test_dot_counts_by_hand():
     # X = orbit of (0, 1) in Z/3: {(0, 1), (1, 0)}; y = (1, 2)
     # dots: 0*1 + 1*2 = 2, 1*1 + 0*2 = 1
-    cv = dot_counts(canonicalize((0, 1), 3), (1, 2))
-    assert cv.counts == (0, 1, 1)
-    assert abs(cv.value() - (e(1 / 3) + e(2 / 3))) < 1e-12
-    assert abs(cv.value() - (-1)) < 1e-12
+    counts = dot_counts(canonicalize((0, 1), 3), (1, 2))
+    assert counts.dtype == np.int64 and counts.tolist() == [0, 1, 1]
+    assert abs(counts_value(counts) - (e(1 / 3) + e(2 / 3))) < 1e-12
+    assert abs(counts_value(counts) - (-1)) < 1e-12
 
 
-def test_counts_vector_total_and_shift():
-    cv = CountsVector(5, (2, 1, 0, 0, 1))
-    assert cv.total() == 4
-    shifted = cv.shifted(2)
-    assert shifted.counts == (0, 1, 2, 1, 0)
-    assert cv.shifted(0) == cv
-    assert cv.shifted(5) == cv
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from([1, 7, 30, 4_000_000]),
+    st.data(),
+)
+def test_dot_counts_matches_reference(n, d, rows, cells, data):
+    entry = st.integers(min_value=-3 * n, max_value=3 * n)
+    rep = canonicalize([data.draw(entry) for _ in range(d)], n)
+    ys = [[data.draw(entry) for _ in range(d)] for _ in range(rows)]
+    expected = [reference_dot_counts(rep, y) for y in ys]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the block
+        block = dot_counts(rep, np.array(ys, dtype=np.int64).reshape(rows, d))
+        singles = [dot_counts(rep, y) for y in ys]
+    assert block.shape == (rows, n) and block.dtype == np.int64
+    assert block.tolist() == expected
+    assert [c.tolist() for c in singles] == expected
+    values = counts_value(block)
+    assert values.shape == (rows,)
+    for row, z in zip(expected, values):
+        assert repr(complex(z)) == repr(complex(reference_value(row)))
 
 
-def test_counts_reversal_and_palindrome():
-    cv = CountsVector(5, (2, 1, 0, 0, 1))
-    assert cv.reversed_index().counts == (2, 1, 0, 0, 1)
-    cv2 = CountsVector(5, (0, 3, 0, 0, 1))
-    assert cv2.reversed_index().counts == (0, 1, 0, 0, 3)
-    assert not cv2.is_palindromic()
-    assert CountsVector(4, (1, 2, 0, 2)).is_palindromic()
+def test_dot_counts_temporaries_stay_under_the_cap(monkeypatch):
+    seen = []
+    bincount = np.bincount
+
+    def spy(x, minlength=0):
+        seen.append((x.size, minlength))
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(np, "bincount", spy)
+    rep = canonicalize((0, 1, 2), 11)  # 6 orbit elements, 11 residues
+    ys = np.arange(3 * 50).reshape(50, 3)
+    counts = dot_counts(rep, ys)
+    monkeypatch.undo()
+    assert counts.tolist() == [reference_dot_counts(rep, y) for y in ys.tolist()]
+    assert len(seen) == 17  # 3 rows per block
+    assert max(size for size, _ in seen) <= 40 and max(m for _, m in seen) <= 40
+
+
+def test_dot_counts_shapes():
+    rep = canonicalize((1, 2), 5)
+    assert dot_counts(rep, np.empty((0, 2), dtype=np.int64)).shape == (0, 5)
+    assert dot_counts(rep, [10**30, -(10**30) - 1]).tolist() == reference_dot_counts(rep, [10**30, -(10**30) - 1])
+    for bad in ([1], [[1, 2, 3]], 4, [[[1, 2]]]):
+        with pytest.raises(DimensionMismatch):
+            dot_counts(rep, bad)
 
 
 def test_supercharacter_at_zero_is_orbit_size():
@@ -88,20 +162,13 @@ def test_symmetrized_counts_scale_by_stabilizer():
     y = (1, 2, 0, 3)
     plain = dot_counts(rep, y)
     full = dot_counts_symmetrized(rep, y)
-    assert full.counts == tuple(2 * c for c in plain.counts)
+    assert full == (2 * plain).tolist()
 
 
 def test_symmetrized_counts_cutoff():
     rep = canonicalize((0,) * 7, 3)
     with pytest.raises(DimensionTooLarge):
         dot_counts_symmetrized(rep, (0,) * 7)
-
-
-def test_constancy_on_superclasses():
-    # sigma_X takes one value per superclass: permuting y must not move it
-    for x_rep in enumerate_orbits(4, 3):
-        for y_rep in enumerate_orbits(4, 3):
-            assert constancy_check(x_rep, y_rep)
 
 
 def test_image_d1_is_root_circle():

@@ -3,8 +3,10 @@
 Each command covers one shared code path: the single-accumulator bitmap
 stamping, the superclass and full-group (odometer) image sweeps, the torus
 odometer and zero-row count of `reduce`, the spike scan, the 11-place
-float formatting of `eval`, and the dedupe counts and containment verdicts
-of `verify hypocycloid`.  A digest may change only with a deliberate
+float formatting of `eval`, the dedupe counts and containment verdicts
+of `verify hypocycloid`, and the exact counts path (`dot_counts`) under
+each identity sweep, the permanent check and `eval` with entries outside
+[0, n).  A digest may change only with a deliberate
 change of output, never with a refactor.
 """
 
@@ -28,6 +30,17 @@ GOLDEN = [
     (["verify", "hypocycloid", "--n", "13", "--d", "6"], "7acc238c6c2d6a30c11224afb28fd9361ba1ca21c5bb9484cdf28b0bd9902461", None),
     (["verify", "hypocycloid", "--n", "19", "--d", "5"], "b6a82772703d17471039d16feb187afba3a8abdc83235b06ec73b002c82e2382", None),
     (["image", "24", "1", "1", "1", "1", "1", "19", "--format", "csv"], "d39c27e39f7c2db113903c50f6ae08f1a352adf29313c6fe789a34e2ddba9ada", None),
+    (["verify", "conjugate", "--n", "7", "--d", "3"], "103846129763fa8a543416773d8f24c0dba7904def48e9f4c65239dc33776e6e", None),
+    (["verify", "translation", "--n", "4", "--d", "3"], "90e06228a33ac88dbdc4b5c2d57dd645949f925fb961727d5587d3af097da2d9", None),
+    (["verify", "constancy", "--n", "6", "--d", "3"], "60e8e2ef6f4bb998291ac621c595a3a854b99938bf3e222861456c93c5ca4cc2", None),
+    (["verify", "dihedral", "--n", "6", "--d", "4"], "a8113f2489d68aff8f51da2b496e70c961bbdf424c58fabef9d2c60fca7cd0f0", None),
+    (
+        ["verify", "permanent", "--n", "7", "--d", "4", "--samples", "10", "--seed", "3"],
+        "989f06a829a8b34f2b34a5a5498bae495f5482f085642d7fe5b2a6babf9efdd6",
+        None,
+    ),
+    (["verify", "full-union", "--n", "7", "--d", "4"], "63e47640d5272464a868f51e6c924b8f84f335f2121ff64d22a1f12df8fc419c", None),
+    (["eval", "13", "0", "0", "5", "--", "-4", "30", "2"], "8a38098508e28906728ad0fe1ab3e897f40f9a6bc41e8173859cc27579a4da7d", None),
 ]
 
 

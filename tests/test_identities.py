@@ -1,17 +1,18 @@
+import cmath
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symchar import identities
-from symchar.errors import HypothesisFailed
-from symchar.evaluate import PointCloud, dot_counts, image, supercharacter
+from symchar.errors import HypothesisFailed, VerificationFailed
+from symchar.evaluate import PointCloud, dot_counts, orbit_elements, supercharacter
 from symchar.identities import (
     conjugate_identity,
     dihedral_order,
     full_union_symmetry,
     ray_count,
-    real_valued_check,
     spike_detect,
     spike_factor_check,
     spike_identity,
@@ -24,7 +25,21 @@ from symchar.identities import (
     translation_identity,
     walk_reduction_check,
 )
-from symchar.orbits import canonicalize, enumerate_orbits, orbit_sum, shift_orbit
+from symchar.orbits import canonicalize, enumerate_orbits, negate_orbit, orbit_sum, shift_orbit
+
+
+def reference_counts(rep, y):
+    """One orbit element at a time, as a list: the counts a witness must carry."""
+    n = rep.n
+    counts = [0] * n
+    for x in orbit_elements(rep):
+        counts[sum(a * b for a, b in zip(x, y)) % n] += 1
+    return counts
+
+
+def real_valued_check(x_rep):
+    """sigma_X is real-valued exactly when -X = X."""
+    return negate_orbit(x_rep) == x_rep
 
 
 def test_conjugate_small_sweep():
@@ -47,9 +62,9 @@ def test_translation_specific():
 def test_conjugate_means_reversed_counts():
     X = canonicalize((1, 2, 4), 9)
     Y = canonicalize((0, 1, 5), 9)
-    cv = dot_counts(X, Y.entries)
+    counts = dot_counts(X, Y.entries)
     neg = dot_counts(X, [(-v) % 9 for v in Y.entries])
-    assert neg == cv.reversed_index()
+    assert neg.tolist() == counts[-np.arange(9) % 9].tolist()
     assert conjugate_identity(X, Y).passed
 
 
@@ -107,6 +122,16 @@ def test_spike_detect_none():
     assert spike_detect(canonicalize((0, 1, 3), 7)) is None
 
 
+def test_spike_identity_at_one_point():
+    X = canonicalize((1, 2, 3), 17)
+    for y in ([1, 5, 9], canonicalize((2, 2, 16), 17), [-30, 10**30, 4]):
+        report = spike_identity(X, 4, y=y)
+        assert report.passed, report.to_json()
+        assert report.to_json()
+    off = spike_identity(X, 4, y=[1, 5, 9], tol=-1.0)
+    assert off.witness == {"x": X, "y": [1, 5, 9], "value": complex(supercharacter(X, [1, 5, 9])), "failure": "ray"}
+
+
 def test_spike_identity_small():
     X = canonicalize((1, 4), 5)  # 0*1 - X = X, real line spike
     r = spike_detect(X)
@@ -130,19 +155,125 @@ def test_spike_rays_17():
 
 
 def test_spike_identity_counts_each_superclass_once(monkeypatch):
-    from symchar import evaluate
-
     calls = []
 
-    def counting(rep, y):
-        calls.append(tuple(y))
-        return dot_counts(rep, y)
+    def counting(rep, ys):
+        calls.append(np.asarray(ys).tolist())
+        return dot_counts(rep, ys)
 
     monkeypatch.setattr(identities, "dot_counts", counting)
-    monkeypatch.setattr(evaluate, "dot_counts", counting)
     report = spike_identity(canonicalize((1, 2, 3), 17), 4)
     assert report.passed
-    assert calls == [rep.entries for rep in enumerate_orbits(17, 3)]
+    assert calls == [[list(rep.entries) for rep in enumerate_orbits(17, 3)]]
+
+
+def test_conjugate_witness_carries_reference_counts(monkeypatch):
+    X = canonicalize((0, 1, 3), 7)  # -X = (0, 4, 6) != X
+    wrong = canonicalize((0, 1, 4), 7)
+    monkeypatch.setattr(identities, "negate_orbit", lambda rep: wrong)
+    reports = [r for r in sweep_conjugate(7, 3) if r.params["x"] == X]
+    for Y, report in zip(enumerate_orbits(7, 3), reports):
+        y = Y.entries
+        counts = reference_counts(X, y)
+        expected_pass = reference_counts(wrong, y) == [counts[-t % 7] for t in range(7)]
+        assert report.passed == expected_pass
+        if not expected_pass:
+            assert report.witness == {
+                "x": X,
+                "y": Y,
+                "counts": counts,
+                "counts_at_minus_y": reference_counts(X, [-v for v in y]),
+                "counts_of_minus_x": reference_counts(wrong, y),
+            }
+            assert report.to_json() == conjugate_identity(X, Y).to_json()
+    assert not all(r.passed for r in reports)
+
+
+def test_translation_witness_carries_reference_counts(monkeypatch):
+    n, d = 5, 3
+    X, Y = canonicalize((0, 1, 3), n), canonicalize((1, 1, 4), n)
+    monkeypatch.setattr(identities, "shift_orbit", lambda rep, j: rep)  # forgets to shift X
+    reports = [r for r in sweep_translation(n, d) if r.params["x"] == X and r.params["y"] == Y]
+    assert [(r.params["j"], r.params["k"]) for r in reports] == [(j, k) for j in range(n) for k in range(n)]
+    base = reference_counts(X, Y.entries)
+    for report in reports:
+        j, k = report.params["j"], report.params["k"]
+        t0 = (orbit_sum(Y) * j + orbit_sum(X) * k + d * j * k) % n
+        lhs = reference_counts(X, [v + k for v in Y.entries])
+        rhs = [base[(t - t0) % n] for t in range(n)]
+        assert report.passed == (lhs == rhs)
+        if lhs != rhs:
+            assert report.witness == {"x": X, "y": Y, "j": j, "k": k, "shift": t0, "lhs": lhs, "rhs": rhs}
+            assert report.to_json() == translation_identity(X, Y, j, k).to_json()
+    assert not all(r.passed for r in reports)
+
+
+def test_constancy_witness_names_the_broken_orbit(monkeypatch):
+    broken = canonicalize((0, 1, 2), 4)
+    real = identities.orbit_array
+
+    def orbit_array(rep):
+        if rep != broken:
+            return real(rep)
+        return np.vstack([real(rep), [[0, 0, 3]]])  # a point of another orbit
+
+    monkeypatch.setattr(identities, "orbit_array", orbit_array)
+    failed = [(r.params["x"], r.params["y"], r.witness) for r in sweep_constancy(4, 3) if not r.passed]
+    expected = [
+        (X, broken, {"x": X, "y": broken})
+        for X in enumerate_orbits(4, 3)
+        if reference_counts(X, (0, 0, 3)) != reference_counts(X, (0, 1, 2))
+    ]
+    assert failed == expected and expected
+
+
+def test_dihedral_witness_names_the_first_bad_shift(monkeypatch):
+    X = canonicalize((0, 1, 2), 6)  # [X] = 3
+    monkeypatch.setattr(identities, "orbit_sum", lambda rep: 1)
+    with pytest.raises(VerificationFailed) as info:
+        dihedral_order(X)
+    Y = identities._sample_orbits(6, 3)[0]
+    base = reference_counts(X, Y.entries)
+    ell = next(
+        ell
+        for ell in range(6)
+        if reference_counts(X, [v + ell for v in Y.entries]) != [base[(t - ell) % 6] for t in range(6)]
+    )
+    assert info.value.witness == {"x": X, "y": Y, "l": ell}
+
+
+def test_spike_counts_witness_is_the_first_asymmetric_superclass(monkeypatch):
+    X = canonicalize((1, 2, 3), 17)
+    other = canonicalize((0, 1, 3), 17)  # not a spike: its counts are not reflected
+    monkeypatch.setattr(identities, "dot_counts", lambda rep, ys: dot_counts(other, ys))
+    report = spike_identity(X, 4)
+
+    def reflected(Y):
+        c = reference_counts(other, Y.entries)
+        return c == [c[(4 * sum(Y.entries) - t) % 17] for t in range(17)]
+
+    first = next(Y for Y in enumerate_orbits(17, 3) if not reflected(Y))
+    assert not report.passed
+    assert report.witness == {"x": X, "y": first, "failure": "counts"}
+
+
+def test_spike_ray_witness_and_ray_maxima_before_it():
+    X = canonicalize((1, 2, 3), 17)
+    tol = 1e-15  # float noise pushes some values off their rays
+    report = spike_identity(X, 4, tol=tol)
+    assert not report.passed and report.witness["failure"] == "ray"
+    first = report.witness["y"]
+    ray_max = [0.0] * 34
+    for Y in enumerate_orbits(17, 3):
+        if Y == first:
+            break
+        z = complex(supercharacter(X, Y.entries))
+        if abs(z) >= tol:
+            m = round((cmath.phase(z) % (2 * cmath.pi)) / (cmath.pi / 17)) % 34
+            ray_max[m] = max(ray_max[m], abs(z))
+    assert 0 < sum(v > 0 for v in ray_max)
+    assert report.witness["value"] == complex(supercharacter(X, first.entries))
+    assert report.info["ray_max_modulus"] == ray_max
 
 
 def test_spike_sweep_small():
