@@ -69,8 +69,8 @@ def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
     """
     n, d = rep.n, rep.d
     ys = np.asarray(y)
-    if ys.dtype == object:  # integers too wide for int64
-        ys = ys % n
+    if ys.dtype.kind != "i":  # unsigned, wider than int64, or made float by mixing such integers
+        ys = np.array(y, dtype=object) % n
     if ys.ndim not in (1, 2) or ys.shape[-1] != d:
         raise DimensionMismatch(f"y has shape {ys.shape}, expected ({d},) or (rows, {d})")
     block = ys.reshape(-1, d)

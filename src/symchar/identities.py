@@ -53,11 +53,6 @@ from .orbits import (
 from .report import IdentityReport
 
 
-def _check_budget(required: int, budget: int) -> None:
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-
-
 def _shifted(counts: np.ndarray, t0: Sequence[int]) -> np.ndarray:
     """Counts of e(t0/n) times the value, one row per shift t0[i].
 
@@ -110,7 +105,7 @@ def _translation_reports(
     base = dot_counts(x_rep, y_rep.entries)
     for j in js:
         shifts = [(sy * j + sx * k + d * j * k) % n for k in ks]
-        lhs = dot_counts(shift_orbit(x_rep, j), np.add.outer(ks, y_rep.entries))
+        lhs = dot_counts(shift_orbit(x_rep, j), np.add.outer([k % n for k in ks], y_rep.entries))
         rhs = _shifted(base, shifts)
         passed = (lhs == rhs).all(axis=1)
         for i, (k, ok) in enumerate(zip(ks, passed.tolist())):
@@ -258,7 +253,7 @@ def spike_identity(
     if y is None:
         ys = superclass_array(n, d).astype(np.int64)
     else:
-        ys = (np.array([getattr(y, "entries", y)]) % n).astype(np.int64)
+        ys = np.array([[v % n for v in getattr(y, "entries", y)]], dtype=np.int64)
 
     def y_at(i: int):
         return OrbitRep(n, tuple(ys[i].tolist())) if y is None else y
@@ -373,7 +368,9 @@ def walk_reduction_check(
 
 def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
     count = orbit_count(n, d)
-    _check_budget(3 * count * count, budget)
+    total = 3 * count * count
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     y_reps = list(enumerate_orbits(n, d))
     for x_rep in y_reps:
         yield from _conjugate_reports(x_rep, y_reps)
@@ -381,7 +378,9 @@ def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
 
 def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
     count = orbit_count(n, d)
-    _check_budget(count * count * n * n, budget)
+    total = count * count * n * n
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     reps = list(enumerate_orbits(n, d))
     for x_rep in reps:
         for y_rep in reps:
@@ -393,7 +392,9 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
 
     One count matrix per X over every point of (Z/nZ)^d, grouped by orbit.
     """
-    _check_budget(orbit_count(n, d) * n**d, budget)
+    total = orbit_count(n, d) * n**d
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     y_reps = list(enumerate_orbits(n, d))
     orbits = [orbit_array(y_rep) for y_rep in y_reps]
     sizes = [len(orbit) for orbit in orbits]
@@ -432,7 +433,9 @@ def sweep_spikes(
     n: int, d: int, tol: float = 1e-9, budget: int = DEFAULT_BUDGET
 ) -> Iterator[IdentityReport]:
     count = orbit_count(n, d)
-    _check_budget(count * count, budget)
+    total = count * count
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     for x_rep in enumerate_orbits(n, d):
         r = spike_detect(x_rep)
         if r is not None:

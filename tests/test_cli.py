@@ -42,6 +42,12 @@ def test_eval_command(capsys):
     assert "value -1.00000000000+0.00000000000i" in out
 
 
+def test_eval_entry_beyond_int64(capsys):
+    code, out, _ = run_cli(["eval", "3", "0", "1", "--", str(2**63), "1"], capsys)
+    assert code == 0
+    assert out.startswith("orbit 0 1  counts [0,1,1]\n")
+
+
 def test_eval_needs_separator(capsys):
     code, out, err = run_cli(["eval", "3", "0", "1", "1", "2"], capsys)
     assert code == 2

@@ -127,6 +127,26 @@ def test_dot_counts_shapes():
             dot_counts(rep, bad)
 
 
+@pytest.mark.parametrize(
+    "n, y",
+    [
+        (5, [2**63, 1]),
+        (5, [2**63, -1]),
+        (5, [2**64 - 1, 2]),
+        (7, [[2**63, -1], [3, 2**64 - 1], [-(2**63) - 1, 4]]),
+        (5, np.array([2**63, 2**64 - 1], dtype=np.uint64)),
+        (300, np.array([[200, 255], [1, 0]], dtype=np.uint8)),
+    ],
+)
+def test_dot_counts_entries_beyond_int64(n, y):
+    # numpy stores these as uint64, uint8 or float64, not int64; counts must stay exact
+    rep = canonicalize((1, 2), n)
+    rows = [list(map(int, row)) for row in np.array(y, dtype=object).reshape(-1, 2)]
+    want = [reference_dot_counts(rep, row) for row in rows]
+    assert dot_counts(rep, y).reshape(-1, n).tolist() == want
+    assert [repr(complex(z)) for z in np.ravel(supercharacter(rep, y))] == [repr(complex(reference_value(c))) for c in want]
+
+
 def test_supercharacter_at_zero_is_orbit_size():
     for n, d in [(3, 2), (5, 3), (4, 4)]:
         for rep in enumerate_orbits(n, d):

@@ -55,7 +55,7 @@ def test_translation_small_sweep():
 def test_translation_specific():
     X = canonicalize((0, 1, 1, 28), 30)
     Y = canonicalize((1, 2, 3, 4), 30)
-    for j, k in [(0, 0), (1, 0), (0, 1), (7, 11), (29, 29)]:
+    for j, k in [(0, 0), (1, 0), (0, 1), (7, 11), (29, 29), (2**63, 2**63), (-1, 2**64 - 1), (3, -(2**63) - 1)]:
         assert translation_identity(X, Y, j, k).passed
 
 
@@ -130,6 +130,9 @@ def test_spike_identity_at_one_point():
         assert report.to_json()
     off = spike_identity(X, 4, y=[1, 5, 9], tol=-1.0)
     assert off.witness == {"x": X, "y": [1, 5, 9], "value": complex(supercharacter(X, [1, 5, 9])), "failure": "ray"}
+    wide = [2**63, -1, 2**64 - 1]
+    value = spike_identity(X, 4, y=wide, tol=-1.0).witness["value"]
+    assert value == complex(supercharacter(X, [v % 17 for v in wide]))
 
 
 def test_spike_identity_small():
