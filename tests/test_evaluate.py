@@ -121,7 +121,6 @@ def test_dot_counts_temporaries_stay_under_the_cap(monkeypatch):
 def test_dot_counts_shapes():
     rep = canonicalize((1, 2), 5)
     assert dot_counts(rep, np.empty((0, 2), dtype=np.int64)).shape == (0, 5)
-    assert dot_counts(rep, [10**30, -(10**30) - 1]).tolist() == reference_dot_counts(rep, [10**30, -(10**30) - 1])
     for bad in ([1], [[1, 2, 3]], 4, [[[1, 2]]]):
         with pytest.raises(DimensionMismatch):
             dot_counts(rep, bad)
@@ -130,6 +129,7 @@ def test_dot_counts_shapes():
 @pytest.mark.parametrize(
     "n, y",
     [
+        (5, [10**30, -(10**30) - 1]),
         (5, [2**63, 1]),
         (5, [2**63, -1]),
         (5, [2**64 - 1, 2]),
@@ -139,12 +139,13 @@ def test_dot_counts_shapes():
     ],
 )
 def test_dot_counts_entries_beyond_int64(n, y):
-    # numpy stores these as uint64, uint8 or float64, not int64; counts must stay exact
+    # numpy holds these as object, uint64, uint8 or float64, not int64; counts must stay exact
     rep = canonicalize((1, 2), n)
     rows = [list(map(int, row)) for row in np.array(y, dtype=object).reshape(-1, 2)]
     want = [reference_dot_counts(rep, row) for row in rows]
     assert dot_counts(rep, y).reshape(-1, n).tolist() == want
-    assert [repr(complex(z)) for z in np.ravel(supercharacter(rep, y))] == [repr(complex(reference_value(c))) for c in want]
+    values = np.ravel(supercharacter(rep, y))
+    assert [repr(complex(z)) for z in values] == [repr(complex(reference_value(c))) for c in want]
 
 
 def test_supercharacter_at_zero_is_orbit_size():
