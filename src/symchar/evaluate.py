@@ -28,6 +28,7 @@ from .orbits import (
     enumerate_orbits,
     orbit_count,
     orbit_size,
+    rotation_order,
     stabilizer_order,
     superclass_array,
 )
@@ -244,9 +245,10 @@ def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> 
 # image computation
 
 
-def _superclass_blocks(n: int, d: int, block_rows: int):
-    """Yield int64 arrays of canonical representatives, block_rows at a time."""
-    reps = superclass_array(n, d)
+def _superclass_blocks(n: int, d: int, block_rows: int, first_below: int):
+    """Yield int64 arrays of the canonical representatives whose first
+    entry is < first_below, block_rows at a time."""
+    reps = superclass_array(n, d, first_below)
     for lo in range(0, len(reps), block_rows):
         yield reps[lo : lo + block_rows].astype(np.int64)
 
@@ -287,9 +289,16 @@ def image(
     """All values of sigma_X, deduplicated.
 
     By default y runs over the canonical superclass representatives (the
-    value is constant on superclasses); full_group=True instead sweeps all
-    n^d points as an oracle for that constancy.  The evaluation is done
-    one fixed-size block at a time, in index order.
+    value is constant on superclasses), and only over those whose first
+    entry is < L = rotation_order(rep).  A superclass Y with first entry
+    m >= L adds nothing: with q = m // L, Y - qL*1 is sorted and earlier
+    in the enumeration, and since L*[x] = 0 mod n its dot products equal
+    those of Y mod n element by element, so its value is bitwise the same.
+    The result is therefore that of the full sweep, order included.  The
+    budget still counts all C(n+d-1, d) superclasses.
+    full_group=True instead sweeps all n^d points as an oracle for the
+    constancy.  The evaluation is done one fixed-size block at a time, in
+    index order.
     """
     n, d = rep.n, rep.d
     total = n**d if full_group else orbit_count(n, d)
@@ -300,7 +309,7 @@ def image(
     if full_group:
         blocks = odometer_blocks(n, d, block_rows)
     else:
-        blocks = _superclass_blocks(n, d, block_rows)
+        blocks = _superclass_blocks(n, d, block_rows, rotation_order(rep))
     pieces = [values_on_block(rep, blk) for blk in blocks]
     values = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
     return PointCloud.from_values(n, d, rep, values)

@@ -47,6 +47,7 @@ from .orbits import (
     negate_orbit,
     orbit_count,
     orbit_sum,
+    rotation_order,
     shift_orbit,
     superclass_array,
 )
@@ -154,7 +155,7 @@ def dihedral_order(x_rep: OrbitRep, check: bool = True) -> int:
     """
     n = x_rep.n
     sx = orbit_sum(x_rep)
-    order = n // gcd(n, sx) if sx else 1
+    order = rotation_order(x_rep)
     if check:
         ells = np.arange(n)
         for y_rep in _sample_orbits(n, x_rep.d):
@@ -298,6 +299,9 @@ def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
     """
     if d < 2:
         raise HypothesisFailed("needs d >= 2")
+    if n < 3:
+        # mod 1 or 2 the entries 0, 1, 2 are not distinct residues, so X is another orbit
+        raise HypothesisFailed("needs n >= 3")
     x_rep = canonicalize((0,) + (1,) * (d - 2) + (2,), n)
     table = roots_of_unity(n)
     ys = superclass_array(n, d).astype(np.int64)

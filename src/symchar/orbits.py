@@ -11,7 +11,7 @@ Whole sweeps take all representatives at once as one array instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,6 +74,11 @@ def orbit_size(rep: OrbitRep) -> int:
 def orbit_sum(rep: OrbitRep) -> int:
     """[x] = sum of the entries mod n; constant on the orbit."""
     return sum(rep.entries) % rep.n
+
+
+def rotation_order(rep: OrbitRep) -> int:
+    """n / gcd(n, [x]): the least L > 0 with L*[x] = 0 mod n (1 when [x] = 0)."""
+    return rep.n // gcd(rep.n, orbit_sum(rep))
 
 
 def shift_orbit(rep: OrbitRep, j: int) -> OrbitRep:
@@ -185,20 +190,26 @@ def enumerate_orbits(n: int, d: int, start: int = 0, stop: int | None = None) ->
             a[t] = v
 
 
-def superclass_array(n: int, d: int) -> np.ndarray:
+def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarray:
     """All C(n+d-1, d) canonical representatives as one (rows, d) array.
 
     Rows are in the lexicographic order of enumerate_orbits.  Built by
     prefix extension: each row ending in v is repeated n - v times and
     extended by v, v+1, ..., n-1.  Entries use the smallest unsigned
-    dtype that holds n - 1.
+    dtype that holds n - 1.  With first_below = L in [1, n], only the
+    rows whose first entry is < L are built; they are a prefix of the
+    full array.
     """
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
+    if first_below is None:
+        first_below = n
+    if not 1 <= first_below <= n:
+        raise ValueError(f"first_below must be in [1, {n}], got {first_below}")
     dtype = np.min_scalar_type(n - 1)
-    rows = np.arange(n, dtype=dtype)[:, None]
+    rows = np.arange(first_below, dtype=dtype)[:, None]
     for _ in range(d - 1):
         last = rows[:, -1].astype(np.int64)
         reps = n - last

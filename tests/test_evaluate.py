@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symchar import evaluate
 from symchar.errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
@@ -20,8 +20,9 @@ from symchar.evaluate import (
     supercharacter,
     union_image,
     values_match,
+    values_on_block,
 )
-from symchar.orbits import canonicalize, enumerate_orbits, orbit_size
+from symchar.orbits import canonicalize, enumerate_orbits, orbit_size, rotation_order, superclass_array
 
 
 def e(t):
@@ -215,6 +216,52 @@ def test_image_budget_enforced():
         image(canonicalize((1, 2, 3), 30), budget=100)
     assert info.value.required > 100
     assert info.value.budget == 100
+
+
+def full_sweep_image(rep):
+    """Deduplicated values over every superclass: what image must reproduce."""
+    return dedupe_values(values_on_block(rep, superclass_array(rep.n, rep.d).astype(np.int64)))
+
+
+@st.composite
+def _orbits(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    d = draw(st.integers(min_value=1, max_value=5))
+    entries = [draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(d)]
+    if draw(st.booleans()):
+        entries[-1] -= sum(entries)  # [x] = 0, so L = 1
+    return canonicalize(entries, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbits(), st.sampled_from([7, 60, 4_000_000]))
+@example(canonicalize((0, 1, 5), 6), 4_000_000)  # L = 1
+@example(canonicalize((1, 1, 3), 12), 60)  # L = n
+@example(canonicalize((0, 1, 3), 12), 7)  # L = 3
+@example(canonicalize((0, 0, 0), 1), 4_000_000)  # n = 1
+@example(canonicalize((3,), 8), 4_000_000)  # d = 1, L = 8
+@example(canonicalize((4,), 8), 7)  # d = 1, L = 2
+def test_image_matches_full_sweep(rep, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the prefix into blocks
+        values = image(rep).values
+    assert repr(values) == repr(full_sweep_image(rep))
+
+
+def test_image_sweeps_only_the_rotation_prefix(monkeypatch):
+    rep = canonicalize((0, 1, 3), 12)  # [x] = 4, L = 3
+    assert rotation_order(rep) == 3
+    seen = []
+    real = evaluate.values_on_block
+    monkeypatch.setattr(evaluate, "values_on_block", lambda r, blk: seen.append(blk.copy()) or real(r, blk))
+    image(rep)
+    rows = np.concatenate(seen)
+    full = superclass_array(12, 3)
+    assert np.array_equal(rows, full[full[:, 0] < 3])
+    # the budget still counts every superclass
+    with pytest.raises(BudgetExceeded) as info:
+        image(rep, budget=len(full) - 1)
+    assert info.value.required == len(full)
 
 
 def test_max_modulus_at_zero():

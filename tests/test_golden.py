@@ -4,9 +4,11 @@ Each command covers one shared code path: the single-accumulator bitmap
 stamping, the superclass and full-group (odometer) image sweeps, the torus
 odometer and zero-row count of `reduce`, the spike scan, the 11-place
 float formatting of `eval`, the dedupe counts and containment verdicts
-of `verify hypocycloid`, and the exact counts path (`dot_counts`) under
+of `verify hypocycloid`, the exact counts path (`dot_counts`) under
 each identity sweep, the permanent check and `eval` with entries outside
-[0, n).  A digest may change only with a deliberate
+[0, n), and the line-rotation prefix of `image` at L = 1 (`verify
+hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`) and L = n (the other
+images).  A digest may change only with a deliberate
 change of output, never with a refactor.
 """
 
@@ -41,6 +43,9 @@ GOLDEN = [
     ),
     (["verify", "full-union", "--n", "7", "--d", "4"], "63e47640d5272464a868f51e6c924b8f84f335f2121ff64d22a1f12df8fc419c", None),
     (["eval", "13", "0", "0", "5", "--", "-4", "30", "2"], "8a38098508e28906728ad0fe1ab3e897f40f9a6bc41e8173859cc27579a4da7d", None),
+    (["verify", "hypocycloid", "--n", "24", "--d", "6"], "9443f23da7550adb81b99f42fcc766a839121c7c80e7701d643b7a9e5cb9f1b9", None),
+    (["walk", "24", "4", "8"], "fb0e3685012e202da6f43d134a3c4e83726651e451af8a983b91888561bb7a23", None),
+    (["image", "12", "0", "1", "3", "--format", "csv"], "ca10c869ff84d0a79242f8052f0fe7c82c152262ee51a0b795da2da27cec9c0b", None),
 ]
 
 

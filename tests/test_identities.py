@@ -291,6 +291,19 @@ def test_spike_factor_small():
     assert report.info["factor_max"] <= 6 + 1e-9
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (2, 4)])
+def test_spike_factor_needs_three_residues(n, d):
+    # mod 1 or 2 the orbit of (0, 1, ..., 1, 2) is some other orbit
+    with pytest.raises(HypothesisFailed):
+        spike_factor_check(n, d)
+
+
+def test_spike_factor_smallest_modulus():
+    for d in (2, 3, 4):
+        report = spike_factor_check(3, d)
+        assert report.passed, report.to_json()
+
+
 def test_walk_reduction():
     report = walk_reduction_check(24, 3, 6)
     assert report.passed

@@ -16,6 +16,7 @@ from symchar.orbits import (
     orbit_sum,
     rank_orbit,
     residue_multiplicities,
+    rotation_order,
     shift_orbit,
     stabilizer_order,
     superclass_array,
@@ -118,9 +119,32 @@ def test_superclass_array_dtype_and_validation():
         superclass_array(3, 0)
 
 
+def test_superclass_array_first_below_is_prefix():
+    for n in range(1, 13):
+        for d in range(1, 7):
+            full = superclass_array(n, d)
+            for first_below in range(1, n + 1):
+                part = superclass_array(n, d, first_below)
+                assert part.dtype == full.dtype
+                assert np.array_equal(part, full[full[:, 0] < first_below])
+                assert np.array_equal(part, full[: len(part)])
+    assert np.array_equal(superclass_array(5, 3, None), superclass_array(5, 3))
+    for bad in (0, 6, -1):
+        with pytest.raises(ValueError):
+            superclass_array(5, 3, bad)
+
+
+def test_rotation_order():
+    assert rotation_order(canonicalize((0,), 1)) == 1
+    for rep in enumerate_orbits(12, 3):
+        order = rotation_order(rep)
+        assert order * orbit_sum(rep) % 12 == 0
+        assert all(k * orbit_sum(rep) % 12 for k in range(1, order))
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 56, 1000])
 def test_superclass_blocks_glue_to_enumeration(block_rows):
-    blocks = list(_superclass_blocks(6, 3, block_rows))
+    blocks = list(_superclass_blocks(6, 3, block_rows, 6))
     assert all(b.dtype == np.int64 and len(b) <= block_rows for b in blocks)
     rows = [tuple(r) for b in blocks for r in b.tolist()]
     assert rows == [rep.entries for rep in enumerate_orbits(6, 3)]
