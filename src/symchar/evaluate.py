@@ -27,7 +27,6 @@ from .orbits import (
     distinct_permutations,
     enumerate_orbits,
     orbit_count,
-    orbit_size,
     rotation_order,
     stabilizer_order,
     superclass_array,
@@ -35,14 +34,30 @@ from .orbits import (
 
 DEFAULT_BUDGET = 5_000_000
 DEDUPE_DECIMALS = 9
-# evaluation blocks are capped at this many (orbit element, point) pairs
-_BLOCK_CELLS = 4_000_000
+# evaluation blocks are capped at this many (orbit element, point) pairs,
+# so that their scratch arrays (about 2 MB in values_on_block) stay in cache
+_BLOCK_CELLS = 65_536
+# A value shares its rounded key only with values within 1e-9 in both
+# coordinates, so within (1 + _SLANT) * 1e-9 along p = re + _SLANT * im.
+# _NEAR covers that and the float error of p and of its gaps while every
+# coordinate is below _BIG in modulus (under 1e-9 there).
+_SLANT = 0.618
+_NEAR = 4e-9
+_BIG = 2.0**20
 
 
 @lru_cache(maxsize=256)
 def roots_of_unity(n: int) -> np.ndarray:
     """Table of the n-th roots of unity e(t/n), t = 0..n-1."""
     table = np.exp(2j * np.pi * np.arange(n) / n)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)  # up to 1 MB each
+def _periodic_roots(n: int, top: int) -> np.ndarray:
+    """roots_of_unity(n) repeated out to length top + 1: entry t is e(t/n)."""
+    table = np.resize(roots_of_unity(n), top + 1)
     table.setflags(write=False)
     return table
 
@@ -156,22 +171,45 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     """Deduplicate complex values, keyed on coordinates rounded to 1e-9.
 
     The first value seen in iteration order represents its bucket, so the
-    result is deterministic for a deterministic input order.  Exact
-    repeats are dropped first, as whole arrays: the first occurrence of
-    each bucket is also the first occurrence of its exact value, so only
-    those first occurrences, kept in input order, need rounding.
+    result is deterministic for a deterministic input order.  Only values
+    that can share a key with another value are looked up: those whose
+    neighbour in the order of p = re + _SLANT * im lies within _NEAR, and
+    those too large or not finite for that test.  Every other value is its
+    own bucket and is kept.  Exact repeats among the looked-up values are
+    dropped first, as whole arrays (runs of equal values in p order, then
+    np.unique): the first occurrence of each bucket is also the first
+    occurrence of its exact value, so only those first occurrences, kept
+    in input order, need rounding.
     """
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=complex)
-    _, first = np.unique(arr, return_index=True, equal_nan=False)
+    if not len(arr):
+        return ()
+    re, im = arr.real, arr.imag
+    with np.errstate(invalid="ignore"):  # inf - inf; such values are looked up anyway
+        p = re + _SLANT * im
+        order = np.argsort(p)
+        close = np.diff(p[order]) <= _NEAR
+    near = ~((np.abs(re) < _BIG) & (np.abs(im) < _BIG))
+    near[order[1:][close]] = True
+    near[order[:-1][close]] = True
+    keep = ~near
+    # of equal values next to each other in p order, only the first
+    # occurrence is looked up
+    ordered = arr[order]
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first_seen = np.zeros(len(arr), dtype=bool)
+    first_seen[np.minimum.reduceat(order, runs)] = True
+    crowd = np.flatnonzero(near & first_seen)
+    _, first = np.unique(arr[crowd], return_index=True, equal_nan=False)
     first.sort()
+    crowd = crowd[first]
     seen: dict[tuple[float, float], None] = {}
-    out = []
-    for z in arr[first].tolist():
+    for i, z in zip(crowd.tolist(), arr[crowd].tolist()):
         key = (_round_coord(z.real), _round_coord(z.imag))
         if key not in seen:
             seen[key] = None
-            out.append(z)
-    return tuple(out)
+            keep[i] = True
+    return tuple(arr[keep].tolist())
 
 
 @dataclass(frozen=True)
@@ -245,14 +283,6 @@ def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> 
 # image computation
 
 
-def _superclass_blocks(n: int, d: int, block_rows: int, first_below: int):
-    """Yield int64 arrays of the canonical representatives whose first
-    entry is < first_below, block_rows at a time."""
-    reps = superclass_array(n, d, first_below)
-    for lo in range(0, len(reps), block_rows):
-        yield reps[lo : lo + block_rows].astype(np.int64)
-
-
 def odometer_blocks(base: int, width: int, block_rows: int):
     """Yield all base**width digit tuples in odometer (lexicographic) order,
     as (rows, width) integer arrays of at most block_rows rows."""
@@ -267,18 +297,45 @@ def odometer_blocks(base: int, width: int, block_rows: int):
 
 
 def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
-    """sigma_X at each row of `block`, via the root table."""
-    n = rep.n
-    table = roots_of_unity(n)
+    """sigma_X at each row of `block`, via the root table.
+
+    Every entry of `block` must lie in [0, n), as in superclass and
+    odometer rows, so that each dot product x.y is an integer in
+    [0, top] with top = d(n-1)^2.  When top < _BLOCK_CELLS the dots come
+    from a float64 matmul, exact since every partial sum is an integer
+    below 2^53, and index the root table repeated out to length top + 1,
+    so no mod is taken.  Otherwise they come from an int64 matmul reduced
+    mod n.  Each row is then the sum of its roots over the orbit in orbit
+    order, so a value is bitwise the same in either branch and in any
+    block.  The rows go through _BLOCK_CELLS cells at a time, in scratch
+    arrays allocated once per call.
+    """
+    n, d = rep.n, rep.d
     elems = orbit_array(rep)
-    # The result is allocated before `dots` so that `dots` is the newest
-    # heap chunk and its block-sized memory is reused by the next block.
-    # Allocated after it, the result could pin that hole, and the peak RSS
-    # of a d=6 render moved between 122 and 152 MB with heap layout alone.
+    r = len(elems)
+    top = d * (n - 1) ** 2
+    periodic = top < _BLOCK_CELLS
+    kind = np.float64 if periodic else np.int64
+    table = _periodic_roots(n, top) if periodic else roots_of_unity(n)
+    step = max(1, _BLOCK_CELLS // r)
+    rows = min(step, len(block))
+    xs = elems.T.astype(kind)
+    ys = np.empty((rows, d), dtype=kind)
+    dots = np.empty((rows, r), dtype=kind)
+    idx = np.empty((rows, r), dtype=np.intp) if periodic else dots
+    terms = np.empty((rows, r), dtype=complex)
     out = np.empty(len(block), dtype=complex)
-    dots = block @ elems.T
-    np.mod(dots, n, out=dots)
-    return table[dots].sum(axis=1, out=out)
+    for lo in range(0, len(block), step):
+        m = min(step, len(block) - lo)
+        np.copyto(ys[:m], block[lo : lo + m])
+        np.matmul(ys[:m], xs, out=dots[:m])
+        if periodic:
+            np.copyto(idx[:m], dots[:m], casting="unsafe")
+        else:
+            np.mod(dots[:m], n, out=idx[:m])
+        np.take(table, idx[:m], out=terms[:m], mode="clip")  # in range; mode "raise" buffers `out`
+        terms[:m].sum(axis=1, out=out[lo : lo + m])
+    return out
 
 
 def image(
@@ -297,22 +354,19 @@ def image(
     The result is therefore that of the full sweep, order included.  The
     budget still counts all C(n+d-1, d) superclasses.
     full_group=True instead sweeps all n^d points as an oracle for the
-    constancy.  The evaluation is done one fixed-size block at a time, in
-    index order.
+    constancy.  The points are held as one array of the smallest unsigned
+    dtype that holds n - 1, in index order, and evaluated in one call.
     """
     n, d = rep.n, rep.d
     total = n**d if full_group else orbit_count(n, d)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    r = orbit_size(rep)
-    block_rows = max(1, _BLOCK_CELLS // max(r, 1))
     if full_group:
-        blocks = odometer_blocks(n, d, block_rows)
+        # row i holds the base-n digits of i: the odometer order
+        points = np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T
     else:
-        blocks = _superclass_blocks(n, d, block_rows, rotation_order(rep))
-    pieces = [values_on_block(rep, blk) for blk in blocks]
-    values = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-    return PointCloud.from_values(n, d, rep, values)
+        points = superclass_array(n, d, rotation_order(rep))
+    return PointCloud.from_values(n, d, rep, values_on_block(rep, points))
 
 
 def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> PointCloud:

@@ -232,7 +232,11 @@ def ray_count(x_rep: OrbitRep, r: int) -> int:
 
 
 def spike_identity(
-    x_rep: OrbitRep, r: int, y: OrbitRep | Sequence[int] | None = None, tol: float = 1e-9
+    x_rep: OrbitRep,
+    r: int,
+    y: OrbitRep | Sequence[int] | None = None,
+    tol: float = 1e-9,
+    budget: int = DEFAULT_BUDGET,
 ) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X.
 
@@ -242,11 +246,14 @@ def spike_identity(
     pi*m*gcd(r,n)/n (Euclidean distance, which avoids amplifying float
     noise in the argument of small-modulus values).
     When y is None both checks run over every superclass Y in enumeration
-    order.  The witness names the first counts failure, else the first ray
-    failure; info["ray_max_modulus"] holds the largest modulus on each ray
-    over the points before the first ray failure.
+    order, and those C(n+d-1, d) superclasses count against the budget
+    before any work.  The witness names the first counts failure, else the
+    first ray failure; info["ray_max_modulus"] holds the largest modulus on
+    each ray over the points before the first ray failure.
     """
     n, d = x_rep.n, x_rep.d
+    if y is None and orbit_count(n, d) > budget:
+        raise BudgetExceeded(orbit_count(n, d), budget)
     if canonicalize([r - v for v in x_rep.entries], n) != x_rep:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
     g = gcd(r, n)
@@ -443,4 +450,4 @@ def sweep_spikes(
     for x_rep in enumerate_orbits(n, d):
         r = spike_detect(x_rep)
         if r is not None:
-            yield spike_identity(x_rep, r, tol=tol)
+            yield spike_identity(x_rep, r, tol=tol, budget=budget)

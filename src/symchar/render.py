@@ -114,7 +114,13 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def encode_png(img: GrayImage) -> bytes:
-    """Minimal deterministic PNG: 8-bit grayscale, filter 0, zlib level 9."""
+    """Minimal deterministic PNG: 8-bit grayscale, filter 0, zlib level 9.
+
+    Level 9 stays although level 6 compresses an 800 x 800 render about
+    10x faster (for a file ~14% larger): the PNG bytes are pinned by
+    SHA-256 in tests/test_golden.py and perfbench/golden.json, and another
+    level changes them.
+    """
     side = img.spec.side
     raw = image_bytes(img)
     scanlines = b"".join(
@@ -147,15 +153,17 @@ def export_points(values: Iterable[complex], fmt: str = "csv") -> str:
     """Serialize a deduplicated point list: CSV rows or a JSON array.
 
     Floats are printed with 11 decimal places (12 significant digits at
-    plot scale) so files diff cleanly across runs.
+    plot scale) so files diff cleanly across runs: round11 of each
+    coordinate, which for a Python float is what .11f prints once a
+    "-0.00000000000" is folded into "0.00000000000".
     """
-    pts = [(round11(z.real), round11(z.imag)) for z in values]
     if fmt == "csv":
         lines = ["re,im"]
-        lines += [f"{re:.11f},{im:.11f}" for re, im in pts]
-        return "\n".join(lines) + "\n"
+        lines += [f"{z.real:.11f},{z.imag:.11f}" for z in values]
+        return ("\n".join(lines) + "\n").replace("-0.00000000000", "0.00000000000")
     if fmt == "json":
         import json
 
-        return json.dumps([[re, im] for re, im in pts], separators=(",", ":"))
+        pts = [[round11(z.real), round11(z.imag)] for z in values]
+        return json.dumps(pts, separators=(",", ":"))
     raise ValueError(f"unknown format {fmt!r}")

@@ -6,11 +6,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .orbits import OrbitRep
+
 
 def _jsonable(obj: Any) -> Any:
     """Coerce domain objects (orbits, complex numbers, tuples) to JSON."""
-    from .orbits import OrbitRep
-
     if isinstance(obj, OrbitRep):
         return {"n": obj.n, "entries": list(obj.entries)}
     if isinstance(obj, complex):

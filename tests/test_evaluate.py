@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -14,6 +15,8 @@ from symchar.evaluate import (
     dedupe_values,
     dot_counts,
     image,
+    odometer_blocks,
+    orbit_array,
     orbit_elements,
     permanent_oracle,
     roots_of_unity,
@@ -218,6 +221,78 @@ def test_image_budget_enforced():
     assert info.value.budget == 100
 
 
+def reference_values_on_block(rep, block):
+    """The kernel before the periodic table: int64 dots mod n index the
+    root table, summed over the orbit in one expression."""
+    elems = orbit_array(rep)
+    return roots_of_unity(rep.n)[(np.asarray(block, dtype=np.int64) @ elems.T) % rep.n].sum(axis=1)
+
+
+def assert_kernel_bitwise(rep, block):
+    got = values_on_block(rep, block)
+    want = reference_values_on_block(rep, block)
+    assert got.dtype == complex and got.shape == (len(block),)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([1, 7, 60, 65_536]),
+    st.sampled_from([np.int64, np.uint8]),
+    st.data(),
+)
+def test_values_on_block_matches_reference(n, d, rows, cells, dtype, data):
+    entry = st.integers(min_value=0, max_value=n - 1)
+    rep = canonicalize([data.draw(entry) for _ in range(d)], n)
+    block = np.array([[data.draw(entry) for _ in range(d)] for _ in range(rows)], dtype=dtype).reshape(rows, d)
+    with pytest.MonkeyPatch.context() as mp:
+        # top = d(n-1)^2 >= cells takes the mod-n branch; small caps split the rows into blocks
+        mp.setattr(evaluate, "_BLOCK_CELLS", cells)
+        assert_kernel_bitwise(rep, block)
+
+
+@pytest.mark.parametrize("cells", [1, 60, 65_536])
+@pytest.mark.parametrize(
+    "n, entries",
+    [(1, (0,)), (1, (0, 0, 0)), (9, (4,)), (7, (0, 1, 3)), (5, (0, 1, 2, 4)), (6, (1, 1, 4, 5)), (3, (0, 1, 1, 2, 2))],
+)
+def test_values_on_block_full_group_and_superclasses(n, entries, cells):
+    rep = canonicalize(entries, n)
+    d = len(entries)
+    full = np.concatenate(list(odometer_blocks(n, d, 50)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_BLOCK_CELLS", cells)
+        assert_kernel_bitwise(rep, full)
+        assert_kernel_bitwise(rep, superclass_array(n, d))
+        assert_kernel_bitwise(rep, np.empty((0, d), dtype=np.int64))
+
+
+def test_values_on_block_branches():
+    # top = d(n-1)^2: (13, 6) indexes the periodic table, (400, 2) reduces mod n
+    for n, entries in [(13, (0, 1, 3, 4, 6, 9)), (400, (1, 2)), (257, (0, 3, 256))]:
+        rep = canonicalize(entries, n)
+        ys = superclass_array(n, len(entries))
+        assert_kernel_bitwise(rep, ys[:: max(1, len(ys) // 5000)])
+
+
+def test_values_on_block_scratch_stays_block_sized():
+    rep = canonicalize((0, 1, 3, 4, 6, 9), 13)  # 720 orbit elements
+    ys = superclass_array(13, 6)  # 18,564 rows: 13.4M cells in 205 blocks
+    orbit_array(rep)
+    tracemalloc.start()
+    try:
+        out = values_on_block(rep, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result plus one block's scratch (about 2 MB), not 13.4M cells of it
+    assert peak < out.nbytes + 4 * 2**20
+    assert_kernel_bitwise(rep, ys[::37])
+
+
 def full_sweep_image(rep):
     """Deduplicated values over every superclass: what image must reproduce."""
     return dedupe_values(values_on_block(rep, superclass_array(rep.n, rep.d).astype(np.int64)))
@@ -294,23 +369,54 @@ def reference_dedupe(values):
     return tuple(out)
 
 
-# +-0.0, values 0.5e-9 apart and values on (or a hair off) rounding boundaries
+# +-0.0, values 0.5e-9 apart, values on (or a hair off) rounding boundaries,
+# either side of the 2^20 cut below which neighbours are found along a line,
+# |z| >= 2^25 where float spacing exceeds 1e-9, and nan/inf
 _coords = st.sampled_from(
     [0.0, -0.0, 5e-10, -5e-10, 1e-9, 1.5e-9, 2.5e-9, 0.1234567895, 0.12345678949999999, -0.1234567895, 1.0, 1.0000000005, -1.0000000005]
+    + [2.0**20, np.nextafter(2.0**20, 0), 2.0**20 - 5e-10, -(2.0**20) + 1e-9, 2.0**25, np.nextafter(2.0**25, np.inf), -(2.0**25), 1e300]
+    + [float("nan"), float("inf"), -float("inf")]
 ) | st.floats(min_value=-2, max_value=2, allow_nan=False).map(lambda v: round(v, 10))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.builds(complex, _coords, _coords), max_size=60), st.data())
 def test_dedupe_values_matches_reference(vals, data):
-    # exact repeats of earlier values, placed anywhere in the list
+    # exact repeats of earlier values, values 1e-9 off in both coordinates
+    # and conjugates, each placed anywhere in the list
+    step = st.sampled_from([-1e-9, 0.0, 1e-9])
     for _ in range(data.draw(st.integers(0, 10))):
         if vals:
-            vals.insert(data.draw(st.integers(0, len(vals))), data.draw(st.sampled_from(vals)))
+            z = data.draw(st.sampled_from(vals))
+            twin = data.draw(
+                st.sampled_from([z, z.conjugate(), complex(z.real + data.draw(step), z.imag + data.draw(step))])
+            )
+            vals.insert(data.draw(st.integers(0, len(vals))), twin)
     expected = repr(reference_dedupe(vals))
     assert repr(dedupe_values(vals)) == expected
     assert repr(dedupe_values(np.array(vals, dtype=complex))) == expected
     assert repr(dedupe_values(iter(vals))) == expected
+
+
+def test_dedupe_values_rounds_only_near_values(monkeypatch):
+    rounded = []
+    real = evaluate._round_coord
+    monkeypatch.setattr(evaluate, "_round_coord", lambda v: rounded.append(v) or real(v))
+    spread = np.arange(1, 2001) * np.exp(0.7j * np.arange(2000))  # no two values near each other
+    assert dedupe_values(spread) == tuple(spread.tolist())
+    assert rounded == []
+    crowded = np.concatenate([spread, [spread[5] + 1e-10, spread[7]]])
+    assert dedupe_values(crowded) == tuple(spread.tolist())
+    assert len(rounded) == 2 * 3  # spread[5], its neighbour and spread[7]; its repeat is dropped whole
+
+
+def test_dedupe_values_large_coordinates():
+    # at 2^25 one float step of p = re + 0.618 im is 7.45e-9: the two values
+    # share a key, but their p round to neighbouring floats
+    pair = [complex(2**25, 6.0e-9), complex(2**25, 6.4e-9)]
+    assert dedupe_values(pair) == reference_dedupe(pair) == (pair[0],)
+    spread = [complex(2**25, 0.1), complex(2**25, 0.2), complex(float("inf"), 1), complex(float("inf"), 1)]
+    assert dedupe_values(spread) == reference_dedupe(spread) == tuple(spread[:3])
 
 
 def test_dedupe_values_keeps_first_signed_zero():

@@ -8,8 +8,10 @@ of `verify hypocycloid`, the exact counts path (`dot_counts`) under
 each identity sweep, the permanent check and `eval` with entries outside
 [0, n), and the line-rotation prefix of `image` at L = 1 (`verify
 hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`) and L = n (the other
-images).  A digest may change only with a deliberate
-change of output, never with a refactor.
+images).  `image 400 1 2` runs the kernel's int64 mod-n branch, which
+only large n reaches; the other images run its periodic-table branch.
+A digest may change only with a deliberate change of output, never with
+a refactor.
 """
 
 import hashlib
@@ -46,6 +48,7 @@ GOLDEN = [
     (["verify", "hypocycloid", "--n", "24", "--d", "6"], "9443f23da7550adb81b99f42fcc766a839121c7c80e7701d643b7a9e5cb9f1b9", None),
     (["walk", "24", "4", "8"], "fb0e3685012e202da6f43d134a3c4e83726651e451af8a983b91888561bb7a23", None),
     (["image", "12", "0", "1", "3", "--format", "csv"], "ca10c869ff84d0a79242f8052f0fe7c82c152262ee51a0b795da2da27cec9c0b", None),
+    (["image", "400", "1", "2", "--format", "csv"], "72f4fbccf10569614d393c54a336cbd97fffc2e0cf0654fae2c329e881631ce9", None),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symchar import identities
-from symchar.errors import HypothesisFailed, VerificationFailed
+from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from symchar.evaluate import PointCloud, dot_counts, orbit_elements, supercharacter
 from symchar.identities import (
     conjugate_identity,
@@ -25,7 +25,7 @@ from symchar.identities import (
     translation_identity,
     walk_reduction_check,
 )
-from symchar.orbits import canonicalize, enumerate_orbits, negate_orbit, orbit_sum, shift_orbit
+from symchar.orbits import canonicalize, enumerate_orbits, negate_orbit, orbit_count, orbit_sum, shift_orbit
 
 
 def reference_counts(rep, y):
@@ -147,6 +147,28 @@ def test_spike_identity_rejects_non_spike():
     X = canonicalize((0, 1, 3), 7)
     with pytest.raises(HypothesisFailed):
         spike_identity(X, 2)
+
+
+def test_spike_identity_budget(monkeypatch):
+    X = canonicalize((1, 2, 3), 17)
+    total = orbit_count(17, 3)
+    assert spike_identity(X, 4, budget=total).passed
+    # refused before the superclasses are built or counted; one point is not budgeted
+    monkeypatch.setattr(identities, "superclass_array", None)
+    monkeypatch.setattr(identities, "dot_counts", None)
+    with pytest.raises(BudgetExceeded) as info:
+        spike_identity(X, 4, budget=total - 1)
+    assert (info.value.required, info.value.budget) == (total, total - 1)
+    monkeypatch.undo()
+    assert spike_identity(X, 4, y=[1, 5, 9], budget=0).passed
+
+
+def test_sweep_spikes_passes_its_budget(monkeypatch):
+    seen = []
+    real = identities.spike_identity
+    monkeypatch.setattr(identities, "spike_identity", lambda *a, **kw: seen.append(kw["budget"]) or real(*a, **kw))
+    assert all(rep.passed for rep in sweep_spikes(5, 2, budget=300))
+    assert seen and set(seen) == {300}
 
 
 def test_spike_rays_17():

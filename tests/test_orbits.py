@@ -22,7 +22,6 @@ from symchar.orbits import (
     superclass_array,
     unrank_orbit,
 )
-from symchar.evaluate import _superclass_blocks
 
 
 def test_canonicalize_reduces_and_sorts():
@@ -140,11 +139,3 @@ def test_rotation_order():
         order = rotation_order(rep)
         assert order * orbit_sum(rep) % 12 == 0
         assert all(k * orbit_sum(rep) % 12 for k in range(1, order))
-
-
-@pytest.mark.parametrize("block_rows", [1, 7, 56, 1000])
-def test_superclass_blocks_glue_to_enumeration(block_rows):
-    blocks = list(_superclass_blocks(6, 3, block_rows, 6))
-    assert all(b.dtype == np.int64 and len(b) <= block_rows for b in blocks)
-    rows = [tuple(r) for b in blocks for r in b.tolist()]
-    assert rows == [rep.entries for rep in enumerate_orbits(6, 3)]

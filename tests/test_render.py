@@ -5,6 +5,7 @@ from math import floor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symchar.render import (
     BitmapSpec,
@@ -14,6 +15,7 @@ from symchar.render import (
     export_points,
     image_bytes,
     render_bitmap,
+    round11,
     round_half_away,
     write_png,
 )
@@ -191,6 +193,35 @@ def test_export_points_json():
 def test_export_points_no_negative_zero():
     out = export_points([complex(-1e-14, -1e-14)], "csv")
     assert "-0.0" not in out
+
+
+def reference_csv(values):
+    """Each coordinate through round11, then printed to 11 places."""
+    rows = [f"{round11(z.real):.11f},{round11(z.imag):.11f}" for z in values]
+    return "\n".join(["re,im", *rows]) + "\n"
+
+
+_HALF = 0.5e-11
+# +-0.0, values rounding to -0, exact ties j/4096 = x.xxxxxxxxxxx5 and
+# neighbours of the half-unit 0.5e-11 on both sides
+_csv_coords = (
+    [0.0, -0.0, -1e-13, 1e-13, -4.9e-12, 1e300, -1e300, float("inf"), -float("inf"), float("nan")]
+    + [j / 4096 for j in range(-9000, 9001, 7)]
+    + [s * float(v) for s in (1, -1) for v in (_HALF, np.nextafter(_HALF, 0), np.nextafter(_HALF, 1), 3 * _HALF, 12345.5 + _HALF)]
+)
+
+
+def test_export_points_csv_matches_round11():
+    coords = [float(v) for v in _csv_coords]
+    values = [complex(a, b) for a, b in zip(coords, coords[1:] + coords[:1])]
+    values += [complex(a, b) for a, b in zip(coords[::-1], coords)]
+    assert export_points(values, "csv") == reference_csv(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, st.floats(), st.floats() | st.sampled_from(_csv_coords)), max_size=30))
+def test_export_points_csv_matches_round11_anywhere(values):
+    assert export_points(values, "csv") == reference_csv(values)
 
 
 def test_export_points_bad_format():
