@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, HypothesisFailed, NoUnitPivot, VerificationFailed
-from .evaluate import DEFAULT_BUDGET, PointCloud, image, odometer_blocks, roots_of_unity
+from .evaluate import DEFAULT_BUDGET, PointCloud, image, orbit_array, root_sums
 from .modring import mod_inverse
-from .orbits import OrbitRep, canonicalize, orbit_count
+from .orbits import OrbitRep, canonicalize, orbit_count, point_array
 from .report import IdentityReport
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,7 @@ class OrbitMatrix:
 
 
 def orbit_matrix(rep: OrbitRep) -> OrbitMatrix:
-    from .evaluate import orbit_elements
-
-    cols = orbit_elements(rep)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(rep.d))
-    return OrbitMatrix(rep, rows)
+    return OrbitMatrix(rep, tuple(map(tuple, orbit_array(rep).T.tolist())))
 
 
 def _mat_mul_mod(lhs: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -162,9 +158,7 @@ class ReductionCertificate:
         )
 
 
-def certificate_from_rows(
-    matrix: OrbitMatrix, reducer_rows: Sequence[Sequence[int]], complete: bool = True
-) -> ReductionCertificate:
+def certificate_from_rows(matrix: OrbitMatrix, reducer_rows: Sequence[Sequence[int]]) -> ReductionCertificate:
     """Build and validate a certificate from a caller-supplied reducer.
 
     Lets a known-good reduction be checked against this exact orbit
@@ -174,12 +168,10 @@ def certificate_from_rows(
     n = matrix.n
     reducer = tuple(tuple(v % n for v in row) for row in reducer_rows)
     reduced = _mat_mul_mod(reducer, matrix.rows, n)
-    return ReductionCertificate(
-        matrix, reducer, reduced, _det_int(reducer) % n, _trailing_zero_rows(reduced), complete
-    )
+    return ReductionCertificate(matrix, reducer, reduced, _det_int(reducer) % n, _trailing_zero_rows(reduced))
 
 
-def row_reduce_mod_n(matrix: OrbitMatrix, allow_partial: bool = False) -> ReductionCertificate:
+def row_reduce_mod_n(matrix: OrbitMatrix) -> ReductionCertificate:
     """Gaussian elimination over Z/nZ restricted to unit pivots.
 
     Row operations only (columns are orbit elements and stay put): swap
@@ -189,8 +181,7 @@ def row_reduce_mod_n(matrix: OrbitMatrix, allow_partial: bool = False) -> Reduct
     (ties: leftmost column, then topmost row), and the pivot column is
     cleared in every other row.  Rows that never pivot are moved to the
     bottom; if any of them is nonzero the reduction has stalled, which
-    raises NoUnitPivot carrying the partial certificate unless
-    allow_partial is set.
+    raises NoUnitPivot carrying the partial certificate.
     """
     n, d, r = matrix.n, matrix.d, matrix.r
     work = [list(row) for row in matrix.rows]
@@ -231,7 +222,7 @@ def row_reduce_mod_n(matrix: OrbitMatrix, allow_partial: bool = False) -> Reduct
         len(zero),
         complete=not stalled,
     )
-    if stalled and not allow_partial:
+    if stalled:
         err = NoUnitPivot(
             f"no unit pivot for rows {stalled} of the orbit matrix of {matrix.rep.entries} mod {n}"
         )
@@ -297,25 +288,24 @@ def sample_torus_map(
 ) -> PointCloud:
     """Evaluate the monomial map at all grid-th roots of unity.
 
-    z_j = e(m_j / grid) over every tuple m in [0, grid)^variables; each
-    term contributes e((sum_j e[j][l] m_j) / grid), evaluated through the
-    same root-of-unity table as the supercharacters.
+    z_j = e(m_j / grid) over every tuple m in [0, grid)^variables, in
+    odometer order; each term l contributes e((sum_j e[j][l] m_j) / grid).
+    Reducing the exponents mod grid leaves every term unchanged, so the
+    map is a root sum over the exponent columns, as a supercharacter is
+    over its orbit.
     """
     rows = exponents.rows if isinstance(exponents, ExponentMatrix) else tuple(map(tuple, exponents))
+    if grid < 1:
+        raise ValueError(f"grid must be positive, got {grid}")
+    if not rows or not rows[0]:
+        raise ValueError("the map has no variables or no terms, so there is nothing to sample")
     v = len(rows)
     total = grid**v
     if total > budget:
         raise BudgetExceeded(total, budget)
     emat = np.array(rows, dtype=np.int64)  # (vars x terms)
-    table = roots_of_unity(grid)
-    values = []
-    block = max(1, 2_000_000 // max(len(rows[0]), 1))
-    for m in odometer_blocks(grid, v, block):
-        phases = m @ emat
-        np.mod(phases, grid, out=phases)
-        values.append(table[phases].sum(axis=1))
-    flat = np.concatenate(values) if values else np.empty(0, dtype=complex)
-    return PointCloud.from_values(grid, v, None, flat)
+    values = root_sums(grid, emat.T % grid, point_array(grid, v))
+    return PointCloud.from_values(grid, v, None, values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
-from dataclasses import dataclass
 
 from . import asymptotic, identities, render, table
 from .errors import BudgetExceeded, NoUnitPivot, SymcharError
@@ -34,7 +34,7 @@ from .evaluate import (
     supercharacter,
 )
 from .modring import solve_bilinear_congruence
-from .orbits import canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
+from .orbits import OrbitRep, canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
 
 
 class UsageError(Exception):
@@ -62,42 +62,21 @@ def _output_path(path: str | None) -> str | None:
     return path
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated invocation parameters shared by the orbit commands."""
-
-    n: int
-    entries: tuple[int, ...]
-    budget: int
-    out: str | None = None
-    fmt: str = "csv"
-
-    def rep(self):
-        return canonicalize(self.entries, self.n)
-
-
-def _jobspec(args, entries) -> JobSpec:
+def _jobspec(args, entries) -> OrbitRep:
+    """Validate the modulus, entries and budget; the canonical orbit of entries."""
     if args.n <= 0:
         raise UsageError(f"modulus must be positive, got {args.n}")
     if not entries:
         raise UsageError("orbit entries required")
-    budget = getattr(args, "budget", DEFAULT_BUDGET)
-    if budget <= 0:
+    if args.budget <= 0:
         raise UsageError("budget must be positive")
-    job = JobSpec(
-        args.n,
-        tuple(entries),
-        budget,
-        _output_path(getattr(args, "out", None)),
-        getattr(args, "format", "csv"),
-    )
-    rep = job.rep()
-    if rep.entries != job.entries:
+    rep = canonicalize(entries, args.n)
+    if rep.entries != tuple(entries):
         print(
-            json.dumps({"notice": "canonicalized", "input": list(job.entries), "orbit": list(rep.entries)}),
+            json.dumps({"notice": "canonicalized", "input": list(entries), "orbit": list(rep.entries)}),
             file=sys.stderr,
         )
-    return job
+    return rep
 
 
 def _write_or_print(text: str, path: str | None):
@@ -130,10 +109,9 @@ def cmd_eval(args) -> int:
         ys = [int(v) for v in rest[split + 1 :]]
     except ValueError as exc:
         raise UsageError(f"non-integer entry: {exc}") from None
-    job = _jobspec(args, xs)
+    rep = _jobspec(args, xs)
     if len(ys) != len(xs):
         raise UsageError(f"y has {len(ys)} entries, expected {len(xs)}")
-    rep = job.rep()
     counts = dot_counts(rep, ys)
     print(f"orbit {' '.join(map(str, rep.entries))}  counts {json.dumps(counts.tolist(), separators=(',', ':'))}")
     print(f"value {fmt_complex(counts_value(counts))}")
@@ -143,30 +121,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_image(args) -> int:
-    job = _jobspec(args, args.entries)
-    cloud = image(job.rep(), budget=job.budget, full_group=args.full_group)
-    _write_or_print(render.export_points(cloud.values, job.fmt), job.out)
+    rep = _jobspec(args, args.entries)
+    cloud = image(rep, budget=args.budget, full_group=args.full_group)
+    _write_or_print(render.export_points(cloud.values, args.format), _output_path(args.out))
     return 0
 
 
 def cmd_render(args) -> int:
-    job = _jobspec(args, args.entries)
-    if job.out is None:
-        raise UsageError("render requires -o FILE")
+    rep = _jobspec(args, args.entries)
+    out = _output_path(args.out)
     try:
         spec = render.BitmapSpec(args.range, args.unit_res)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cloud = image(job.rep(), budget=job.budget)
+    cloud = image(rep, budget=args.budget)
     img = render.render_bitmap(cloud.values, spec)
-    render.write_png(img, job.out)
-    print(f"wrote {job.out} ({spec.side}x{spec.side}, {len(cloud.values)} points)")
+    render.write_png(img, out)
+    print(f"wrote {out} ({spec.side}x{spec.side}, {len(cloud.values)} points)")
     return 0
 
 
 def cmd_reduce(args) -> int:
-    job = _jobspec(args, args.entries)
-    matrix = asymptotic.orbit_matrix(job.rep())
+    rep = _jobspec(args, args.entries)
+    matrix = asymptotic.orbit_matrix(rep)
     try:
         if args.reducer:
             rows = json.loads(args.reducer)
@@ -180,7 +157,7 @@ def cmd_reduce(args) -> int:
     print(cert.to_json())
     if args.expect_b:
         with open(args.expect_b) as fh:
-            expect = tuple(tuple(v % job.n for v in row) for row in json.load(fh))
+            expect = tuple(tuple(v % rep.n for v in row) for row in json.load(fh))
         if cert.reduced != expect:
             print(
                 json.dumps({"error": "reduced_form_mismatch", "expected": [list(r) for r in expect]}),
@@ -190,10 +167,15 @@ def cmd_reduce(args) -> int:
     if cert.complete:
         exponents = asymptotic.torus_map(cert)
         print(exponents.to_json())
-        if args.grid:
-            cloud = asymptotic.sample_torus_map(exponents, args.grid, budget=job.budget)
-            _write_or_print(render.export_points(cloud.values, job.fmt), job.out)
+        if args.grid is not None:
+            cloud = asymptotic.sample_torus_map(exponents, args.grid, budget=args.budget)
+            _write_or_print(render.export_points(cloud.values, args.format), _output_path(args.out))
     return 0
+
+
+def _unitary_ok(uni) -> bool:
+    """The normalisation residual bounds of table --check-unitary and verify unitary."""
+    return uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
 
 
 def cmd_table(args) -> int:
@@ -213,8 +195,7 @@ def cmd_table(args) -> int:
                 }
             )
         )
-        ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
-        return 0 if ok else 1
+        return 0 if _unitary_ok(uni) else 1
     _write_or_print(tab.to_json(), _output_path(args.out))
     return 0
 
@@ -261,16 +242,12 @@ def cmd_verify(args) -> int:
     if check == "walk":
         if args.a is None:
             raise UsageError("verify walk needs --a")
-        report = identities.walk_reduction_check(n, d, args.a, budget=args.budget)
-        print(report.to_json())
-        return 0 if report.passed else 1
+        return cmd_walk(args)
     if check == "hypocycloid":
         report = asymptotic.hypocycloid_orbit_check(n, d, budget=args.budget)
         print(report.to_json())
         return 0 if report.passed else 1
     if check == "permanent":
-        import random
-
         if args.samples < 1:
             raise UsageError("--samples must be positive")
         total = orbit_count(n, d) * args.samples
@@ -288,7 +265,7 @@ def cmd_verify(args) -> int:
     if check == "unitary":
         tab = table.build_table(n, d)
         uni = table.build_unitary(tab)
-        ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
+        ok = _unitary_ok(uni)
         print(
             json.dumps(
                 {

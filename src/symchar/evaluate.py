@@ -27,15 +27,17 @@ from .orbits import (
     distinct_permutations,
     enumerate_orbits,
     orbit_count,
+    point_array,
     rotation_order,
     stabilizer_order,
     superclass_array,
 )
 
 DEFAULT_BUDGET = 5_000_000
+PERMANENT_MAX_D = 10
 DEDUPE_DECIMALS = 9
 # evaluation blocks are capped at this many (orbit element, point) pairs,
-# so that their scratch arrays (about 2 MB in values_on_block) stay in cache
+# so that their scratch arrays (about 2 MB in root_sums) stay in cache
 _BLOCK_CELLS = 65_536
 # A value shares its rounded key only with values within 1e-9 in both
 # coordinates, so within (1 + _SLANT) * 1e-9 along p = re + _SLANT * im.
@@ -62,16 +64,10 @@ def _periodic_roots(n: int, top: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4096)
-def orbit_elements(rep: OrbitRep) -> tuple[tuple[int, ...], ...]:
-    """The orbit as a tuple of tuples, in lexicographic order."""
-    return tuple(distinct_permutations(rep))
-
-
 @lru_cache(maxsize=1024)
 def orbit_array(rep: OrbitRep) -> np.ndarray:
-    """The orbit as an (orbit_size, d) integer array."""
-    arr = np.array(orbit_elements(rep), dtype=np.int64)
+    """The orbit as an (orbit_size, d) int64 array, rows in lexicographic order."""
+    arr = np.array(list(distinct_permutations(rep)), dtype=np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -121,7 +117,7 @@ def supercharacter(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray |
     return counts_value(dot_counts(rep, y))
 
 
-def permanent_oracle(rep: OrbitRep, y: Sequence[int], max_d: int = 10) -> complex:
+def permanent_oracle(rep: OrbitRep, y: Sequence[int]) -> complex:
     """Independent evaluation of sigma_X(y) through a matrix permanent.
 
     With M[j][k] = e(x_j y_k / n) for any orbit member x, per(M) equals the
@@ -129,8 +125,8 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int], max_d: int = 10) -> comple
     Uses Ryser's formula with Gray-code subset stepping, O(2^d d).
     """
     d = rep.d
-    if d > max_d:
-        raise DimensionTooLarge(f"permanent of a {d}x{d} matrix refused (cutoff {max_d})")
+    if d > PERMANENT_MAX_D:
+        raise DimensionTooLarge(f"permanent of a {d}x{d} matrix refused (cutoff {PERMANENT_MAX_D})")
     if len(y) != d:
         raise DimensionMismatch(f"y has length {len(y)}, expected {d}")
     n = rep.n
@@ -283,36 +279,21 @@ def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> 
 # image computation
 
 
-def odometer_blocks(base: int, width: int, block_rows: int):
-    """Yield all base**width digit tuples in odometer (lexicographic) order,
-    as (rows, width) integer arrays of at most block_rows rows."""
-    total = base**width
-    for lo in range(0, total, block_rows):
-        idx = np.arange(lo, min(lo + block_rows, total), dtype=np.int64)
-        block = np.empty((len(idx), width), dtype=np.int64)
-        for col in range(width - 1, -1, -1):
-            block[:, col] = idx % base
-            idx //= base
-        yield block
+def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sum over rows x of elems of e(x.y / n), at each row y of `block`.
 
-
-def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
-    """sigma_X at each row of `block`, via the root table.
-
-    Every entry of `block` must lie in [0, n), as in superclass and
-    odometer rows, so that each dot product x.y is an integer in
-    [0, top] with top = d(n-1)^2.  When top < _BLOCK_CELLS the dots come
-    from a float64 matmul, exact since every partial sum is an integer
-    below 2^53, and index the root table repeated out to length top + 1,
-    so no mod is taken.  Otherwise they come from an int64 matmul reduced
-    mod n.  Each row is then the sum of its roots over the orbit in orbit
-    order, so a value is bitwise the same in either branch and in any
-    block.  The rows go through _BLOCK_CELLS cells at a time, in scratch
-    arrays allocated once per call.
+    Every entry of `elems` and `block` must lie in [0, n), as in orbit,
+    superclass and odometer rows, so that each dot product x.y is an
+    integer in [0, top] with top = d(n-1)^2.  When top < _BLOCK_CELLS the
+    dots come from a float64 matmul, exact since every partial sum is an
+    integer below 2^53, and index the root table repeated out to length
+    top + 1, so no mod is taken.  Otherwise they come from an int64 matmul
+    reduced mod n.  Each row is then the sum of its roots over the rows of
+    elems in order, so a value is bitwise the same in either branch and in
+    any block.  The rows go through _BLOCK_CELLS cells at a time, in
+    scratch arrays allocated once per call.
     """
-    n, d = rep.n, rep.d
-    elems = orbit_array(rep)
-    r = len(elems)
+    r, d = elems.shape
     top = d * (n - 1) ** 2
     periodic = top < _BLOCK_CELLS
     kind = np.float64 if periodic else np.int64
@@ -338,6 +319,11 @@ def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
+    """sigma_X at each row of `block`, whose entries lie in [0, n)."""
+    return root_sums(rep.n, orbit_array(rep), block)
+
+
 def image(
     rep: OrbitRep,
     budget: int = DEFAULT_BUDGET,
@@ -354,18 +340,13 @@ def image(
     The result is therefore that of the full sweep, order included.  The
     budget still counts all C(n+d-1, d) superclasses.
     full_group=True instead sweeps all n^d points as an oracle for the
-    constancy.  The points are held as one array of the smallest unsigned
-    dtype that holds n - 1, in index order, and evaluated in one call.
+    constancy, in the odometer order of point_array, evaluated in one call.
     """
     n, d = rep.n, rep.d
     total = n**d if full_group else orbit_count(n, d)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    if full_group:
-        # row i holds the base-n digits of i: the odometer order
-        points = np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T
-    else:
-        points = superclass_array(n, d, rotation_order(rep))
+    points = point_array(n, d) if full_group else superclass_array(n, d, rotation_order(rep))
     return PointCloud.from_values(n, d, rep, values_on_block(rep, points))
 
 

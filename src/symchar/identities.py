@@ -50,8 +50,11 @@ from .orbits import (
     rotation_order,
     shift_orbit,
     superclass_array,
+    unrank_orbit,
 )
 from .report import IdentityReport
+
+_UNION_WITNESS_ORBITS = 8
 
 
 def _shifted(counts: np.ndarray, t0: Sequence[int]) -> np.ndarray:
@@ -140,34 +143,30 @@ def _sample_orbits(n: int, d: int, limit: int = 12) -> list[OrbitRep]:
     total = orbit_count(n, d)
     if total <= limit:
         return list(enumerate_orbits(n, d))
-    from .orbits import unrank_orbit
-
     idx = sorted({(i * (total - 1)) // (limit - 1) for i in range(limit)})
     return [unrank_orbit(n, d, i) for i in idx]
 
 
-def dihedral_order(x_rep: OrbitRep, check: bool = True) -> int:
+def dihedral_order(x_rep: OrbitRep) -> int:
     """Rotational symmetry order n/gcd(n, [x]) of the image of sigma_X.
 
-    With check=True the identity behind it, sigma_X(y + l*1) =
-    e([x]l/n) sigma_X(y), is verified exactly (as a counts shift) for
-    every l on a deterministic sample of superclasses Y.
+    The identity behind it, sigma_X(y + l*1) = e([x]l/n) sigma_X(y), is
+    verified exactly (as a counts shift) for every l on a deterministic
+    sample of superclasses Y.
     """
     n = x_rep.n
     sx = orbit_sum(x_rep)
-    order = rotation_order(x_rep)
-    if check:
-        ells = np.arange(n)
-        for y_rep in _sample_orbits(n, x_rep.d):
-            # row l holds the counts at y + l*1; row 0 is y itself
-            lhs = dot_counts(x_rep, np.add.outer(ells, y_rep.entries))
-            bad = np.flatnonzero(~(lhs == _shifted(lhs[0], sx * ells % n)).all(axis=1))
-            if len(bad):
-                raise VerificationFailed(
-                    "line-shift identity failed",
-                    witness={"x": x_rep, "y": y_rep, "l": int(bad[0])},
-                )
-    return order
+    ells = np.arange(n)
+    for y_rep in _sample_orbits(n, x_rep.d):
+        # row l holds the counts at y + l*1; row 0 is y itself
+        lhs = dot_counts(x_rep, np.add.outer(ells, y_rep.entries))
+        bad = np.flatnonzero(~(lhs == _shifted(lhs[0], sx * ells % n)).all(axis=1))
+        if len(bad):
+            raise VerificationFailed(
+                "line-shift identity failed",
+                witness={"x": x_rep, "y": y_rep, "l": int(bad[0])},
+            )
+    return rotation_order(x_rep)
 
 
 def full_union_symmetry(
@@ -175,7 +174,6 @@ def full_union_symmetry(
     d: int,
     budget: int = DEFAULT_BUDGET,
     tol: float = 1e-9,
-    witness_orbits: int = 8,
 ) -> int:
     """Rotational symmetry order n/gcd(n,d) of the union of all images.
 
@@ -183,7 +181,8 @@ def full_union_symmetry(
     rotation by 2*pi*gcd(n,d)/n within tol, and for sampled (X, Y) the
     bilinear congruence solver produces (j, k) whose translation shifts
     the counts by exactly gcd(n, d), exhibiting the rotated value as
-    another supercharacter value.
+    another supercharacter value.  X and Y each run over a sample of
+    _UNION_WITNESS_ORBITS orbits.
     """
     g = gcd(n, d)
     order = n // g
@@ -192,8 +191,8 @@ def full_union_symmetry(
         raise VerificationFailed(
             "union cloud not rotation-closed", witness={"n": n, "d": d, "order": order}
         )
-    for x_rep in _sample_orbits(n, d, witness_orbits):
-        for y_rep in _sample_orbits(n, d, witness_orbits):
+    for x_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
+        for y_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
             sol = solve_bilinear_congruence(orbit_sum(y_rep), orbit_sum(x_rep), d, n)
             t0 = (orbit_sum(y_rep) * sol.j + orbit_sum(x_rep) * sol.k + d * sol.j * sol.k) % n
             if t0 != g % n:
@@ -352,6 +351,8 @@ def walk_reduction_check(
     sigma for this orbit is the d-step walk sum with step a, and a*y mod n
     ranges over exactly the multiples of gcd(n, a).
     """
+    if n <= 0 or d <= 0:
+        raise ValueError(f"n and d must be positive, got n={n}, d={d}")
     a %= n
     if a == 0:
         raise HypothesisFailed("a must be nonzero mod n")
@@ -427,7 +428,7 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
 
 def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> Iterator[IdentityReport]:
     for x_rep in enumerate_orbits(n, d):
-        order = dihedral_order(x_rep, check=True)
+        order = dihedral_order(x_rep)
         cloud = image(x_rep, budget=budget)
         ok = rotation_closed(cloud.values, order, tol)
         yield IdentityReport(

@@ -3,14 +3,15 @@
 A superclass is the orbit of a tuple under permutation of its entries, so
 it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
-which matches itertools.combinations_with_replacement(range(n), d); the
-enumeration can be ranked/unranked, so streaming may start at any index.
-Whole sweeps take all representatives at once as one array instead.
+which matches itertools.combinations_with_replacement(range(n), d); a
+position in that order can be ranked and unranked.  Whole sweeps take all
+representatives at once as one array instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
@@ -158,36 +159,11 @@ def rank_orbit(rep: OrbitRep) -> int:
     return rank
 
 
-def enumerate_orbits(n: int, d: int, start: int = 0, stop: int | None = None) -> Iterator[OrbitRep]:
-    """Stream canonical representatives for the index range [start, stop).
-
-    The full stream (defaults) visits all C(n+d-1, d) orbits in
-    lexicographic order.  A nonzero start is unranked once and the stream
-    continues with constant-time stepping, so consecutive ranges glue back
-    to the full enumeration.
-    """
+def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
+    """Stream all C(n+d-1, d) canonical representatives in lexicographic order."""
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    total = orbit_count(n, d)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise IndexError(f"bad range [{start}, {stop}) for {total} orbits")
-    if start == stop:
-        return
-    a = list(unrank_orbit(n, d, start).entries)
-    for _ in range(stop - start):
-        yield OrbitRep(n, tuple(a))
-        # next weakly increasing tuple: bump the rightmost entry below n-1
-        # and reset everything after it to the bumped value
-        i = d - 1
-        while i >= 0 and a[i] == n - 1:
-            i -= 1
-        if i < 0:
-            return
-        v = a[i] + 1
-        for t in range(i, d):
-            a[t] = v
+    return (OrbitRep(n, t) for t in combinations_with_replacement(range(n), d))
 
 
 def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarray:
@@ -218,3 +194,12 @@ def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarr
         col = np.arange(ends[-1]) - np.repeat(ends - reps - last, reps)
         rows = np.column_stack([np.repeat(rows, reps, axis=0), col.astype(dtype)])
     return rows
+
+
+def point_array(n: int, d: int) -> np.ndarray:
+    """All n^d points of (Z/nZ)^d as one (n^d, d) array in odometer order.
+
+    Row i holds the base-n digits of i, most significant first.  Entries
+    use the smallest unsigned dtype that holds n - 1.
+    """
+    return np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T

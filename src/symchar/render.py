@@ -22,6 +22,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from dataclasses import dataclass
@@ -162,8 +163,6 @@ def export_points(values: Iterable[complex], fmt: str = "csv") -> str:
         lines += [f"{z.real:.11f},{z.imag:.11f}" for z in values]
         return ("\n".join(lines) + "\n").replace("-0.00000000000", "0.00000000000")
     if fmt == "json":
-        import json
-
         pts = [[round11(z.real), round11(z.imag)] for z in values]
         return json.dumps(pts, separators=(",", ":"))
     raise ValueError(f"unknown format {fmt!r}")

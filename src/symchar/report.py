@@ -9,17 +9,13 @@ from typing import Any
 from .orbits import OrbitRep
 
 
-def _jsonable(obj: Any) -> Any:
-    """Coerce domain objects (orbits, complex numbers, tuples) to JSON."""
+def _encode(obj: Any) -> Any:
+    """JSON form of the domain objects json cannot encode: orbits and complex numbers."""
     if isinstance(obj, OrbitRep):
         return {"n": obj.n, "entries": list(obj.entries)}
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -41,12 +37,12 @@ class IdentityReport:
     def to_json(self) -> str:
         record = {
             "check": self.name,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "exact": self.exact,
             "passed": self.passed,
         }
         if self.witness is not None:
-            record["witness"] = _jsonable(self.witness)
+            record["witness"] = self.witness
         if self.info is not None:
-            record["info"] = _jsonable(self.info)
-        return json.dumps(record, separators=(",", ":"), sort_keys=True)
+            record["info"] = self.info
+        return json.dumps(record, separators=(",", ":"), sort_keys=True, default=_encode)

@@ -86,7 +86,7 @@ def test_criterion_04_dihedral_orders():
     results = []
     for a in [5, 7, 2, 1, 6, 10]:
         X = canonicalize((0, 0, 0, 1, a), 12)
-        order = dihedral_order(X, check=True)  # exact counts-shift identity on sampled Y
+        order = dihedral_order(X)  # checks the exact counts-shift identity on sampled Y
         assert order == 12 // gcd(12, 1 + a), (a, order)
         assert rotation_closed(image(X).values, order, 1e-9), (a, order)
         results.append(order)

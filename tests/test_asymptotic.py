@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 from math import cos, gcd, pi, sin
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 import symchar.asymptotic as asymptotic
 from symchar.asymptotic import (
-    ExponentMatrix,
     ReductionCertificate,
     certificate_from_rows,
     hypocycloid_contains_many,
@@ -18,7 +18,7 @@ from symchar.asymptotic import (
     torus_map,
 )
 from symchar.errors import HypothesisFailed, NoUnitPivot, VerificationFailed
-from symchar.evaluate import image, values_match
+from symchar.evaluate import dedupe_values, image, roots_of_unity, values_match
 from symchar.orbits import canonicalize
 
 
@@ -58,8 +58,7 @@ def test_no_unit_pivot_attaches_partial():
     cert = info.value.certificate
     assert not cert.complete
     assert cert.zero_rows == 0
-    partial = row_reduce_mod_n(orbit_matrix(canonicalize((2, 4), 6)), allow_partial=True)
-    assert partial.reduced == cert.reduced
+    assert cert.reduced == ((2, 4), (4, 2))
 
 
 def test_certificate_recomputes_and_rejects_tampering():
@@ -99,9 +98,10 @@ def test_torus_map_lifts_to_symmetric_range():
 
 
 def test_torus_map_requires_complete():
-    partial = row_reduce_mod_n(orbit_matrix(canonicalize((2, 4), 6)), allow_partial=True)
+    with pytest.raises(NoUnitPivot) as info:
+        row_reduce_mod_n(orbit_matrix(canonicalize((2, 4), 6)))
     with pytest.raises(HypothesisFailed):
-        torus_map(partial)
+        torus_map(info.value.certificate)
 
 
 def test_hypocycloid_exponents_shape():
@@ -142,6 +142,44 @@ def test_hummingbird_sample_equals_image():
     sampled = sample_torus_map(torus_map(cert), 47)
     direct = image(rep)
     assert values_match(sampled.values, direct.values)
+
+
+def reference_torus_values(rows, grid):
+    """The torus sample before it shared the supercharacter kernel: int64
+    phases m @ e over the odometer, reduced mod grid, gathered from the
+    root table and summed over the terms."""
+    m = np.array(list(product(range(grid), repeat=len(rows))), dtype=np.int64)
+    phases = (m @ np.array(rows, dtype=np.int64)) % grid
+    return roots_of_unity(grid)[phases].sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "rows, grid",
+    [
+        (((5, 0, 7, 3, -8, -7), (0, 5, 3, 7, -7, -8)), 47),  # the hummingbird's torus map
+        (hypocycloid_exponents(4).rows, 47),  # 103,823 points x 4 terms: many kernel blocks
+        (hypocycloid_exponents(4).rows, 1),
+        (hypocycloid_exponents(3).rows, 2),
+        (((3, -5, 0), (-1, 4, 2)), 2),
+        (((5,), (-7,)), 9),  # one term
+        (((1, -1, 3), (0, 2, -5)), 200),  # top = 2 * 199^2 takes the mod-n branch
+    ],
+)
+def test_sample_torus_map_bitwise_as_gather(rows, grid):
+    cloud = sample_torus_map(rows, grid)
+    want = dedupe_values(reference_torus_values(rows, grid))
+    assert np.array(cloud.values).tobytes() == np.array(want).tobytes()
+    assert cloud.n == grid and cloud.d == len(rows)
+
+
+def test_sample_rejects_map_without_variables():
+    cert = row_reduce_mod_n(orbit_matrix(canonicalize((0, 0), 5)))
+    em = torus_map(cert)
+    assert em.variables == 0 and em.terms == 0
+    with pytest.raises(ValueError):
+        sample_torus_map(em, 5)
+    with pytest.raises(ValueError):
+        sample_torus_map([()], 5)
 
 
 def test_sample_budget():

@@ -195,6 +195,31 @@ def test_walk_command(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [["walk", "0", "3", "1"], ["walk", "5", "0", "2"], ["walk", "5", "-1", "2"]])
+def test_walk_rejects_nonpositive_n_and_d(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv, exponent_rows",
+    [
+        (["reduce", "5", "0", "0", "--grid", "5"], []),  # the zero orbit's map has no variables
+        (["reduce", "1", "0", "--grid", "3"], []),
+        (["reduce", "5", "1", "2", "--grid", "0"], [[1, 0], [0, 2]]),
+        (["reduce", "5", "1", "2", "--grid", "-1"], [[1, 0], [0, 2]]),
+    ],
+)
+def test_reduce_rejects_unsampleable_grid(argv, exponent_rows, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 2 and json.loads(lines[0])["complete"] is True
+    assert json.loads(lines[1])["rows"] == exponent_rows
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
 def test_reduce_command(capsys):
     code, out, _ = run_cli(["reduce", "47", "1", "2", "44"], capsys)
     assert code == 0

@@ -1,6 +1,6 @@
 import cmath
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,9 +15,7 @@ from symchar.evaluate import (
     dedupe_values,
     dot_counts,
     image,
-    odometer_blocks,
     orbit_array,
-    orbit_elements,
     permanent_oracle,
     roots_of_unity,
     supercharacter,
@@ -25,7 +23,14 @@ from symchar.evaluate import (
     values_match,
     values_on_block,
 )
-from symchar.orbits import canonicalize, enumerate_orbits, orbit_size, rotation_order, superclass_array
+from symchar.orbits import (
+    canonicalize,
+    distinct_permutations,
+    enumerate_orbits,
+    orbit_size,
+    rotation_order,
+    superclass_array,
+)
 
 
 def e(t):
@@ -37,7 +42,7 @@ def reference_dot_counts(rep, y):
     n = rep.n
     yr = [v % n for v in y]
     counts = [0] * n
-    for x in orbit_elements(rep):
+    for x in distinct_permutations(rep):
         counts[sum(xi * yi for xi, yi in zip(x, yr)) % n] += 1
     return counts
 
@@ -262,7 +267,7 @@ def test_values_on_block_matches_reference(n, d, rows, cells, dtype, data):
 def test_values_on_block_full_group_and_superclasses(n, entries, cells):
     rep = canonicalize(entries, n)
     d = len(entries)
-    full = np.concatenate(list(odometer_blocks(n, d, 50)))
+    full = np.array(list(product(range(n), repeat=d)), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "_BLOCK_CELLS", cells)
         assert_kernel_bitwise(rep, full)

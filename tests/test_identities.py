@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symchar import identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
-from symchar.evaluate import PointCloud, dot_counts, orbit_elements, supercharacter
+from symchar.evaluate import PointCloud, dot_counts, supercharacter
 from symchar.identities import (
     conjugate_identity,
     dihedral_order,
@@ -25,14 +25,22 @@ from symchar.identities import (
     translation_identity,
     walk_reduction_check,
 )
-from symchar.orbits import canonicalize, enumerate_orbits, negate_orbit, orbit_count, orbit_sum, shift_orbit
+from symchar.orbits import (
+    canonicalize,
+    distinct_permutations,
+    enumerate_orbits,
+    negate_orbit,
+    orbit_count,
+    orbit_sum,
+    shift_orbit,
+)
 
 
 def reference_counts(rep, y):
     """One orbit element at a time, as a list: the counts a witness must carry."""
     n = rep.n
     counts = [0] * n
-    for x in orbit_elements(rep):
+    for x in distinct_permutations(rep):
         counts[sum(a * b for a, b in zip(x, y)) % n] += 1
     return counts
 

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -14,6 +14,7 @@ from symchar.orbits import (
     orbit_count,
     orbit_size,
     orbit_sum,
+    point_array,
     rank_orbit,
     residue_multiplicities,
     rotation_order,
@@ -92,11 +93,21 @@ def test_unrank_in_range(n, d, data):
     assert rank_orbit(rep) == i
 
 
-def test_enumerate_with_bounds():
-    full = list(enumerate_orbits(6, 3))
-    assert full == list(enumerate_orbits(6, 3, 0, len(full)))
-    assert full[10:25] == list(enumerate_orbits(6, 3, 10, 25))
-    assert list(enumerate_orbits(6, 3, len(full))) == []
+def test_enumerate_matches_combinations():
+    for n in range(1, 8):
+        for d in range(1, 5):
+            want = list(combinations_with_replacement(range(n), d))
+            assert [rep.entries for rep in enumerate_orbits(n, d)] == want
+            assert all(rep.n == n for rep in enumerate_orbits(n, d))
+    with pytest.raises(ValueError):
+        enumerate_orbits(3, 0)
+
+
+def test_point_array_is_the_odometer():
+    for n, d in [(1, 1), (1, 3), (2, 3), (3, 2), (7, 3), (256, 2), (257, 2)]:
+        arr = point_array(n, d)
+        assert arr.dtype == np.min_scalar_type(n - 1) and arr.shape == (n**d, d)
+        assert arr.tolist() == [list(p) for p in product(range(n), repeat=d)]
 
 
 def test_superclass_array_matches_combinations():
