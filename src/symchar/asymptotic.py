@@ -343,8 +343,12 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
     value being inside or by a curve point within tol of it.  For d = 2
     the region is the segment [-2, 2].
 
-    For d >= 3 each value p is folded by the dihedral symmetry into the
-    wedge 0 <= arg p <= pi/d, which holds the arc 0 <= t <= pi/d.  It passes
+    For d >= 3 a value p with |p| <= (d - 2) + tol passes at once: the
+    curve's radius |(d-1) + e^{-idt}| is never below d - 2, and neither is
+    its float value, since cos never returns below -1 and rounding is
+    monotone, so the radial test below would pass p too.  Every other
+    value is folded by the dihedral symmetry into the wedge
+    0 <= arg p <= pi/d, which holds the arc 0 <= t <= pi/d.  It passes
     if |p| exceeds the curve's radius on its ray by at most tol.  Otherwise
     it lies outside, and a curve point within tol of it makes an angle of
     at most asin(tol/|p|) with it.  The candidates are the nearest point of
@@ -358,11 +362,15 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
     if d == 2:
         return np.abs(z - np.clip(z.real, -2.0, 2.0)) <= tol
     r = np.abs(z)
+    ok = r <= (d - 2) + tol
+    far = np.flatnonzero(~ok)
+    r = r[far]
     wedge = 2 * pi / d
-    phi = np.mod(np.angle(z), wedge)
+    phi = np.mod(np.angle(z[far]), wedge)
     phi = np.minimum(phi, wedge - phi)
-    ok = r <= np.abs((d - 1) + np.exp(-1j * d * _param_at_angle(phi, d))) + tol
-    rest = np.flatnonzero(~ok)
+    radial = r <= np.abs((d - 1) + np.exp(-1j * d * _param_at_angle(phi, d))) + tol
+    ok[far] = radial
+    rest = np.flatnonzero(~radial)
     if len(rest):
         p = r[rest] * np.exp(1j * phi[rest])
         spread = np.arcsin(tol / r[rest])
@@ -377,7 +385,7 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
             return ((curve(t) - p) * np.conj(tangent)).real
 
         nearest = np.abs(curve(_bisect(slope, lo, hi)) - p)
-        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= tol
+        ok[far[rest]] = np.minimum(nearest, np.abs(d - p)) <= tol
     return ok
 
 

@@ -11,8 +11,9 @@
     symchar solve 7 0 5 12
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error, 3 evaluation budget exceeded.  Errors go to stderr as a
-single JSON line.  Floats are printed with 11 decimal places.
+2 usage error or refused input (DimensionTooLarge, HypothesisFailed),
+3 evaluation budget exceeded.  Errors go to stderr as a single JSON line.
+Floats are printed with 11 decimal places.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 import sys
 
 from . import asymptotic, identities, render, table
-from .errors import BudgetExceeded, NoUnitPivot, SymcharError
+from .errors import BudgetExceeded, DimensionTooLarge, HypothesisFailed, NoUnitPivot, SymcharError
 from .evaluate import (
     DEFAULT_BUDGET,
     counts_value,
@@ -257,9 +258,7 @@ def cmd_verify(args) -> int:
         bad = 0
         for rep in enumerate_orbits(n, d):
             ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
-            for z, y in zip(supercharacter(rep, ys), ys):
-                if abs(z - permanent_oracle(rep, y)) > 1e-9:
-                    bad += 1
+            bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > 1e-9).sum())
         print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
         return 0 if bad == 0 else 1
     if check == "unitary":
@@ -400,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except SymcharError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (DimensionTooLarge, HypothesisFailed)) else 1
     except ValueError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         return 2

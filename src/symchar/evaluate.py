@@ -72,6 +72,18 @@ def orbit_array(rep: OrbitRep) -> np.ndarray:
     return arr
 
 
+def _point_block(y: Sequence[int] | np.ndarray, n: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """y, one point of shape (d,) or a block of shape (rows, d) holding any
+    integers, as a (rows, d) int64 array reduced mod n, and y's shape
+    without its last axis: () for one point."""
+    ys = np.asarray(y)
+    if ys.dtype.kind != "i":  # unsigned, wider than int64, or made float by mixing such integers
+        ys = np.array(y, dtype=object) % n
+    if ys.ndim not in (1, 2) or ys.shape[-1] != d:
+        raise DimensionMismatch(f"y has shape {ys.shape}, expected ({d},) or (rows, {d})")
+    return ys.reshape(-1, d).astype(np.int64) % n, ys.shape[:-1]
+
+
 def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
     """Exact counts c_t = #{x in X : x.y = t mod n} over the orbit X of rep.
 
@@ -79,24 +91,19 @@ def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
     points, shape (rows, d), giving (rows, n) with one counts row per point.
     Entries of y may be any integers; they are reduced mod n first.
     """
-    n, d = rep.n, rep.d
-    ys = np.asarray(y)
-    if ys.dtype.kind != "i":  # unsigned, wider than int64, or made float by mixing such integers
-        ys = np.array(y, dtype=object) % n
-    if ys.ndim not in (1, 2) or ys.shape[-1] != d:
-        raise DimensionMismatch(f"y has shape {ys.shape}, expected ({d},) or (rows, {d})")
-    block = ys.reshape(-1, d)
+    n = rep.n
+    block, lead = _point_block(y, n, rep.d)
     elems = orbit_array(rep)
     # every temporary below has at most _BLOCK_CELLS cells
     step = max(1, _BLOCK_CELLS // max(len(elems), n))
     counts = np.empty((len(block), n), dtype=np.int64)
     for lo in range(0, len(block), step):
-        dots = (block[lo : lo + step].astype(np.int64) % n) @ elems.T
+        dots = block[lo : lo + step] @ elems.T
         np.mod(dots, n, out=dots)
         rows = len(dots)
         dots += n * np.arange(rows)[:, None]
         counts[lo : lo + rows] = np.bincount(dots.ravel(), minlength=rows * n).reshape(rows, n)
-    return counts.reshape(ys.shape[:-1] + (n,))
+    return counts.reshape(lead + (n,))
 
 
 def counts_value(counts: np.ndarray) -> np.ndarray | complex:
@@ -117,41 +124,37 @@ def supercharacter(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray |
     return counts_value(dot_counts(rep, y))
 
 
-def permanent_oracle(rep: OrbitRep, y: Sequence[int]) -> complex:
+def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray | complex:
     """Independent evaluation of sigma_X(y) through a matrix permanent.
 
     With M[j][k] = e(x_j y_k / n) for any orbit member x, per(M) equals the
     full-group sum over S_d and hence stabilizer_order(X) * sigma_X(y).
-    Uses Ryser's formula with Gray-code subset stepping, O(2^d d).
+    y is one point, shape (d,), giving a complex, or a block of points,
+    shape (rows, d), giving one value per row.  Ryser's formula
+
+        per(M) = sum over nonempty column sets S of
+                 (-1)^(d - |S|) prod_j sum_{k in S} M[j][k]
+
+    runs over all 2^d - 1 sets at once: the row sums are M times a 0/1
+    subset matrix, O(2^d d^2) per point.  Points go through in chunks of
+    about _BLOCK_CELLS row sums.
     """
-    d = rep.d
+    n, d = rep.n, rep.d
     if d > PERMANENT_MAX_D:
         raise DimensionTooLarge(f"permanent of a {d}x{d} matrix refused (cutoff {PERMANENT_MAX_D})")
-    if len(y) != d:
-        raise DimensionMismatch(f"y has length {len(y)}, expected {d}")
-    n = rep.n
+    block, lead = _point_block(y, n, d)
+    x = np.array(rep.entries, dtype=np.int64)
+    subsets = (np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1  # row s - 1: the bits of s
+    signs = np.where((d - subsets.sum(axis=1)) % 2, -1.0, 1.0)
+    columns = subsets.T.astype(float)
     table = roots_of_unity(n)
-    mat = np.empty((d, d), dtype=complex)
-    for j, xj in enumerate(rep.entries):
-        for k, yk in enumerate(y):
-            mat[j, k] = table[(xj * yk) % n]
-    total = 0j
-    rowsum = np.zeros(d, dtype=complex)
-    gray = 0
-    parity = 1  # (-1)^|S| for the current subset S encoded by gray
-    for step in range(1, 1 << d):
-        new_gray = step ^ (step >> 1)
-        changed = new_gray ^ gray
-        col = changed.bit_length() - 1
-        if new_gray & changed:
-            rowsum += mat[:, col]
-        else:
-            rowsum -= mat[:, col]
-        parity = -parity
-        gray = new_gray
-        total += parity * np.prod(rowsum)
-    per = total * (-1) ** d
-    return complex(per) / stabilizer_order(rep)
+    step = max(1, _BLOCK_CELLS // (d * len(subsets)))
+    per = np.empty(len(block), dtype=complex)
+    for lo in range(0, len(block), step):
+        mats = table[(x[:, None] * block[lo : lo + step, None, :]) % n]  # M of each point
+        per[lo : lo + step] = np.prod(mats @ columns, axis=1) @ signs
+    per /= stabilizer_order(rep)
+    return per if lead else complex(per[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +166,53 @@ def _round_coord(v: float) -> float:
     return 0.0 if r == 0 else r  # fold -0.0 into +0.0
 
 
+def _round_coords(v: np.ndarray) -> np.ndarray:
+    """_round_coord of every entry of a float array, bit for bit.
+
+    round(v, 9) is the double nearest to M * 1e-9, M the integer nearest
+    to the exact product v * 1e9 (ties to even).  With m = rint(fl(v * 1e9)),
+    m / 1e9 is the double nearest to m * 1e-9, since m and 1e9 are exact
+    doubles while |v| < _BIG, so the two agree whenever m = M.  fl() is off
+    by at most half a float spacing of the product, so m = M unless
+    fl(v * 1e9) lies within one spacing of a half-integer.  Such undecided
+    values, found by comparing with np.spacing rather than a fixed margin
+    (one spacing is 1/8 near 2^20), go to round, as do values with
+    |v| >= _BIG and values not finite.
+    """
+    scale = 10.0**DEDUPE_DECIMALS
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = v * scale
+        m = np.rint(scaled)
+        keys = m / scale + 0.0  # + 0.0 folds -0.0 into +0.0
+        undecided = ~(np.abs(v) < _BIG) | (np.abs(0.5 - np.abs(scaled - m)) <= np.spacing(np.abs(scaled)))
+    for i in np.flatnonzero(undecided).tolist():
+        keys[i] = _round_coord(float(v[i]))
+    return keys
+
+
 def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
     """Deduplicate complex values, keyed on coordinates rounded to 1e-9.
 
     The first value seen in iteration order represents its bucket, so the
     result is deterministic for a deterministic input order.  Only values
-    that can share a key with another value are looked up: those whose
+    that can share a key with another value are keyed: those whose
     neighbour in the order of p = re + _SLANT * im lies within _NEAR, and
     those too large or not finite for that test.  Every other value is its
-    own bucket and is kept.  Exact repeats among the looked-up values are
-    dropped first, as whole arrays (runs of equal values in p order, then
-    np.unique): the first occurrence of each bucket is also the first
-    occurrence of its exact value, so only those first occurrences, kept
-    in input order, need rounding.
+    own bucket and is kept.  Of each run of equal values next to each
+    other in p order only the first occurrence is keyed, which leaves the
+    first occurrence of every exact value and so of every bucket.  Keys
+    come from _round_coords as arrays: rint(v * 1e9) / 1e9 equals
+    round(v, 9) bit for bit wherever v * 1e9 is not within float error of a
+    half-integer, and round itself is called for the rest.  The first
+    occurrence of each key pair is kept.  Keys compare as floats, so NaN
+    keys never merge and infinite ones do, as they would in a dict of
+    round() results.
     """
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=complex)
     if not len(arr):
         return ()
     re, im = arr.real, arr.imag
-    with np.errstate(invalid="ignore"):  # inf - inf; such values are looked up anyway
+    with np.errstate(invalid="ignore"):  # inf - inf; such values are keyed anyway
         p = re + _SLANT * im
         order = np.argsort(p)
         close = np.diff(p[order]) <= _NEAR
@@ -190,21 +221,17 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     near[order[:-1][close]] = True
     keep = ~near
     # of equal values next to each other in p order, only the first
-    # occurrence is looked up
+    # occurrence is keyed
     ordered = arr[order]
     runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     first_seen = np.zeros(len(arr), dtype=bool)
     first_seen[np.minimum.reduceat(order, runs)] = True
     crowd = np.flatnonzero(near & first_seen)
-    _, first = np.unique(arr[crowd], return_index=True, equal_nan=False)
-    first.sort()
-    crowd = crowd[first]
-    seen: dict[tuple[float, float], None] = {}
-    for i, z in zip(crowd.tolist(), arr[crowd].tolist()):
-        key = (_round_coord(z.real), _round_coord(z.imag))
-        if key not in seen:
-            seen[key] = None
-            keep[i] = True
+    keys = np.empty(len(crowd), dtype=complex)  # built by part: 1j * inf would be nan + inf j
+    keys.real = _round_coords(arr.real[crowd])
+    keys.imag = _round_coords(arr.imag[crowd])
+    _, first = np.unique(keys, return_index=True, equal_nan=False)  # stable: first occurrences
+    keep[crowd[first]] = True
     return tuple(arr[keep].tolist())
 
 

@@ -306,6 +306,56 @@ def test_normal_offsets_and_cusps(d):
     assert not hypocycloid_contains_many(outside, d).any()
 
 
+def reference_contains(values, d, tol=1e-9):
+    """hypocycloid_contains_many for d >= 3 without the inner-disk accept:
+    the radial test for every value, then the nearest-point fallback."""
+    z = np.asarray(values, dtype=complex)
+    r = np.abs(z)
+    wedge = 2 * pi / d
+    phi = np.mod(np.angle(z), wedge)
+    phi = np.minimum(phi, wedge - phi)
+    ok = r <= np.abs((d - 1) + np.exp(-1j * d * asymptotic._param_at_angle(phi, d))) + tol
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        p = r[rest] * np.exp(1j * phi[rest])
+        spread = np.arcsin(tol / r[rest])
+        lo = np.maximum(asymptotic._param_at_angle(phi[rest] - spread, d), 0.0)
+        hi = np.minimum(asymptotic._param_at_angle(phi[rest] + spread, d), pi / d)
+
+        def slope(t):
+            tangent = 1j * (d - 1) * (np.exp(1j * t) - np.exp(-1j * (d - 1) * t))
+            return ((_curve(t, d) - p) * np.conj(tangent)).real
+
+        nearest = np.abs(_curve(asymptotic._bisect(slope, lo, hi), d) - p)
+        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= tol
+    return ok
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_inner_disk_accept_keeps_every_verdict(d, monkeypatch):
+    # points in an annulus around r = d - 2 (the inscribed circle, which
+    # the curve touches between cusps, at angles pi/d + 2 pi k/d), and
+    # points at or near those angles within 1e-3 or 1e-9 of it
+    rng = np.random.default_rng(d)
+    r = np.concatenate(
+        [rng.uniform(d - 2.5, d - 1.5, 3000), d - 2 + rng.uniform(-1e-3, 1e-3, 300), d - 2 + rng.uniform(-1e-9, 1e-9, 300), [d - 2] * 10]
+    )
+    valley = pi / d + 2 * pi * rng.integers(d, size=610) / d
+    angle = np.concatenate([rng.uniform(0, 2 * pi, 3000), valley[:300] + rng.normal(0, 1e-3, 300), valley[300:]])
+    pts = r * np.exp(1j * angle)
+    want = reference_contains(pts, d)
+    assert 0 < want.sum() < len(pts)
+    sizes = []
+    real = asymptotic._bisect
+    monkeypatch.setattr(asymptotic, "_bisect", lambda fn, lo, hi: sizes.append(len(lo)) or real(fn, lo, hi))
+    assert hypocycloid_contains_many(pts, d).tolist() == want.tolist()
+    assert max(sizes) <= np.count_nonzero(np.abs(pts) > d - 2)
+    sizes.clear()
+    inner = pts[np.abs(pts) <= d - 2]
+    assert hypocycloid_contains_many(inner, d).all()
+    assert sizes == [] or max(sizes) == 0
+
+
 def test_orbit_check_small():
     report = hypocycloid_orbit_check(19, 6)
     assert report.passed, report.to_json()

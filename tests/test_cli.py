@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from symchar import cli
 from symchar.cli import main
 from symchar.report import IdentityReport
 from symchar.orbits import canonicalize
@@ -171,10 +173,17 @@ def test_verify_translation(capsys):
         assert rec["passed"] is True
 
 
-def test_verify_permanent(capsys):
+def test_verify_permanent(capsys, monkeypatch):
+    blocks = []
+    real = cli.permanent_oracle
+    monkeypatch.setattr(cli, "permanent_oracle", lambda rep, ys: blocks.append(len(ys)) or real(rep, ys))
     code, out, _ = run_cli(["verify", "permanent", "--n", "5", "--d", "2", "--samples", "3"], capsys)
     assert code == 0
     assert json.loads(out)["failures"] == 0
+    assert blocks == [3] * 15  # one call per orbit, with all its samples
+    monkeypatch.setattr(cli, "permanent_oracle", lambda rep, ys: real(rep, ys) + 1e-8 * (np.arange(len(ys)) % 2))
+    code, out, _ = run_cli(["verify", "permanent", "--n", "5", "--d", "2", "--samples", "3"], capsys)
+    assert code == 1 and json.loads(out)["failures"] == 15
 
 
 def test_verify_unitary(capsys):
@@ -182,6 +191,21 @@ def test_verify_unitary(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["residual_symmetry"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "permanent", "--n", "3", "--d", "12"], "DimensionTooLarge"),
+        (["walk", "5", "2", "5"], "HypothesisFailed"),
+    ],
+)
+def test_refused_input_exits_two(argv, error, capsys):
+    # refused (outside the hypothesis or the cutoff), not disproved: exit 2
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == error
 
 
 def test_verify_walk_needs_a(capsys):

@@ -29,6 +29,7 @@ from symchar.orbits import (
     enumerate_orbits,
     orbit_size,
     rotation_order,
+    stabilizer_order,
     superclass_array,
 )
 
@@ -170,6 +171,56 @@ def test_permanent_oracle_two_by_two():
     val = permanent_oracle(rep, (1, 1))
     assert abs(val - 2) < 1e-12
     assert abs(val - supercharacter(rep, (1, 1))) < 1e-12
+
+
+def gray_code_permanent(rep, y):
+    """Ryser's formula one column set at a time, in Gray-code order."""
+    n, d = rep.n, rep.d
+    table = roots_of_unity(n)
+    mat = np.array([[table[(xj * yk) % n] for yk in y] for xj in rep.entries])
+    total = 0j
+    rowsum = np.zeros(d, dtype=complex)
+    gray = 0
+    parity = 1  # (-1)^|S| for the current set S encoded by gray
+    for step in range(1, 1 << d):
+        new_gray = step ^ (step >> 1)
+        changed = new_gray ^ gray
+        col = changed.bit_length() - 1
+        if new_gray & changed:
+            rowsum += mat[:, col]
+        else:
+            rowsum -= mat[:, col]
+        parity = -parity
+        gray = new_gray
+        total += parity * np.prod(rowsum)
+    return complex(total * (-1) ** d) / stabilizer_order(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 10), st.integers(0, 12), st.data())
+def test_permanent_oracle_matches_gray_code_loop(n, d, rows, data):
+    entries = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))))
+    rep = canonicalize(entries, n)
+    ys = data.draw(st.lists(st.lists(st.integers(-50, 50), min_size=d, max_size=d), min_size=rows, max_size=rows))
+    want = [gray_code_permanent(rep, y) for y in ys]
+    block = permanent_oracle(rep, np.array(ys, dtype=np.int64).reshape(rows, d))
+    assert block.shape == (rows,)
+    assert all(abs(a - b) <= 1e-12 * max(1, orbit_size(rep)) for a, b in zip(block, want))
+    for y, w in zip(ys, want):
+        one = permanent_oracle(rep, y)
+        assert isinstance(one, complex) and abs(one - w) <= 1e-12 * max(1, orbit_size(rep))
+
+
+def test_permanent_oracle_blocks_and_big_entries(monkeypatch):
+    rep = canonicalize((0, 1, 1, 3, 5), 7)
+    ys = np.random.default_rng(3).integers(0, 7, (40, 5))
+    whole = permanent_oracle(rep, ys)
+    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 1)  # one point per chunk
+    assert np.abs(permanent_oracle(rep, ys) - whole).max() <= 1e-12
+    big = [2**63, 2**70 + 1, -(2**64), 3, 4]
+    assert abs(permanent_oracle(rep, big) - gray_code_permanent(rep, [v % 7 for v in big])) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        permanent_oracle(rep, [1, 2, 3])
 
 
 def test_permanent_oracle_dimension_cutoff():
@@ -374,13 +425,32 @@ def reference_dedupe(values):
     return tuple(out)
 
 
+def _undecided_coords():
+    """Doubles nearest to (m + 1/2) * 1e-9 and their float neighbours, for m
+    just above +-2^19 and just below +-2^20: one ulp of v * 1e9 is 1/16
+    and 1/8 there, so fl(v * 1e9) can round across or onto the half-integer
+    that round(v, 9) decides by.  Also exact decimal ties j / 1024 * 1e-9
+    away from the next digit, there and near zero."""
+    out = []
+    for base in (2**19, -(2**19), 2**20 - 1, -(2**20) + 1):
+        m0 = base * 10**9
+        for k in range(6):
+            h = (m0 + k + 0.5) / 1e9
+            out += [h, float(np.nextafter(h, np.inf)), float(np.nextafter(h, -np.inf))]
+    out += [j / 1024 for j in (1, 3, -5, 1023)]
+    out += [2.0**19 + 2.0**-10, -(2.0**19) - 3 * 2.0**-10, 2.0**20 - 2.0**-10]
+    return out
+
+
 # +-0.0, values 0.5e-9 apart, values on (or a hair off) rounding boundaries,
 # either side of the 2^20 cut below which neighbours are found along a line,
-# |z| >= 2^25 where float spacing exceeds 1e-9, and nan/inf
+# |z| >= 2^25 where float spacing exceeds 1e-9, nan/inf, and values whose
+# key _round_coords must leave to round
 _coords = st.sampled_from(
     [0.0, -0.0, 5e-10, -5e-10, 1e-9, 1.5e-9, 2.5e-9, 0.1234567895, 0.12345678949999999, -0.1234567895, 1.0, 1.0000000005, -1.0000000005]
     + [2.0**20, np.nextafter(2.0**20, 0), 2.0**20 - 5e-10, -(2.0**20) + 1e-9, 2.0**25, np.nextafter(2.0**25, np.inf), -(2.0**25), 1e300]
     + [float("nan"), float("inf"), -float("inf")]
+    + _undecided_coords()
 ) | st.floats(min_value=-2, max_value=2, allow_nan=False).map(lambda v: round(v, 10))
 
 
@@ -403,16 +473,43 @@ def test_dedupe_values_matches_reference(vals, data):
     assert repr(dedupe_values(iter(vals))) == expected
 
 
-def test_dedupe_values_rounds_only_near_values(monkeypatch):
+def test_round_coords_equals_round():
+    # bit for bit, -0.0 folded, on random values of every scale up to 2^21,
+    # on the undecided values and on nan/inf; the rint key alone gets some
+    # undecided values wrong, so they exercise the fallback to round
+    rng = np.random.default_rng(7)
+    undecided = np.array(_undecided_coords())
+    vals = np.concatenate(
+        [
+            rng.uniform(-1, 1, 4000) * 2.0 ** rng.integers(-40, 22, 4000),
+            undecided,
+            -undecided,
+            [0.0, -0.0, -1e-12, 0.5e-9, -0.5e-9, 1e300, -1e300, np.inf, -np.inf, np.nan],
+        ]
+    )
+    got = evaluate._round_coords(vals)
+    want = np.array([evaluate._round_coord(v) for v in vals.tolist()])
+    assert got.tobytes() == want.tobytes()
+    naive = np.rint(undecided * 1e9) / 1e9 + 0.0
+    assert (naive != [evaluate._round_coord(v) for v in undecided.tolist()]).any()
+
+
+def test_dedupe_values_calls_round_only_when_undecided(monkeypatch):
     rounded = []
     real = evaluate._round_coord
     monkeypatch.setattr(evaluate, "_round_coord", lambda v: rounded.append(v) or real(v))
     spread = np.arange(1, 2001) * np.exp(0.7j * np.arange(2000))  # no two values near each other
     assert dedupe_values(spread) == tuple(spread.tolist())
+    # small values, each with a near twin 1e-10 off and exact repeats
+    small = np.exp(0.7j * np.arange(2000)) * np.linspace(0.01, 3, 2000)
+    crowded = np.concatenate([small, small + 1e-10, small[::7], small + 1e-10j])
+    kept = dedupe_values(crowded)
     assert rounded == []
-    crowded = np.concatenate([spread, [spread[5] + 1e-10, spread[7]]])
-    assert dedupe_values(crowded) == tuple(spread.tolist())
-    assert len(rounded) == 2 * 3  # spread[5], its neighbour and spread[7]; its repeat is dropped whole
+    assert kept == reference_dedupe(crowded.tolist()) and len(small) < len(kept) < len(crowded)
+    tie = complex(0.1234567895, 0.5)  # 0.1234567895 * 1e9 is a half-integer up to float error
+    ties = [tie, tie - 2e-10, tie + 2e-10, tie, 3 + 0j]
+    assert dedupe_values(ties) == reference_dedupe(ties)
+    assert 0.1234567895 in rounded
 
 
 def test_dedupe_values_large_coordinates():

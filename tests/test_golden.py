@@ -49,6 +49,9 @@ GOLDEN = [
     (["walk", "24", "4", "8"], "fb0e3685012e202da6f43d134a3c4e83726651e451af8a983b91888561bb7a23", None),
     (["image", "12", "0", "1", "3", "--format", "csv"], "ca10c869ff84d0a79242f8052f0fe7c82c152262ee51a0b795da2da27cec9c0b", None),
     (["image", "400", "1", "2", "--format", "csv"], "72f4fbccf10569614d393c54a336cbd97fffc2e0cf0654fae2c329e881631ce9", None),
+    (["verify", "hypocycloid", "--n", "15", "--d", "6"], "abbe2b7a70eda3f704d391c3f36a13f40e1cd4bbb649c02bd28b90c7b52b4393", None),
+    (["verify", "hypocycloid", "--n", "16", "--d", "6"], "ce8b8883cd661bd568e386ad1d15022bed143df5dae42bed47ee4231dfeec351", None),
+    (["verify", "hypocycloid", "--n", "20", "--d", "5"], "94f9cdb647864112464c51a7b5a8d1d5f7a427366ee1961d8a2a4657eb23097d", None),
 ]
 
 
