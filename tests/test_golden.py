@@ -55,6 +55,18 @@ GOLDEN = [
 ]
 
 
+# Sweep sizes beyond the benchmark's, so a batched sweep must reproduce the
+# per-pair records at other shapes too: dihedral at N > 12 (sampled orbits)
+# and N <= 12 (every orbit is a sample).
+SWEEP_GOLDEN = [
+    (["verify", "translation", "--n", "5", "--d", "2"], "22ce38bbf0ed53af521df028ad150751b1517160922230fc26100e025ad6527f"),
+    (["verify", "translation", "--n", "3", "--d", "4"], "dd014bac95a17181c5933a974ca050914a9fc998b5b1a202600443bcad0f08da"),
+    (["verify", "dihedral", "--n", "7", "--d", "3"], "db17f546de0474f65a6d640700ad9a3abb39ca2603b1df66ce830afbca476c80"),
+    (["verify", "dihedral", "--n", "4", "--d", "2"], "cf61ddd204887fdaae267354ac1c0bb4eddbfb64c0fa2a09c3d03d798f3c1a56"),
+    (["verify", "conjugate", "--n", "5", "--d", "4"], "504b8f1a9dba8601139572f6250c5e20472dab81719601785485a217a285a60f"),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -67,3 +79,9 @@ def test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, 
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
     if file_digest is not None:
         assert sha256((tmp_path / argv[-1]).read_bytes()) == file_digest
+
+
+@pytest.mark.parametrize("argv, stdout_digest", SWEEP_GOLDEN, ids=["-".join(g[0][1::2]) for g in SWEEP_GOLDEN])
+def test_sweep_golden_digest(argv, stdout_digest, capsys):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
