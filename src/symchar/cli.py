@@ -105,8 +105,13 @@ def cmd_eval(args) -> int:
     if rest.count("--") != 1:
         raise UsageError("expected: eval N X... -- Y...")
     split = rest.index("--")
+    # the remainder after N swallows eval's options, so read them from the part before "--"
+    head = _Parser(prog="symchar eval", add_help=False)
+    head.add_argument("xs", nargs="*")
+    _add_eval_options(head)
+    head.parse_intermixed_args(rest[:split], namespace=args)
     try:
-        xs = [int(v) for v in rest[:split]]
+        xs = [int(v) for v in args.xs]
         ys = [int(v) for v in rest[split + 1 :]]
     except ValueError as exc:
         raise UsageError(f"non-integer entry: {exc}") from None
@@ -285,12 +290,18 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _add_budget(p):
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max superclass evaluations")
+
+
+def _add_eval_options(p):
+    p.add_argument("--oracle", action="store_true", help="also print the permanent-based value")
+    _add_budget(p)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="symchar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max superclass evaluations")
 
     p = sub.add_parser("orbits", help="list canonical orbit representatives")
     p.add_argument("n", type=int)
@@ -300,8 +311,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate sigma_X(y): eval N X... -- Y...")
     p.add_argument("n", type=int)
     p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.add_argument("--oracle", action="store_true", help="also print the permanent-based value")
-    add_budget(p)
+    _add_eval_options(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("image", help="deduplicated value set of sigma_X")
@@ -310,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--full-group", action="store_true", help="sweep all n^d points, not superclass reps")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
-    add_budget(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("render", help="render the image of sigma_X to PNG")
@@ -319,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--range", type=float, required=True, help="plot half-width")
     p.add_argument("--unit-res", type=int, required=True, help="pixels per unit")
     p.add_argument("-o", "--out", required=True)
-    add_budget(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("reduce", help="row-reduce the orbit matrix over Z/nZ")
@@ -330,7 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, help="also sample the torus map on this grid")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
-    add_budget(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("table", help="supercharacter table at (n, d)")
@@ -345,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("a", type=int)
-    add_budget(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("solve", help="solve a*j + b*k + d*j*k = gcd(n,d) mod n")
@@ -377,7 +387,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=int, help="walk step (verify walk)")
     p.add_argument("--samples", type=int, default=10, help="random y per orbit (verify permanent)")
     p.add_argument("--seed", type=int, default=0)
-    add_budget(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

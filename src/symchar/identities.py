@@ -21,6 +21,7 @@ Numeric tolerances appear only where the claim itself is geometric
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, pi
 from typing import Iterator, Sequence
 
@@ -57,15 +58,6 @@ from .report import IdentityReport
 _UNION_WITNESS_ORBITS = 8
 
 
-def _shifted(counts: np.ndarray, t0: Sequence[int]) -> np.ndarray:
-    """Counts of e(t0/n) times the value, one row per shift t0[i].
-
-    out[i, t] = counts[(t - t0[i]) % n] for a single counts row.
-    """
-    n = len(counts)
-    return counts[(np.arange(n) - np.asarray(t0)[:, None]) % n]
-
-
 def _conjugate_reports(x_rep: OrbitRep, y_reps: Sequence[OrbitRep]) -> Iterator[IdentityReport]:
     """Conjugation identity at (X, Y) for each Y, from three count matrices."""
     n = x_rep.n
@@ -98,35 +90,52 @@ def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
 
 
 def _translation_reports(
-    x_rep: OrbitRep, y_rep: OrbitRep, js: Sequence[int], ks: Sequence[int]
+    x_rep: OrbitRep, y_reps: Sequence[OrbitRep], js: Sequence[int], ks: Sequence[int]
 ) -> Iterator[IdentityReport]:
-    """Translation identity at (X, Y) for each j in js and k in ks, k fastest.
+    """Translation identity at (X, Y, j, k) for each Y in y_reps, j in js and
+    k in ks, in that order with k fastest.
 
-    One count matrix per j: row k holds dot_counts(X + j1, y + k1).
+    One count matrix for the base rows dot_counts(X, y) of every Y, then one
+    per j whose rows are dot_counts(X + j1, y + k1) for every (Y, k).
     """
     n, d = x_rep.n, x_rep.d
-    sx, sy = orbit_sum(x_rep), orbit_sum(y_rep)
-    base = dot_counts(x_rep, y_rep.entries)
-    for j in js:
-        shifts = [(sy * j + sx * k + d * j * k) % n for k in ks]
-        lhs = dot_counts(shift_orbit(x_rep, j), np.add.outer([k % n for k in ks], y_rep.entries))
-        rhs = _shifted(base, shifts)
-        passed = (lhs == rhs).all(axis=1)
-        for i, (k, ok) in enumerate(zip(ks, passed.tolist())):
-            witness = None
-            if not ok:
-                witness = {
-                    "x": x_rep,
-                    "y": y_rep,
-                    "j": j,
-                    "k": k,
-                    "shift": shifts[i],
-                    "lhs": lhs[i].tolist(),
-                    "rhs": rhs[i].tolist(),
-                }
-            yield IdentityReport(
-                "translation", {"x": x_rep, "y": y_rep, "j": j, "k": k, "n": n}, True, ok, witness
-            )
+    ys = np.array([y_rep.entries for y_rep in y_reps], dtype=np.int64)
+    kr = np.array([k % n for k in ks], dtype=np.int64)
+    base = dot_counts(x_rep, ys)
+    # shifted rows: row (Y, k) holds y + k1, so one count matrix covers every (Y, k) of a j
+    shifted = (ys[:, None, :] + kr[:, None]).reshape(-1, d)
+    sy = ys.sum(axis=1) % n
+    sx = orbit_sum(x_rep)
+    t = np.arange(n)
+    rows = np.arange(len(ys))[:, None, None]
+    passed = np.empty((len(ys), len(js), len(kr)), dtype=bool)
+    witnesses = {}
+    for ji, j in enumerate(js):
+        jr = j % n
+        shifts = (sy[:, None] * jr + sx * kr + d * jr * kr) % n
+        lhs = dot_counts(shift_orbit(x_rep, j), shifted).reshape(len(ys), len(kr), n)
+        rhs = base[rows, (t - shifts[:, :, None]) % n]
+        passed[:, ji] = (lhs == rhs).all(axis=2)
+        for yi, ki in np.argwhere(~passed[:, ji]).tolist():
+            witnesses[yi, ji, ki] = {
+                "x": x_rep,
+                "y": y_reps[yi],
+                "j": j,
+                "k": ks[ki],
+                "shift": int(shifts[yi, ki]),
+                "lhs": lhs[yi, ki].tolist(),
+                "rhs": rhs[yi, ki].tolist(),
+            }
+    for yi, (y_rep, y_passed) in enumerate(zip(y_reps, passed.tolist())):
+        for ji, (j, j_passed) in enumerate(zip(js, y_passed)):
+            for ki, (k, ok) in enumerate(zip(ks, j_passed)):
+                yield IdentityReport(
+                    "translation",
+                    {"x": x_rep, "y": y_rep, "j": j, "k": k, "n": n},
+                    True,
+                    ok,
+                    None if ok else witnesses[yi, ji, ki],
+                )
 
 
 def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> IdentityReport:
@@ -135,16 +144,17 @@ def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> Id
     Shifting X by j*1 and y by k*1 multiplies the value by e(t0/n) with
     t0 = [y]j + [x]k + djk, i.e. shifts the counts vector by t0.
     """
-    return next(_translation_reports(x_rep, y_rep, [j], [k]))
+    return next(_translation_reports(x_rep, [y_rep], [j], [k]))
 
 
-def _sample_orbits(n: int, d: int, limit: int = 12) -> list[OrbitRep]:
+@lru_cache(maxsize=64)
+def _sample_orbits(n: int, d: int, limit: int = 12) -> tuple[OrbitRep, ...]:
     """Deterministic small sample of orbits spread across the enumeration."""
     total = orbit_count(n, d)
     if total <= limit:
-        return list(enumerate_orbits(n, d))
+        return tuple(enumerate_orbits(n, d))
     idx = sorted({(i * (total - 1)) // (limit - 1) for i in range(limit)})
-    return [unrank_orbit(n, d, i) for i in idx]
+    return tuple(unrank_orbit(n, d, i) for i in idx)
 
 
 def dihedral_order(x_rep: OrbitRep) -> int:
@@ -152,20 +162,23 @@ def dihedral_order(x_rep: OrbitRep) -> int:
 
     The identity behind it, sigma_X(y + l*1) = e([x]l/n) sigma_X(y), is
     verified exactly (as a counts shift) for every l on a deterministic
-    sample of superclasses Y.
+    sample of superclasses Y, all in one count matrix.  The witness is the
+    first failing (Y, l), Y in sample order and l fastest.
     """
     n = x_rep.n
-    sx = orbit_sum(x_rep)
+    samples = _sample_orbits(n, x_rep.d)
     ells = np.arange(n)
-    for y_rep in _sample_orbits(n, x_rep.d):
-        # row l holds the counts at y + l*1; row 0 is y itself
-        lhs = dot_counts(x_rep, np.add.outer(ells, y_rep.entries))
-        bad = np.flatnonzero(~(lhs == _shifted(lhs[0], sx * ells % n)).all(axis=1))
-        if len(bad):
-            raise VerificationFailed(
-                "line-shift identity failed",
-                witness={"x": x_rep, "y": y_rep, "l": int(bad[0])},
-            )
+    ys = np.array([y_rep.entries for y_rep in samples], dtype=np.int64)
+    # lhs[s, l] holds the counts at y_s + l*1; lhs[s, 0] is y_s itself
+    lhs = dot_counts(x_rep, (ys[:, None, :] + ells[:, None]).reshape(-1, x_rep.d)).reshape(len(ys), n, n)
+    rhs = lhs[:, 0][:, (ells - (orbit_sum(x_rep) * ells % n)[:, None]) % n]
+    bad = np.argwhere(~(lhs == rhs).all(axis=2))
+    if len(bad):
+        s, ell = bad[0].tolist()
+        raise VerificationFailed(
+            "line-shift identity failed",
+            witness={"x": x_rep, "y": samples[s], "l": ell},
+        )
     return rotation_order(x_rep)
 
 
@@ -395,8 +408,7 @@ def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[
         raise BudgetExceeded(total, budget)
     reps = list(enumerate_orbits(n, d))
     for x_rep in reps:
-        for y_rep in reps:
-            yield from _translation_reports(x_rep, y_rep, range(n), range(n))
+        yield from _translation_reports(x_rep, reps, range(n), range(n))
 
 
 def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .orbits import OrbitRep
@@ -16,6 +18,47 @@ def _encode(obj: Any) -> Any:
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# the encoder json.dumps(..., separators=(",", ":"), sort_keys=True, default=_encode) builds per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=_encode)
+
+
+@lru_cache(maxsize=4096)
+def _orbit_json(rep: OrbitRep) -> str:
+    # keyed by equality, which holds for the int entries every constructor in symchar makes
+    return _ENCODER.encode(_encode(rep))
+
+
+def _value_json(value: Any) -> str:
+    """value as the encoder writes it: an int through int.__repr__, which the
+    encoder calls too, an orbit from the memo, true, false and null as
+    literals, and anything else through the encoder itself."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is OrbitRep:
+        return _orbit_json(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return _ENCODER.encode(value)
+
+
+def _fields_json(fields: Any) -> str:
+    """JSON of a params, witness or info dict, built key by key in sorted order."""
+    if type(fields) is not dict:
+        return _ENCODER.encode(fields)
+    parts = []
+    for key in sorted(fields):
+        if type(key) is str:  # the encoder writes a str key as it writes a str value
+            text = encode_basestring_ascii(key)
+        else:  # int, float, bool and None keys become strings the encoder's way
+            text = _ENCODER.encode({key: None})[1:-6]  # '{"1":null}' -> '"1"'
+        parts.append(text + ":" + _value_json(fields[key]))
+    return "{" + ",".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -35,14 +78,23 @@ class IdentityReport:
     info: dict | None = None
 
     def to_json(self) -> str:
-        record = {
-            "check": self.name,
-            "params": self.params,
-            "exact": self.exact,
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            record["witness"] = self.witness
+        """One JSON line, equal byte for byte to
+
+            json.dumps(record, separators=(",", ":"), sort_keys=True, default=_encode)
+
+        of the dict {"check", "exact", "info", "params", "passed",
+        "witness"} (info and witness only when not None).  The record is
+        written key by key in that sorted order, and params, witness and
+        info one level down the same way: each key as the encoder writes it,
+        an int through int.__repr__ (what the encoder calls), an orbit from
+        a memo of its encoded form, and every other value through the same
+        encoder.  Within one dict json sorts items by key, as sorted() does.
+        """
+        parts = ['{"check":', _value_json(self.name), ',"exact":', _value_json(self.exact)]
         if self.info is not None:
-            record["info"] = self.info
-        return json.dumps(record, separators=(",", ":"), sort_keys=True, default=_encode)
+            parts += [',"info":', _fields_json(self.info)]
+        parts += [',"params":', _fields_json(self.params), ',"passed":', _value_json(self.passed)]
+        if self.witness is not None:
+            parts += [',"witness":', _fields_json(self.witness)]
+        parts.append("}")
+        return "".join(parts)

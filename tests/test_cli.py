@@ -50,6 +50,32 @@ def test_eval_entry_beyond_int64(capsys):
     assert out.startswith("orbit 0 1  counts [0,1,1]\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "3", "0", "1", "--oracle", "--", "1", "2"],
+        ["eval", "3", "--oracle", "0", "1", "--", "1", "2"],
+        ["eval", "3", "0", "--budget", "7", "1", "--oracle", "--", "1", "2"],
+    ],
+)
+def test_eval_options_before_separator(argv, capsys):
+    expected = run_cli(["eval", "--oracle", "3", "0", "1", "--", "1", "2"], capsys)
+    assert "permanent-oracle" in expected[1]
+    assert run_cli(argv, capsys) == expected
+
+
+def test_eval_budget_before_separator_is_read(capsys):
+    code, _, err = run_cli(["eval", "3", "0", "1", "--budget", "0", "--", "1", "2"], capsys)
+    assert code == 2
+    assert json.loads(err) == {"error": "usage", "detail": "budget must be positive"}
+
+
+def test_eval_negative_entries_stay_numbers(capsys):
+    code, out, _ = run_cli(["eval", "5", "-1", "2", "--oracle", "--", "-4", "1"], capsys)
+    assert code == 0
+    assert out == run_cli(["eval", "--oracle", "5", "4", "2", "--", "1", "1"], capsys)[1]
+
+
 def test_eval_needs_separator(capsys):
     code, out, err = run_cli(["eval", "3", "0", "1", "1", "2"], capsys)
     assert code == 2

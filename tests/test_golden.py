@@ -57,7 +57,8 @@ GOLDEN = [
 
 # Sweep sizes beyond the benchmark's, so a batched sweep must reproduce the
 # per-pair records at other shapes too: dihedral at N > 12 (sampled orbits)
-# and N <= 12 (every orbit is a sample).
+# and N <= 12 (every orbit is a sample).  A list of its own, so the ids of
+# GOLDEN cases do not change.
 SWEEP_GOLDEN = [
     (["verify", "translation", "--n", "5", "--d", "2"], "22ce38bbf0ed53af521df028ad150751b1517160922230fc26100e025ad6527f"),
     (["verify", "translation", "--n", "3", "--d", "4"], "dd014bac95a17181c5933a974ca050914a9fc998b5b1a202600443bcad0f08da"),

@@ -241,6 +241,68 @@ def test_translation_witness_carries_reference_counts(monkeypatch):
     assert not all(r.passed for r in reports)
 
 
+def reference_translation(n, d, shift):
+    """Translation records per (X, Y, j, k), one orbit element at a time.
+
+    shift(X, j) is the orbit the left-hand side evaluates: X + j1 when the
+    code is right, something else to provoke witnesses.
+    """
+    for X in enumerate_orbits(n, d):
+        for Y in enumerate_orbits(n, d):
+            base = reference_counts(X, Y.entries)
+            for j in range(n):
+                for k in range(n):
+                    t0 = (sum(Y.entries) * j + sum(X.entries) * k + d * j * k) % n
+                    lhs = reference_counts(shift(X, j), [v + k for v in Y.entries])
+                    rhs = [base[(t - t0) % n] for t in range(n)]
+                    witness = None
+                    if lhs != rhs:
+                        witness = {"x": X, "y": Y, "j": j, "k": k, "shift": t0, "lhs": lhs, "rhs": rhs}
+                    yield ("translation", {"x": X, "y": Y, "j": j, "k": k, "n": n}, True, lhs == rhs, witness)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 3), (5, 2)])
+@pytest.mark.parametrize("broken", [False, True], ids=["shifted", "unshifted"])
+def test_translation_sweep_matches_per_pair_reference(n, d, broken, monkeypatch):
+    if broken:
+        monkeypatch.setattr(identities, "shift_orbit", lambda rep, j: rep)  # forgets to shift X
+        shift = lambda X, j: X  # noqa: E731
+    else:
+        shift = lambda X, j: canonicalize([v + j for v in X.entries], n)  # noqa: E731
+    got = [(r.name, r.params, r.exact, r.passed, r.witness) for r in sweep_translation(n, d)]
+    expected = list(reference_translation(n, d, shift))
+    assert got == expected
+    assert all(r[3] for r in expected) != broken
+
+
+def test_translation_sweep_makes_n_plus_one_block_calls_per_x(monkeypatch):
+    n, d = 4, 3
+    calls = []
+
+    def counting(rep, ys):
+        calls.append(rep)
+        return dot_counts(rep, ys)
+
+    monkeypatch.setattr(identities, "dot_counts", counting)
+    assert sum(1 for _ in sweep_translation(n, d)) == orbit_count(n, d) ** 2 * n * n
+    assert len(calls) == orbit_count(n, d) * (n + 1)
+
+
+@pytest.mark.parametrize("n, d", [(6, 4), (4, 2)])
+def test_dihedral_order_makes_one_block_call(n, d, monkeypatch):
+    calls = []
+
+    def counting(rep, ys):
+        calls.append(len(ys))
+        return dot_counts(rep, ys)
+
+    monkeypatch.setattr(identities, "dot_counts", counting)
+    for X in enumerate_orbits(n, d):
+        calls.clear()
+        dihedral_order(X)
+        assert calls == [min(12, orbit_count(n, d)) * n]
+
+
 def test_constancy_witness_names_the_broken_orbit(monkeypatch):
     broken = canonicalize((0, 1, 2), 4)
     real = identities.orbit_array
