@@ -335,6 +335,15 @@ def _param_at_angle(theta: np.ndarray, d: int) -> np.ndarray:
     return _bisect(lambda t: t + np.angle((d - 1) + np.exp(-1j * d * t)) - theta, theta - half, theta + half)
 
 
+def _radial_accept(r: np.ndarray, phi: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """r <= rho(phi) + tol, where rho(phi) is the curve's radius on the ray
+    at angle phi in [0, pi/d] (d >= 3); see hypocycloid_contains_many."""
+    s = r - tol
+    c = np.clip((s * s - ((d - 1) ** 2 + 1)) / (2 * (d - 1)), -1.0, 1.0)
+    t = np.arccos(c) / d
+    return (s <= d - 2) | ((s <= d) & (phi <= t + np.angle((d - 1) + np.exp(-1j * d * t))))
+
+
 def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e-9) -> np.ndarray:
     """Which values lie in the filled d-cusp hypocycloid, up to tol.
 
@@ -343,18 +352,38 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
     value being inside or by a curve point within tol of it.  For d = 2
     the region is the segment [-2, 2].
 
-    For d >= 3 a value p with |p| <= (d - 2) + tol passes at once: the
-    curve's radius |(d-1) + e^{-idt}| is never below d - 2, and neither is
-    its float value, since cos never returns below -1 and rounding is
-    monotone, so the radial test below would pass p too.  Every other
-    value is folded by the dihedral symmetry into the wedge
-    0 <= arg p <= pi/d, which holds the arc 0 <= t <= pi/d.  It passes
-    if |p| exceeds the curve's radius on its ray by at most tol.  Otherwise
-    it lies outside, and a curve point within tol of it makes an angle of
-    at most asin(tol/|p|) with it.  The candidates are the nearest point of
-    the arc within that angle (the root of the derivative of |z(t) - p|^2,
-    which increases there) and the cusp d, which that root can miss when p
-    lies beyond the cusp.
+    For d >= 3 every value is folded by the dihedral symmetry into the
+    wedge 0 <= phi = arg p <= pi/d, which holds the arc 0 <= t <= pi/d.
+    It passes if r = |p| exceeds the curve's radius rho(phi) on its ray by
+    at most tol.  That radial test has a closed form.  On the arc,
+    |z(t)|^2 = (d-1)^2 + 1 + 2(d-1) cos(dt) decreases from d^2 to (d-2)^2
+    while arg z(t) increases from 0 to pi/d, so the arc is a graph
+    r = rho(phi) with rho decreasing from d to d - 2.  With s = r - tol,
+    s <= rho(phi) therefore holds exactly when s <= d - 2 (the inscribed
+    circle, which the whole curve encloses), or when s <= d and phi is at
+    most the angle arg z(t_s) of the arc point of radius s, where
+
+        t_s = arccos((s^2 - (d-1)^2 - 1) / (2(d-1))) / d.
+
+    For d - 2 < s <= d the arccos argument lies in [-1, 1] in exact
+    arithmetic, and rounding can push it past an end by an ulp or so.
+    Clipping then puts t_s at the end the exact argument sits next to: the
+    valley (pi/d, where every folded phi passes) or the cusp (0, where
+    only phi = 0 does).  Near those ends arccos is badly conditioned, but
+    the computed t_s is the exact parameter of a radius within a few ulps
+    of s, and arg z(t) is smooth in t, so a verdict can move only for a
+    value whose radial distance from the curve is within rounding of tol.
+    The tests compare its verdicts with those of the 64-step bisection for
+    the parameter at angle phi that it replaces.  Within about 1e-6 of a
+    cusp's ray, where rho changes fast with phi, the bisection's radius is
+    the less accurate of the two.
+
+    A value the radial test rejects lies outside, and a curve point within
+    tol of it makes an angle of at most asin(tol/|p|) with it.  The
+    candidates are the nearest point of the arc within that angle (the
+    root of the derivative of |z(t) - p|^2, which increases there, found
+    by bisection) and the cusp d, which that root can miss when p lies
+    beyond the cusp.
     """
     if d < 2:
         raise ValueError("needs d >= 2")
@@ -362,20 +391,17 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
     if d == 2:
         return np.abs(z - np.clip(z.real, -2.0, 2.0)) <= tol
     r = np.abs(z)
-    ok = r <= (d - 2) + tol
-    far = np.flatnonzero(~ok)
-    r = r[far]
     wedge = 2 * pi / d
-    phi = np.mod(np.angle(z[far]), wedge)
+    phi = np.mod(np.angle(z), wedge)
     phi = np.minimum(phi, wedge - phi)
-    radial = r <= np.abs((d - 1) + np.exp(-1j * d * _param_at_angle(phi, d))) + tol
-    ok[far] = radial
-    rest = np.flatnonzero(~radial)
+    ok = _radial_accept(r, phi, d, tol)
+    rest = np.flatnonzero(~ok)
     if len(rest):
-        p = r[rest] * np.exp(1j * phi[rest])
-        spread = np.arcsin(tol / r[rest])
-        lo = np.maximum(_param_at_angle(phi[rest] - spread, d), 0.0)
-        hi = np.minimum(_param_at_angle(phi[rest] + spread, d), pi / d)
+        r, phi = r[rest], phi[rest]
+        p = r * np.exp(1j * phi)
+        spread = np.arcsin(tol / r)
+        lo = np.maximum(_param_at_angle(phi - spread, d), 0.0)
+        hi = np.minimum(_param_at_angle(phi + spread, d), pi / d)
 
         def curve(t):
             return (d - 1) * np.exp(1j * t) + np.exp(-1j * (d - 1) * t)
@@ -385,7 +411,7 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
             return ((curve(t) - p) * np.conj(tangent)).real
 
         nearest = np.abs(curve(_bisect(slope, lo, hi)) - p)
-        ok[far[rest]] = np.minimum(nearest, np.abs(d - p)) <= tol
+        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= tol
     return ok
 
 

@@ -101,15 +101,22 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # The remainder keeps every "--" (a positional N would take the "--"
+    # right after it and strip it).  It also holds N and any eval option
+    # after N, so read those from the part before the first "--".
     rest = list(args.rest)
-    if rest.count("--") != 1:
-        raise UsageError("expected: eval N X... -- Y...")
-    split = rest.index("--")
-    # the remainder after N swallows eval's options, so read them from the part before "--"
+    if rest[:1] == ["--"]:  # a "--" before N only ends eval's options
+        del rest[0]
+    split = rest.index("--") if "--" in rest else len(rest)
     head = _Parser(prog="symchar eval", add_help=False)
-    head.add_argument("xs", nargs="*")
+    head.add_argument("n", type=int)
+    head.add_argument("xs", nargs="*", metavar="rest")  # a missing N still reads "n, rest"
     _add_eval_options(head)
     head.parse_intermixed_args(rest[:split], namespace=args)
+    if split < len(rest) and not args.xs:
+        raise UsageError("orbit entries required")
+    if rest[split:].count("--") != 1:
+        raise UsageError("expected: eval N X... -- Y...")
     try:
         xs = [int(v) for v in args.xs]
         ys = [int(v) for v in rest[split + 1 :]]
@@ -299,74 +306,69 @@ def _add_eval_options(p):
     _add_budget(p)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="symchar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbits", help="list canonical orbit representatives")
+def _n_d(p):
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("eval", help="evaluate sigma_X(y): eval N X... -- Y...")
-    p.add_argument("n", type=int)
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    _add_eval_options(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("image", help="deduplicated value set of sigma_X")
+def _n_entries(p):
     p.add_argument("n", type=int)
     p.add_argument("entries", type=int, nargs="+")
+
+
+def _eval_args(p):
+    p.add_argument("rest", nargs=argparse.REMAINDER, help="N X... -- Y...")
+    _add_eval_options(p)
+
+
+def _image_args(p):
+    _n_entries(p)
     p.add_argument("--full-group", action="store_true", help="sweep all n^d points, not superclass reps")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
     _add_budget(p)
-    p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("render", help="render the image of sigma_X to PNG")
-    p.add_argument("n", type=int)
-    p.add_argument("entries", type=int, nargs="+")
+
+def _render_args(p):
+    _n_entries(p)
     p.add_argument("--range", type=float, required=True, help="plot half-width")
     p.add_argument("--unit-res", type=int, required=True, help="pixels per unit")
     p.add_argument("-o", "--out", required=True)
     _add_budget(p)
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("reduce", help="row-reduce the orbit matrix over Z/nZ")
-    p.add_argument("n", type=int)
-    p.add_argument("entries", type=int, nargs="+")
+
+def _reduce_args(p):
+    _n_entries(p)
     p.add_argument("--reducer", help="JSON rows of a reducer matrix to validate instead of eliminating")
     p.add_argument("--expect-b", help="JSON file with the expected reduced matrix; mismatch exits 1")
     p.add_argument("--grid", type=int, help="also sample the torus map on this grid")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--out")
     _add_budget(p)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("table", help="supercharacter table at (n, d)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+
+def _table_args(p):
+    _n_d(p)
     p.add_argument("--check-unitary", action="store_true", help="print normalization residuals instead of the table")
     p.add_argument("--max-orbits", type=int, default=2000)
     p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("walk", help="restricted-walk modulus reduction check")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+
+def _walk_args(p):
+    _n_d(p)
     p.add_argument("a", type=int)
     _add_budget(p)
-    p.set_defaults(func=cmd_walk)
 
-    p = sub.add_parser("solve", help="solve a*j + b*k + d*j*k = gcd(n,d) mod n")
+
+def _solve_args(p):
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true", help="exhaustive scan (lexicographically smallest pair)")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="run an identity sweep, one JSON line per check")
+
+def _verify_args(p):
     p.add_argument(
         "check",
         choices=[
@@ -388,13 +390,40 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10, help="random y per orbit (verify permanent)")
     p.add_argument("--seed", type=int, default=0)
     _add_budget(p)
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, handler, adds its arguments), in the order --help lists them
+COMMANDS = {
+    "orbits": ("list canonical orbit representatives", cmd_orbits, _n_d),
+    "eval": ("evaluate sigma_X(y): eval N X... -- Y...", cmd_eval, _eval_args),
+    "image": ("deduplicated value set of sigma_X", cmd_image, _image_args),
+    "render": ("render the image of sigma_X to PNG", cmd_render, _render_args),
+    "reduce": ("row-reduce the orbit matrix over Z/nZ", cmd_reduce, _reduce_args),
+    "table": ("supercharacter table at (n, d)", cmd_table, _table_args),
+    "walk": ("restricted-walk modulus reduction check", cmd_walk, _walk_args),
+    "solve": ("solve a*j + b*k + d*j*k = gcd(n,d) mod n", cmd_solve, _solve_args),
+    "verify": ("run an identity sweep, one JSON line per check", cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with every subcommand, or with only `command`, which reads
+    that command's arguments the same way and costs a fraction to build."""
+    parser = _Parser(prog="symchar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else (command,):
+        help_text, func, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # --help, a missing command and an unknown one need the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

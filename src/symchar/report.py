@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 from .orbits import OrbitRep
 
@@ -61,21 +60,39 @@ def _fields_json(fields: Any) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class _ReportFields(NamedTuple):
+    name: str
+    params: dict
+    exact: bool
+    passed: bool
+    witness: dict | None
+    info: dict | None
+
+
+class IdentityReport(_ReportFields):
     """Outcome of one verification.
 
     exact=True means the comparison was integer/counts-level; False means
     it used a numeric tolerance.  witness carries the failing instance
-    when passed is False.
+    when passed is False.  params defaults to a new empty dict.
+
+    An immutable named tuple: a sweep builds one per check, and a frozen
+    dataclass costs about three times as much to build, through one
+    object.__setattr__ per field.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
-    exact: bool = True
-    passed: bool = True
-    witness: dict | None = None
-    info: dict | None = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        params: dict | None = None,
+        exact: bool = True,
+        passed: bool = True,
+        witness: dict | None = None,
+        info: dict | None = None,
+    ):
+        return tuple.__new__(cls, (name, {} if params is None else params, exact, passed, witness, info))
 
     def to_json(self) -> str:
         """One JSON line, equal byte for byte to

@@ -306,15 +306,27 @@ def test_normal_offsets_and_cusps(d):
     assert not hypocycloid_contains_many(outside, d).any()
 
 
-def reference_contains(values, d, tol=1e-9):
-    """hypocycloid_contains_many for d >= 3 without the inner-disk accept:
-    the radial test for every value, then the nearest-point fallback."""
+def _fold(values, d):
+    """|p| and arg p folded into the wedge [0, pi/d]."""
     z = np.asarray(values, dtype=complex)
-    r = np.abs(z)
     wedge = 2 * pi / d
     phi = np.mod(np.angle(z), wedge)
-    phi = np.minimum(phi, wedge - phi)
-    ok = r <= np.abs((d - 1) + np.exp(-1j * d * asymptotic._param_at_angle(phi, d))) + tol
+    return np.abs(z), np.minimum(phi, wedge - phi)
+
+
+def reference_radial(r, phi, d, tol):
+    """r <= rho(phi) + tol, with the curve's parameter at angle phi found by
+    bisection."""
+    return r <= np.abs((d - 1) + np.exp(-1j * d * asymptotic._param_at_angle(phi, d))) + tol
+
+
+def reference_contains(values, d, tol=1e-9):
+    """hypocycloid_contains_many for d >= 3 as it was before the closed-form
+    radial test and without the inner-disk accept: a bisection for the
+    curve's parameter at each value's angle, the radial test against the
+    radius there, then the nearest-point fallback."""
+    r, phi = _fold(values, d)
+    ok = reference_radial(r, phi, d, tol)
     rest = np.flatnonzero(~ok)
     if len(rest):
         p = r[rest] * np.exp(1j * phi[rest])
@@ -354,6 +366,51 @@ def test_inner_disk_accept_keeps_every_verdict(d, monkeypatch):
     inner = pts[np.abs(pts) <= d - 2]
     assert hypocycloid_contains_many(inner, d).all()
     assert sizes == [] or max(sizes) == 0
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_closed_form_radial_test_keeps_every_verdict(d):
+    # curve points near the cusps (t = 2 pi k/d) and the valleys
+    # (t = pi/d + 2 pi k/d), anywhere on the curve and exactly at both,
+    # moved radially by 0, 0.5, 0.999, 1.001 and 2 tol inward and outward,
+    # and points on the inscribed circle |p| = d - 2
+    tol = 1e-9
+    rng = np.random.default_rng(d)
+    k = 2 * pi * rng.integers(d, size=600) / d
+    t = np.concatenate(
+        [
+            k[:300] + rng.normal(0, 1e-3, 300),
+            k[300:] + pi / d + rng.normal(0, 1e-3, 300),
+            rng.uniform(0, 2 * pi, 300),
+            2 * pi * np.arange(d) / d,
+            pi / d + 2 * pi * np.arange(d) / d,
+        ]
+    )
+    on = _curve(t, d)
+    offsets = tol * np.array([0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2, -2])
+    moved = on[None, :] * (1 + offsets[:, None] / np.abs(on)[None, :])
+    circle = (d - 2) * np.exp(1j * rng.uniform(0, 2 * pi, 300))
+    pts = np.concatenate([moved.ravel(), circle])
+    want = reference_contains(pts, d, tol)
+    assert 0 < want.sum() < len(pts)
+    with np.errstate(invalid="raise"):
+        assert hypocycloid_contains_many(pts, d, tol).tolist() == want.tolist()
+    # the radial flags alone agree too, except within 1e-6 of a cusp's ray:
+    # there the radius on a ray changes fast with its angle, so the
+    # bisection's radius is off by more than the tol boundary's margin
+    r, phi = _fold(pts, d)
+    away = phi > 1e-6
+    radial = asymptotic._radial_accept(r, phi, d, tol)
+    assert 0 < radial[away].sum() < away.sum()
+    assert radial[away].tolist() == reference_radial(r, phi, d, tol)[away].tolist()
+
+
+@pytest.mark.parametrize("n, d", [(13, 6), (15, 6), (16, 6), (19, 5), (20, 5)])
+def test_bench_images_never_reach_the_fallback(n, d, monkeypatch):
+    calls = []
+    monkeypatch.setattr(asymptotic, "_bisect", lambda *args: calls.append(args))
+    assert hypocycloid_orbit_check(n, d).passed
+    assert calls == []
 
 
 def test_orbit_check_small():

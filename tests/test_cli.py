@@ -82,6 +82,26 @@ def test_eval_needs_separator(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [["eval", "3", "--", "1", "2"], ["eval", "3", "--", "1", "--", "2"], ["eval", "3", "--"]])
+def test_eval_separator_right_after_n_means_no_entries(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "orbit entries required"}
+
+
+def test_eval_separator_before_n_ends_options(capsys):
+    expected = run_cli(["eval", "3", "0", "1", "--", "1", "2"], capsys)
+    assert expected[0] == 0
+    assert run_cli(["eval", "--", "3", "0", "1", "--", "1", "2"], capsys) == expected
+    assert run_cli(["eval", "--oracle", "--", "3", "0", "1", "--", "1", "2"], capsys)[1].startswith(expected[1])
+
+
+def test_eval_without_n(capsys):
+    code, _, err = run_cli(["eval"], capsys)
+    assert code == 2
+    assert json.loads(err)["detail"] == "the following arguments are required: n, rest"
+
+
 def test_eval_length_mismatch(capsys):
     code, _, err = run_cli(["eval", "3", "0", "1", "--", "1"], capsys)
     assert code == 2
@@ -373,3 +393,46 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"j": 1, "k": 1, "method": "crt"}
+
+
+SAMPLE_ARGV = {
+    "orbits": ["orbits", "3", "2"],
+    "eval": ["eval", "3", "0", "1", "--oracle", "--", "1", "2"],
+    "image": ["image", "5", "0", "1", "--full-group", "--format", "json", "-o", "x.json", "--budget", "100"],
+    "render": ["render", "5", "0", "1", "--range", "2", "--unit-res", "3", "-o", "x.png"],
+    "reduce": ["reduce", "47", "1", "2", "44", "--grid", "47", "--format", "json"],
+    "table": ["table", "3", "2", "--check-unitary", "--max-orbits", "9"],
+    "walk": ["walk", "24", "4", "8", "--budget", "100"],
+    "solve": ["solve", "7", "0", "5", "12", "--brute"],
+    "verify": ["verify", "hypocycloid", "--n", "13", "--d", "6", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_parses_as_the_full_one(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = SAMPLE_ARGV[command]
+    assert cli.build_parser(command).parse_args(argv) == cli.build_parser().parse_args(argv)
+    helps = []
+    for parser in (cli.build_parser(command), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: symchar {command} ")
+
+
+def test_main_builds_only_the_command_it_runs(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    assert main(["solve", "7", "0", "5", "12"]) == 0
+    assert main(["nosuch"]) == 2
+    assert built == ["solve", None]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{orbits,eval,image,render,reduce,table,walk,solve,verify}" in capsys.readouterr().out

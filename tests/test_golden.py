@@ -68,6 +68,16 @@ SWEEP_GOLDEN = [
 ]
 
 
+# verify hypocycloid at d = 3 and 4, and at n = 30, d = 6, where 2d divides n
+# so some values sit exactly at the curve's valleys.  A list of its own, so
+# the ids of GOLDEN cases do not change.
+HYPOCYCLOID_GOLDEN = [
+    (["verify", "hypocycloid", "--n", "40", "--d", "3"], "d0c4d8c73a019970f930b9afdc9ed1f22df36a460468dccdd95beafb8cf7bc1f"),
+    (["verify", "hypocycloid", "--n", "31", "--d", "4"], "0a0e53103392952ce57e371b4c0176e8f660893ebd25c714fcad5843ce9303b0"),
+    (["verify", "hypocycloid", "--n", "30", "--d", "6"], "6caad9d2799856b8819b4430e283171c3b4071c87ee12ac79ee4153108d45ebc"),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -84,5 +94,11 @@ def test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("argv, stdout_digest", SWEEP_GOLDEN, ids=["-".join(g[0][1::2]) for g in SWEEP_GOLDEN])
 def test_sweep_golden_digest(argv, stdout_digest, capsys):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+@pytest.mark.parametrize("argv, stdout_digest", HYPOCYCLOID_GOLDEN, ids=["-".join(g[0][3::2]) for g in HYPOCYCLOID_GOLDEN])
+def test_hypocycloid_golden_digest(argv, stdout_digest, capsys):
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
