@@ -19,7 +19,6 @@ from .errors import (
     VerificationFailed,
 )
 from .evaluate import (
-    PointCloud,
     dot_counts,
     image,
     permanent_oracle,
@@ -49,7 +48,6 @@ __all__ = [
     "NoUnitPivot",
     "NotAUnit",
     "OrbitRep",
-    "PointCloud",
     "SymcharError",
     "VerificationFailed",
     "canonicalize",

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, HypothesisFailed, NoUnitPivot, VerificationFailed
-from .evaluate import DEFAULT_BUDGET, PointCloud, image, orbit_array, root_sums
+from . import evaluate
+from .evaluate import DEFAULT_BUDGET, TOL, image, orbit_array, root_sums
 from .modring import mod_inverse
 from .orbits import OrbitRep, canonicalize, orbit_count, point_array
 from .report import IdentityReport
@@ -285,8 +286,8 @@ def sample_torus_map(
     exponents: ExponentMatrix | Sequence[Sequence[int]],
     grid: int,
     budget: int = DEFAULT_BUDGET,
-) -> PointCloud:
-    """Evaluate the monomial map at all grid-th roots of unity.
+) -> tuple[complex, ...]:
+    """Evaluate the monomial map at all grid-th roots of unity, deduplicated.
 
     z_j = e(m_j / grid) over every tuple m in [0, grid)^variables, in
     odometer order; each term l contributes e((sum_j e[j][l] m_j) / grid).
@@ -305,7 +306,7 @@ def sample_torus_map(
         raise BudgetExceeded(total, budget)
     emat = np.array(rows, dtype=np.int64)  # (vars x terms)
     values = root_sums(grid, emat.T % grid, point_array(grid, v))
-    return PointCloud.from_values(grid, v, None, values)
+    return evaluate.dedupe_values(values)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +345,7 @@ def _radial_accept(r: np.ndarray, phi: np.ndarray, d: int, tol: float) -> np.nda
     return (s <= d - 2) | ((s <= d) & (phi <= t + np.angle((d - 1) + np.exp(-1j * d * t))))
 
 
-def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e-9) -> np.ndarray:
+def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = TOL) -> np.ndarray:
     """Which values lie in the filled d-cusp hypocycloid, up to tol.
 
     tol is a Euclidean distance: a value passes exactly when its distance
@@ -415,24 +416,19 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = 1e
     return ok
 
 
-def hypocycloid_orbit_check(
-    n: int,
-    d: int,
-    tol: float = 1e-9,
-    budget: int = DEFAULT_BUDGET,
-) -> IdentityReport:
-    """Every value of sigma_X for X = orbit of (1,...,1,1-d) lies within tol
+def hypocycloid_orbit_check(n: int, d: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
+    """Every value of sigma_X for X = orbit of (1,...,1,1-d) lies within TOL
     of the filled d-cusp hypocycloid; the witness lists every value that
     does not."""
     if d < 2:
         raise ValueError("needs d >= 2")
     rep = canonicalize((1,) * (d - 1) + (1 - d,), n)
-    cloud = image(rep, budget=budget)
-    ok = hypocycloid_contains_many(cloud.values, d, tol)
+    values = image(rep, budget=budget)
+    ok = hypocycloid_contains_many(values, d)
     passed = bool(ok.all())
     witness = None
     if not passed:
-        witness = {"x": rep, "outside": [cloud.values[i] for i in np.flatnonzero(~ok)]}
+        witness = {"x": rep, "outside": [values[i] for i in np.flatnonzero(~ok)]}
     superclasses = orbit_count(n, d)
     return IdentityReport(
         "hypocycloid",
@@ -441,8 +437,8 @@ def hypocycloid_orbit_check(
         passed,
         witness,
         info={
-            "points": len(cloud.values),
+            "points": len(values),
             "superclasses": superclasses,
-            "fill_ratio": len(cloud.values) / superclasses,
+            "fill_ratio": len(values) / superclasses,
         },
     )

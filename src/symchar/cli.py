@@ -28,6 +28,7 @@ from . import asymptotic, identities, render, table
 from .errors import BudgetExceeded, DimensionTooLarge, HypothesisFailed, NoUnitPivot, SymcharError
 from .evaluate import (
     DEFAULT_BUDGET,
+    TOL,
     counts_value,
     dot_counts,
     image,
@@ -64,13 +65,11 @@ def _output_path(path: str | None) -> str | None:
 
 
 def _jobspec(args, entries) -> OrbitRep:
-    """Validate the modulus, entries and budget; the canonical orbit of entries."""
+    """Validate the modulus and entries; the canonical orbit of entries."""
     if args.n <= 0:
         raise UsageError(f"modulus must be positive, got {args.n}")
     if not entries:
         raise UsageError("orbit entries required")
-    if args.budget <= 0:
-        raise UsageError("budget must be positive")
     rep = canonicalize(entries, args.n)
     if rep.entries != tuple(entries):
         print(
@@ -135,8 +134,8 @@ def cmd_eval(args) -> int:
 
 def cmd_image(args) -> int:
     rep = _jobspec(args, args.entries)
-    cloud = image(rep, budget=args.budget, full_group=args.full_group)
-    _write_or_print(render.export_points(cloud.values, args.format), _output_path(args.out))
+    values = image(rep, budget=args.budget, full_group=args.full_group)
+    _write_or_print(render.export_points(values, args.format), _output_path(args.out))
     return 0
 
 
@@ -147,10 +146,9 @@ def cmd_render(args) -> int:
         spec = render.BitmapSpec(args.range, args.unit_res)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cloud = image(rep, budget=args.budget)
-    img = render.render_bitmap(cloud.values, spec)
-    render.write_png(img, out)
-    print(f"wrote {out} ({spec.side}x{spec.side}, {len(cloud.values)} points)")
+    values = image(rep, budget=args.budget)
+    render.write_png(render.render_bitmap(values, spec), out)
+    print(f"wrote {out} ({spec.side}x{spec.side}, {len(values)} points)")
     return 0
 
 
@@ -181,8 +179,8 @@ def cmd_reduce(args) -> int:
         exponents = asymptotic.torus_map(cert)
         print(exponents.to_json())
         if args.grid is not None:
-            cloud = asymptotic.sample_torus_map(exponents, args.grid, budget=args.budget)
-            _write_or_print(render.export_points(cloud.values, args.format), _output_path(args.out))
+            values = asymptotic.sample_torus_map(exponents, args.grid, budget=args.budget)
+            _write_or_print(render.export_points(values, args.format), _output_path(args.out))
     return 0
 
 
@@ -270,10 +268,13 @@ def cmd_verify(args) -> int:
         bad = 0
         for rep in enumerate_orbits(n, d):
             ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
-            bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > 1e-9).sum())
+            bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > TOL).sum())
         print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
         return 0 if bad == 0 else 1
     if check == "unitary":
+        total = orbit_count(n, d) ** 2
+        if total > args.budget:
+            raise BudgetExceeded(total, args.budget)
         tab = table.build_table(n, d)
         uni = table.build_unitary(tab)
         ok = _unitary_ok(uni)
@@ -297,8 +298,17 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Budget(argparse.Action):
+    """--budget, refused as a usage error unless it is positive."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value <= 0:
+            raise UsageError("budget must be positive")
+        setattr(namespace, self.dest, value)
+
+
 def _add_budget(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max superclass evaluations")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, action=_Budget, help="max superclass evaluations")
 
 
 def _add_eval_options(p):

@@ -14,7 +14,6 @@ identities become exact index shifts and reversals along the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
 from typing import Iterable, Sequence
@@ -36,6 +35,8 @@ from .orbits import (
 DEFAULT_BUDGET = 5_000_000
 PERMANENT_MAX_D = 10
 DEDUPE_DECIMALS = 9
+# Euclidean distance within which two computed values count as one point
+TOL = 1e-9
 # evaluation blocks are capped at this many (orbit element, point) pairs,
 # so that their scratch arrays (about 2 MB in root_sums) stay in cache
 _BLOCK_CELLS = 65_536
@@ -158,7 +159,7 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# point clouds
+# value sets: deduplicated tuples of complex values
 
 
 def _round_coord(v: float) -> float:
@@ -235,71 +236,44 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     return tuple(arr[keep].tolist())
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Deduplicated set of supercharacter values in the complex plane."""
+def _unmatched(a: Iterable[complex], b: Iterable[complex], tol: float) -> list[complex]:
+    """The points of a, in order, with no point of b within tol.
 
-    n: int
-    d: int
-    rep: OrbitRep | None
-    values: tuple[complex, ...]
-
-    @classmethod
-    def from_values(cls, n, d, rep, values):
-        return cls(n, d, rep, dedupe_values(values))
-
-
-class _Matcher:
-    """Tolerance-based membership for a set of complex points.
-
-    Buckets points on a grid of width 2*tol; a query within tol of a
-    stored point is always found by scanning the 3x3 neighborhood of its
-    own bucket.
+    b goes into buckets on a grid of width 2*tol, so a point within tol of
+    z lies in the 3x3 block of buckets around z's own.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    width = 2.0 * tol
+    buckets: dict[tuple[int, int], list[complex]] = {}
+    for w in b:
+        buckets.setdefault((floor(w.real / width + 0.5), floor(w.imag / width + 0.5)), []).append(w)
 
-    def __init__(self, values: Iterable[complex], tol: float = 1e-9):
-        self.tol = tol
-        self.width = 2.0 * tol
-        self.buckets: dict[tuple[int, int], list[complex]] = {}
-        for z in values:
-            self.buckets.setdefault(self._key(z), []).append(z)
-
-    def _key(self, z: complex) -> tuple[int, int]:
-        return (floor(z.real / self.width + 0.5), floor(z.imag / self.width + 0.5))
-
-    def contains(self, z: complex) -> bool:
-        kr, ki = self._key(z)
+    def matched(z: complex) -> bool:
+        kr, ki = floor(z.real / width + 0.5), floor(z.imag / width + 0.5)
         for dr in (-1, 0, 1):
             for di in (-1, 0, 1):
-                for w in self.buckets.get((kr + dr, ki + di), ()):
-                    if abs(z - w) <= self.tol:
+                for w in buckets.get((kr + dr, ki + di), ()):
+                    if abs(z - w) <= tol:
                         return True
         return False
 
-
-def values_match(a: Iterable[complex], b: Iterable[complex], tol: float = 1e-9) -> bool:
-    """Symmetric set equality up to tol: every point of each side is
-    within tol of some point of the other."""
-    only_a, only_b = cloud_difference(a, b, tol)
-    return not only_a and not only_b
+    return [z for z in a if not matched(z)]
 
 
-def cloud_difference(a: Iterable[complex], b: Iterable[complex], tol: float = 1e-9) -> tuple[list[complex], list[complex]]:
-    """Points of a not matched in b, and points of b not matched in a."""
-    a = list(a)
-    b = list(b)
-    mb = _Matcher(b, tol)
-    ma = _Matcher(a, tol)
-    return [z for z in a if not mb.contains(z)], [w for w in b if not ma.contains(w)]
+def cloud_difference(a: Iterable[complex], b: Iterable[complex], tol: float = TOL) -> tuple[list[complex], list[complex]]:
+    """Points of a not within tol of a point of b, and points of b not within
+    tol of a point of a.  Both are empty exactly when the sets match."""
+    a, b = list(a), list(b)
+    return _unmatched(a, b, tol), _unmatched(b, a, tol)
 
 
-def rotation_closed(values: Sequence[complex], fold: int, tol: float = 1e-9) -> bool:
-    """Is the value set invariant under rotation by 2*pi/fold?"""
+def rotation_closed(values: Sequence[complex], fold: int, tol: float = TOL) -> bool:
+    """Is every value rotated by 2*pi/fold within tol of a value?"""
     if fold <= 1:
         return True
     rot = np.exp(2j * np.pi / fold)
-    matcher = _Matcher(values, tol)
-    return all(matcher.contains(z * rot) for z in values)
+    return not _unmatched([z * rot for z in values], values, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +329,8 @@ def image(
     rep: OrbitRep,
     budget: int = DEFAULT_BUDGET,
     full_group: bool = False,
-) -> PointCloud:
-    """All values of sigma_X, deduplicated.
+) -> tuple[complex, ...]:
+    """All values of sigma_X, deduplicated by dedupe_values.
 
     By default y runs over the canonical superclass representatives (the
     value is constant on superclasses), and only over those whose first
@@ -374,15 +348,15 @@ def image(
     if total > budget:
         raise BudgetExceeded(total, budget)
     points = point_array(n, d) if full_group else superclass_array(n, d, rotation_order(rep))
-    return PointCloud.from_values(n, d, rep, values_on_block(rep, points))
+    return dedupe_values(values_on_block(rep, points))
 
 
-def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> PointCloud:
+def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, ...]:
     """Union of the images of every orbit at (n, d), deduplicated."""
     count = orbit_count(n, d)
     if count * count > budget:
         raise BudgetExceeded(count * count, budget)
     values: list[complex] = []
     for rep in enumerate_orbits(n, d):
-        values.extend(image(rep, budget=budget).values)
-    return PointCloud.from_values(n, d, None, values)
+        values.extend(image(rep, budget=budget))
+    return dedupe_values(values)

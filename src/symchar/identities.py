@@ -15,8 +15,16 @@ one-row case):
 * reflection       X = r*1 - X implies sigma_X(y) = e(r[y]/n) conj(sigma_X(y)),
   a shifted index reversal, which pins values to 2n/gcd(r,n) rays.
 
-Numeric tolerances appear only where the claim itself is geometric
-(rotational closure of a computed point set, ray membership).
+Numeric tolerances appear only where the claim is about computed floats.
+Each is evaluate.TOL, a Euclidean distance in the complex plane (the
+default of spike_identity's tol):
+
+* rotational closure of an image or of the union of all images
+  (sweep_dihedral, full_union_symmetry);
+* equality of the two walk images as point sets (walk_reduction_check);
+* ray membership of spike values (spike_identity);
+* the factored form of the spike orbit's values and the bounds of its
+  real factor (spike_factor_check).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 from .errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from .evaluate import (
     DEFAULT_BUDGET,
+    TOL,
     cloud_difference,
     counts_value,
     dot_counts,
@@ -182,16 +191,11 @@ def dihedral_order(x_rep: OrbitRep) -> int:
     return rotation_order(x_rep)
 
 
-def full_union_symmetry(
-    n: int,
-    d: int,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-9,
-) -> int:
+def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Rotational symmetry order n/gcd(n,d) of the union of all images.
 
     Verifies two ways: the computed union point set is closed under
-    rotation by 2*pi*gcd(n,d)/n within tol, and for sampled (X, Y) the
+    rotation by 2*pi*gcd(n,d)/n within TOL, and for sampled (X, Y) the
     bilinear congruence solver produces (j, k) whose translation shifts
     the counts by exactly gcd(n, d), exhibiting the rotated value as
     another supercharacter value.  X and Y each run over a sample of
@@ -199,8 +203,7 @@ def full_union_symmetry(
     """
     g = gcd(n, d)
     order = n // g
-    cloud = union_image(n, d, budget=budget)
-    if not rotation_closed(cloud.values, order, tol):
+    if not rotation_closed(union_image(n, d, budget=budget), order):
         raise VerificationFailed(
             "union cloud not rotation-closed", witness={"n": n, "d": d, "order": order}
         )
@@ -247,7 +250,7 @@ def spike_identity(
     x_rep: OrbitRep,
     r: int,
     y: OrbitRep | Sequence[int] | None = None,
-    tol: float = 1e-9,
+    tol: float = TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X.
@@ -310,11 +313,12 @@ def spike_identity(
     )
 
 
-def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
+def spike_factor_check(n: int, d: int) -> IdentityReport:
     """For X = orbit of (0, 1, ..., 1, 2), check the factored form.
 
     sigma_X(y) = e([y]/n) * (|W(y)|^2 - d) where W(y) = sum e(y_i/n) is
-    the d-step walk sum; the real factor lies in [-d, d^2 - d].
+    the d-step walk sum; the real factor lies in [-d, d^2 - d].  Both
+    hold within TOL, over every superclass y.
     """
     if d < 2:
         raise HypothesisFailed("needs d >= 2")
@@ -331,7 +335,7 @@ def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
     factor = np.hypot(walk.real, walk.imag) ** 2 - d
     predicted = table[ys.sum(axis=1) % n] * factor
     error = z - predicted
-    bad = np.flatnonzero(np.hypot(error.real, error.imag) > tol)
+    bad = np.flatnonzero(np.hypot(error.real, error.imag) > TOL)
     good = factor[: bad[0] if len(bad) else len(ys)]
     lo = float(good.min()) if len(good) else float("inf")
     hi = float(good.max()) if len(good) else float("-inf")
@@ -340,7 +344,7 @@ def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
         i = bad[0]
         y_rep = OrbitRep(n, tuple(ys[i].tolist()))
         witness = {"x": x_rep, "y": y_rep, "value": complex(z[i]), "predicted": complex(predicted[i])}
-    passed = witness is None and lo >= -d - tol and hi <= d * d - d + tol
+    passed = witness is None and lo >= -d - TOL and hi <= d * d - d + TOL
     return IdentityReport(
         "spike-factor",
         {"x": x_rep, "n": n, "d": d},
@@ -355,11 +359,9 @@ def spike_factor_check(n: int, d: int, tol: float = 1e-9) -> IdentityReport:
 # restricted walks
 
 
-def walk_reduction_check(
-    n: int, d: int, a: int, budget: int = DEFAULT_BUDGET, tol: float = 1e-9
-) -> IdentityReport:
+def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Image of the orbit of (0,...,0,a) mod n equals the image of
-    (0,...,0,1) mod n/gcd(n,a), as point sets.
+    (0,...,0,1) mod n/gcd(n,a), as point sets matched within TOL.
 
     sigma for this orbit is the d-step walk sum with step a, and a*y mod n
     ranges over exactly the multiples of gcd(n, a).
@@ -372,7 +374,7 @@ def walk_reduction_check(
     r = n // gcd(n, a)
     big = image(canonicalize((0,) * (d - 1) + (a,), n), budget=budget)
     small = image(canonicalize((0,) * (d - 1) + (1,), r), budget=budget)
-    only_big, only_small = cloud_difference(big.values, small.values, tol)
+    only_big, only_small = cloud_difference(big, small)
     passed = not only_big and not only_small
     witness = None
     if not passed:
@@ -383,7 +385,7 @@ def walk_reduction_check(
         False,
         passed,
         witness,
-        info={"points": len(big.values), "reduced_points": len(small.values)},
+        info={"points": len(big), "reduced_points": len(small)},
     )
 
 
@@ -438,24 +440,30 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
             )
 
 
-def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> Iterator[IdentityReport]:
+def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+    """Each image is closed under rotation by 2*pi/dihedral_order(X), within TOL.
+
+    The N images of N superclasses each count against the budget, N^2 in
+    all, before the first one is computed.
+    """
+    count = orbit_count(n, d)
+    if count * count > budget:
+        raise BudgetExceeded(count * count, budget)
     for x_rep in enumerate_orbits(n, d):
         order = dihedral_order(x_rep)
-        cloud = image(x_rep, budget=budget)
-        ok = rotation_closed(cloud.values, order, tol)
+        values = image(x_rep, budget=budget)
+        ok = rotation_closed(values, order)
         yield IdentityReport(
             "dihedral",
             {"x": x_rep, "order": order},
             False,
             ok,
             None if ok else {"x": x_rep, "order": order},
-            info={"points": len(cloud.values)},
+            info={"points": len(values)},
         )
 
 
-def sweep_spikes(
-    n: int, d: int, tol: float = 1e-9, budget: int = DEFAULT_BUDGET
-) -> Iterator[IdentityReport]:
+def sweep_spikes(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
     count = orbit_count(n, d)
     total = count * count
     if total > budget:
@@ -463,4 +471,4 @@ def sweep_spikes(
     for x_rep in enumerate_orbits(n, d):
         r = spike_detect(x_rep)
         if r is not None:
-            yield spike_identity(x_rep, r, tol=tol, budget=budget)
+            yield spike_identity(x_rep, r, budget=budget)

@@ -70,6 +70,32 @@ def test_eval_budget_before_separator_is_read(capsys):
     assert json.loads(err) == {"error": "usage", "detail": "budget must be positive"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--budget", "0", "3", "0", "1", "--", "1", "2"],
+        ["image", "5", "0", "1", "--budget", "0"],
+        ["image", "5", "0", "1", "--budget", "-5"],
+        ["render", "5", "0", "1", "--range", "2", "--unit-res", "4", "-o", "x.png", "--budget", "0"],
+        ["reduce", "47", "1", "2", "44", "--grid", "5", "--budget", "0"],
+        ["walk", "24", "4", "16", "--budget", "0"],
+        ["walk", "24", "4", "16", "--budget", "-5"],
+        *(
+            ["verify", check, "--n", "3", "--d", "2", "--a", "1", "--budget", "0"]
+            for check in (
+                "conjugate", "translation", "constancy", "dihedral", "spikes",
+                "full-union", "walk", "hypocycloid", "permanent", "unitary",
+            )
+        ),
+    ],
+)
+def test_nonpositive_budget_is_a_usage_error(argv, capsys):
+    # the same check for every command that takes --budget, before any work
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "budget must be positive"}
+
+
 def test_eval_negative_entries_stay_numbers(capsys):
     code, out, _ = run_cli(["eval", "5", "-1", "2", "--oracle", "--", "-4", "1"], capsys)
     assert code == 0
@@ -167,6 +193,8 @@ def test_budget_exit_code(capsys):
         ("translation", [], 6 * 6 * 3 * 3),
         ("constancy", [], 6 * 3**2),
         ("spikes", [], 6 * 6),
+        ("dihedral", [], 6 * 6),
+        ("unitary", [], 6 * 6),
         ("permanent", ["--samples", "4"], 6 * 4),
     ],
 )

@@ -11,6 +11,7 @@ from symchar.errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from symchar.evaluate import (
     DEDUPE_DECIMALS,
     DEFAULT_BUDGET,
+    cloud_difference,
     counts_value,
     dedupe_values,
     dot_counts,
@@ -18,9 +19,9 @@ from symchar.evaluate import (
     orbit_array,
     permanent_oracle,
     roots_of_unity,
+    rotation_closed,
     supercharacter,
     union_image,
-    values_match,
     values_on_block,
 )
 from symchar.orbits import (
@@ -253,21 +254,17 @@ def test_symmetrized_counts_cutoff():
 
 
 def test_image_d1_is_root_circle():
-    cloud = image(canonicalize((1,), 5))
     expect = [e(k / 5) for k in range(5)]
-    assert values_match(cloud.values, expect)
+    assert cloud_difference(image(canonicalize((1,), 5)), expect) == ([], [])
 
 
 def test_image_full_group_agrees_with_reps():
     rep = canonicalize((1, 2), 3)
-    a = image(rep)
-    b = image(rep, full_group=True)
-    assert values_match(a.values, b.values)
+    assert cloud_difference(image(rep), image(rep, full_group=True)) == ([], [])
 
 
 def test_image_zero_orbit():
-    cloud = image(canonicalize((0, 0), 4))
-    assert values_match(cloud.values, [1.0])
+    assert cloud_difference(image(canonicalize((0, 0), 4)), [1.0]) == ([], [])
 
 
 def test_image_budget_enforced():
@@ -375,7 +372,7 @@ def _orbits(draw):
 def test_image_matches_full_sweep(rep, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the prefix into blocks
-        values = image(rep).values
+        values = image(rep)
     assert repr(values) == repr(full_sweep_image(rep))
 
 
@@ -397,8 +394,7 @@ def test_image_sweeps_only_the_rotation_prefix(monkeypatch):
 
 def test_max_modulus_at_zero():
     rep = canonicalize((1, 3, 4), 9)
-    cloud = image(rep)
-    assert max(abs(v) for v in cloud.values) <= orbit_size(rep) + 1e-9
+    assert max(abs(v) for v in image(rep)) <= orbit_size(rep) + 1e-9
 
 
 def test_dedupe_values():
@@ -526,24 +522,47 @@ def test_dedupe_values_keeps_first_signed_zero():
     assert dedupe_values([]) == ()
 
 
-def test_values_match_respects_tolerance():
-    assert values_match([1 + 0j], [1 + 5e-10j], tol=1e-9)
-    assert not values_match([1 + 0j], [1 + 1e-8j], tol=1e-9)
-    assert not values_match([1 + 0j, 2 + 0j], [1 + 0j])
+def test_cloud_difference_respects_tolerance():
+    assert cloud_difference([1 + 0j], [1 + 5e-10j], tol=1e-9) == ([], [])
+    assert cloud_difference([1 + 0j], [1 + 1e-8j], tol=1e-9) == ([1 + 0j], [1 + 1e-8j])
+    assert cloud_difference([1 + 0j, 2 + 0j], [1 + 0j]) == ([2 + 0j], [])
 
 
-def test_values_match_across_bucket_edges():
+def test_cloud_difference_across_bucket_edges():
     # values straddling a rounding-bucket boundary must still pair up
     base = 0.1234567895
-    assert values_match([base + 4.9e-10 + 0j], [base - 4.9e-10 + 0j], tol=1e-9)
+    assert cloud_difference([base + 4.9e-10 + 0j], [base - 4.9e-10 + 0j], tol=1e-9) == ([], [])
+
+
+def test_cloud_difference_keeps_input_order():
+    a = [3 + 0j, 1j, 2 + 0j, 1 + 0j, -1j]
+    assert cloud_difference(a, [1j, 1 + 1e-10j]) == ([3 + 0j, 2 + 0j, -1j], [])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError):
+        cloud_difference([1 + 0j], [1 + 0j], tol=tol)
+    with pytest.raises(ValueError):
+        cloud_difference([], [], tol=tol)
+    with pytest.raises(ValueError):
+        rotation_closed([1 + 0j, -1 + 0j], 2, tol=tol)
+
+
+def test_rotation_closed_within_tolerance():
+    square = [1 + 0j, 1j, -1 + 0j, -1j]
+    assert rotation_closed(square, 4) and rotation_closed(square, 2)
+    assert not rotation_closed(square, 3)
+    assert not rotation_closed(square[:3], 4)
+    assert rotation_closed([1 + 0j, 2e-9 + 1j, -1 + 0j, -1j], 4, tol=3e-9)
+    assert not rotation_closed([1 + 0j, 2e-9 + 1j, -1 + 0j, -1j], 4)
+    assert rotation_closed([5 + 0j], 1) and rotation_closed([], 3)
 
 
 def test_union_image_contains_each_orbit():
     cloud = union_image(3, 2)
     for rep in enumerate_orbits(3, 2):
-        single = image(rep)
-        for v in single.values:
-            assert values_match([v], cloud.values) or any(abs(v - u) <= 1e-9 for u in cloud.values)
+        assert cloud_difference(image(rep), cloud)[0] == []
 
 
 def test_default_budget_value():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symchar import identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
-from symchar.evaluate import PointCloud, dot_counts, supercharacter
+from symchar.evaluate import dot_counts, supercharacter
 from symchar.identities import (
     conjugate_identity,
     dihedral_order,
@@ -109,6 +109,16 @@ def test_dihedral_order_shift_covariance():
 def test_dihedral_sweep():
     for rep in sweep_dihedral(5, 2):
         assert rep.passed, rep.to_json()
+
+
+def test_dihedral_sweep_charges_every_image_first(monkeypatch):
+    # n = 5, d = 3: N = 35 images of 35 superclasses each
+    assert sum(rep.passed for rep in sweep_dihedral(5, 3, budget=35 * 35)) == 35
+    monkeypatch.setattr(identities, "image", None)
+    monkeypatch.setattr(identities, "dihedral_order", None)
+    with pytest.raises(BudgetExceeded) as info:
+        next(sweep_dihedral(5, 3, budget=35 * 35 - 1))
+    assert (info.value.required, info.value.budget) == (35 * 35, 35 * 35 - 1)
 
 
 def test_full_union_symmetry_order():
@@ -418,13 +428,12 @@ def test_walk_witness_names_the_mismatch(monkeypatch):
     moved = {}
 
     def perturbed_image(rep, **kwargs):
-        cloud = real_image(rep, **kwargs)
-        if rep.n != 3:  # perturb only the reduced-modulus cloud
-            return cloud
-        moved["from"] = cloud.values[1]
-        moved["to"] = cloud.values[1] + 1e-6
-        values = cloud.values[:1] + (moved["to"],) + cloud.values[2:]
-        return PointCloud(cloud.n, cloud.d, cloud.rep, values)
+        values = real_image(rep, **kwargs)
+        if rep.n != 3:  # perturb only the reduced-modulus image
+            return values
+        moved["from"] = values[1]
+        moved["to"] = values[1] + 1e-6
+        return values[:1] + (moved["to"],) + values[2:]
 
     monkeypatch.setattr(identities, "image", perturbed_image)
     report = walk_reduction_check(24, 3, 8)
