@@ -193,9 +193,9 @@ def test_budget_exit_code(capsys):
         ("translation", [], 6 * 6 * 3 * 3),
         ("constancy", [], 6 * 3**2),
         ("spikes", [], 6 * 6),
+        ("permanent", ["--samples", "4"], 6 * 4),
         ("dihedral", [], 6 * 6),
         ("unitary", [], 6 * 6),
-        ("permanent", ["--samples", "4"], 6 * 4),
     ],
 )
 def test_verify_budget_checked_before_the_first_record(check, extra, required, capsys):
