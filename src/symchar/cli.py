@@ -6,7 +6,7 @@
     symchar render 19 1 1 1 1 1 14 --range 7 --unit-res 30 -o out.png
     symchar verify translation --n 4 --d 3
     symchar reduce 47 1 2 44
-    symchar table 3 2 --check-unitary
+    symchar verify unitary --n 3 --d 2
     symchar walk 24 3 8
     symchar solve 7 0 5 12
 
@@ -35,8 +35,9 @@ from .evaluate import (
     permanent_oracle,
     supercharacter,
 )
-from .modring import solve_bilinear_congruence
+from .modring import solve_bilinear_brute, solve_bilinear_congruence
 from .orbits import OrbitRep, canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
+from .report import _encode
 
 
 class UsageError(Exception):
@@ -152,12 +153,33 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _int_matrix(text: str, rows: int, cols: int, option: str) -> list[list[int]]:
+    """The JSON text of a rows x cols matrix of integers; anything else is a usage error."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    if not (
+        type(value) is list
+        and len(value) == rows
+        and all(type(row) is list and len(row) == cols and all(type(v) is int for v in row) for row in value)
+    ):
+        raise UsageError(f"{option} must be a JSON list of {rows} rows of {cols} integers")
+    return value
+
+
 def cmd_reduce(args) -> int:
     rep = _jobspec(args, args.entries)
     matrix = asymptotic.orbit_matrix(rep)
+    # both inputs are read before the first line is printed
+    expect = None
+    if args.expect_b:
+        with open(args.expect_b) as fh:
+            rows = _int_matrix(fh.read(), matrix.d, matrix.r, "--expect-b")
+        expect = tuple(tuple(v % rep.n for v in row) for row in rows)
     try:
         if args.reducer:
-            rows = json.loads(args.reducer)
+            rows = _int_matrix(args.reducer, matrix.d, matrix.d, "--reducer")
             cert = asymptotic.certificate_from_rows(matrix, rows)
         else:
             cert = asymptotic.row_reduce_mod_n(matrix)
@@ -166,15 +188,12 @@ def cmd_reduce(args) -> int:
         print(json.dumps({"error": "no_unit_pivot", "detail": str(exc)}), file=sys.stderr)
         return 1
     print(cert.to_json())
-    if args.expect_b:
-        with open(args.expect_b) as fh:
-            expect = tuple(tuple(v % rep.n for v in row) for row in json.load(fh))
-        if cert.reduced != expect:
-            print(
-                json.dumps({"error": "reduced_form_mismatch", "expected": [list(r) for r in expect]}),
-                file=sys.stderr,
-            )
-            return 1
+    if expect is not None and cert.reduced != expect:
+        print(
+            json.dumps({"error": "reduced_form_mismatch", "expected": [list(r) for r in expect]}),
+            file=sys.stderr,
+        )
+        return 1
     if cert.complete:
         exponents = asymptotic.torus_map(cert)
         print(exponents.to_json())
@@ -184,30 +203,10 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _unitary_ok(uni) -> bool:
-    """The normalisation residual bounds of table --check-unitary and verify unitary."""
-    return uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
-
-
 def cmd_table(args) -> int:
     if args.n <= 0 or args.d <= 0:
         raise UsageError("n and d must be positive")
-    tab = table.build_table(args.n, args.d, max_orbits=args.max_orbits)
-    if args.check_unitary:
-        uni = table.build_unitary(tab)
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "d": args.d,
-                    "orbits": tab.count,
-                    "residual_symmetry": uni.residual_symmetry,
-                    "residual_unitary": uni.residual_unitary,
-                }
-            )
-        )
-        return 0 if _unitary_ok(uni) else 1
-    _write_or_print(tab.to_json(), _output_path(args.out))
+    _write_or_print(table.build_table(args.n, args.d, budget=args.budget).to_json(), _output_path(args.out))
     return 0
 
 
@@ -218,7 +217,8 @@ def cmd_walk(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    sol = solve_bilinear_congruence(args.a, args.b, args.d, args.n, method="brute" if args.brute else "crt")
+    solve = solve_bilinear_brute if args.brute else solve_bilinear_congruence
+    sol = solve(args.a, args.b, args.d, args.n)
     print(json.dumps({"j": sol.j, "k": sol.k, "method": sol.method}))
     return 0
 
@@ -250,10 +250,6 @@ def cmd_verify(args) -> int:
         order = identities.full_union_symmetry(n, d, budget=args.budget)
         print(json.dumps({"check": "full-union", "n": n, "d": d, "order": order, "passed": True}))
         return 0
-    if check == "walk":
-        if args.a is None:
-            raise UsageError("verify walk needs --a")
-        return cmd_walk(args)
     if check == "hypocycloid":
         report = asymptotic.hypocycloid_orbit_check(n, d, budget=args.budget)
         print(report.to_json())
@@ -272,12 +268,8 @@ def cmd_verify(args) -> int:
         print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
         return 0 if bad == 0 else 1
     if check == "unitary":
-        total = orbit_count(n, d) ** 2
-        if total > args.budget:
-            raise BudgetExceeded(total, args.budget)
-        tab = table.build_table(n, d)
-        uni = table.build_unitary(tab)
-        ok = _unitary_ok(uni)
+        uni = table.build_unitary(table.build_table(n, d, budget=args.budget))
+        ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
         print(
             json.dumps(
                 {
@@ -313,7 +305,6 @@ def _add_budget(p):
 
 def _add_eval_options(p):
     p.add_argument("--oracle", action="store_true", help="also print the permanent-based value")
-    _add_budget(p)
 
 
 def _n_d(p):
@@ -359,9 +350,8 @@ def _reduce_args(p):
 
 def _table_args(p):
     _n_d(p)
-    p.add_argument("--check-unitary", action="store_true", help="print normalization residuals instead of the table")
-    p.add_argument("--max-orbits", type=int, default=2000)
     p.add_argument("-o", "--out")
+    _add_budget(p)
 
 
 def _walk_args(p):
@@ -388,7 +378,6 @@ def _verify_args(p):
             "dihedral",
             "spikes",
             "full-union",
-            "walk",
             "hypocycloid",
             "permanent",
             "unitary",
@@ -396,7 +385,6 @@ def _verify_args(p):
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", type=int, help="walk step (verify walk)")
     p.add_argument("--samples", type=int, default=10, help="random y per orbit (verify permanent)")
     p.add_argument("--seed", type=int, default=0)
     _add_budget(p)
@@ -447,7 +435,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 3
     except SymcharError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        line = {"error": type(exc).__name__, "detail": str(exc)}
+        if getattr(exc, "witness", None) is not None:
+            line["witness"] = exc.witness
+        print(json.dumps(line, default=_encode), file=sys.stderr)
         return 2 if isinstance(exc, (DimensionTooLarge, HypothesisFailed)) else 1
     except ValueError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)

@@ -121,7 +121,7 @@ def _solve_prime_power(a: int, b: int, d: int, m: int, p: int, e: int) -> tuple[
     return _solve_prime_power(a // step, b // step, d // step, m // step, p, e - mu)
 
 
-def solve_bilinear_congruence(a: int, b: int, d: int, n: int, method: str = "crt") -> CongruenceSolution:
+def solve_bilinear_congruence(a: int, b: int, d: int, n: int) -> CongruenceSolution:
     """Find (j, k) with a*j + b*k + d*j*k = gcd(n, d) (mod n).
 
     a, b are residues mod n; d is a positive integer (the tuple length in
@@ -131,10 +131,6 @@ def solve_bilinear_congruence(a: int, b: int, d: int, n: int, method: str = "crt
         raise ValueError(f"modulus must be positive, got {n}")
     if d <= 0:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if method == "brute":
-        return solve_bilinear_brute(a, b, d, n)
-    if method != "crt":
-        raise ValueError(f"unknown method {method!r}")
     a %= n
     b %= n
     g = gcd(n, d)

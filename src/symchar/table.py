@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .evaluate import values_on_block
+from .evaluate import DEFAULT_BUDGET, values_on_block
 from .orbits import OrbitRep, enumerate_orbits, negate_orbit, orbit_count, orbit_size, rank_orbit
 
 
@@ -59,11 +59,14 @@ class UnitaryTable:
     residual_unitary: float = 0.0
 
 
-def build_table(n: int, d: int, max_orbits: int = 2000) -> SuperTable:
-    """Evaluate S[i][j] = sigma_{X_i}(X_j) for all orbit pairs."""
+def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
+    """Evaluate S[i][j] = sigma_{X_i}(X_j) for all orbit pairs.
+
+    The N^2 evaluations count against budget before any work.
+    """
     count = orbit_count(n, d)
-    if count > max_orbits:
-        raise BudgetExceeded(count * count, max_orbits * max_orbits)
+    if count * count > budget:
+        raise BudgetExceeded(count * count, budget)
     orbits = tuple(enumerate_orbits(n, d))
     reps = np.array([rep.entries for rep in orbits], dtype=np.int64)
     sizes = np.array([orbit_size(rep) for rep in orbits], dtype=np.int64)

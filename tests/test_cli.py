@@ -55,7 +55,7 @@ def test_eval_entry_beyond_int64(capsys):
     [
         ["eval", "3", "0", "1", "--oracle", "--", "1", "2"],
         ["eval", "3", "--oracle", "0", "1", "--", "1", "2"],
-        ["eval", "3", "0", "--budget", "7", "1", "--oracle", "--", "1", "2"],
+        ["eval", "3", "0", "--oracle", "1", "--", "1", "2"],
     ],
 )
 def test_eval_options_before_separator(argv, capsys):
@@ -64,16 +64,10 @@ def test_eval_options_before_separator(argv, capsys):
     assert run_cli(argv, capsys) == expected
 
 
-def test_eval_budget_before_separator_is_read(capsys):
-    code, _, err = run_cli(["eval", "3", "0", "1", "--budget", "0", "--", "1", "2"], capsys)
-    assert code == 2
-    assert json.loads(err) == {"error": "usage", "detail": "budget must be positive"}
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--budget", "0", "3", "0", "1", "--", "1", "2"],
+        ["table", "3", "2", "--budget", "0"],
         ["image", "5", "0", "1", "--budget", "0"],
         ["image", "5", "0", "1", "--budget", "-5"],
         ["render", "5", "0", "1", "--range", "2", "--unit-res", "4", "-o", "x.png", "--budget", "0"],
@@ -81,12 +75,13 @@ def test_eval_budget_before_separator_is_read(capsys):
         ["walk", "24", "4", "16", "--budget", "0"],
         ["walk", "24", "4", "16", "--budget", "-5"],
         *(
-            ["verify", check, "--n", "3", "--d", "2", "--a", "1", "--budget", "0"]
+            ["verify", check, "--n", "3", "--d", "2", "--budget", "0"]
             for check in (
                 "conjugate", "translation", "constancy", "dihedral", "spikes",
-                "full-union", "walk", "hypocycloid", "permanent", "unitary",
+                "full-union", "hypocycloid", "permanent", "unitary",
             )
         ),
+        ["table", "3", "2", "--budget", "-5"],
     ],
 )
 def test_nonpositive_budget_is_a_usage_error(argv, capsys):
@@ -208,6 +203,36 @@ def test_verify_budget_checked_before_the_first_record(check, extra, required, c
     assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize(
+    "argv, required",
+    [
+        (["table", "3", "2"], 6 * 6),
+        # N = C(27, 3) = 2925 superclasses, more than any fixed orbit cap allowed
+        (["verify", "unitary", "--n", "25", "--d", "3"], 2925 * 2925),
+    ],
+)
+def test_table_charges_the_given_budget(argv, required, capsys):
+    code, out, err = run_cli(argv + ["--budget", str(required - 1)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "budget_exceeded", "required": required, "budget": required - 1}
+
+
+def test_verify_unitary_starts_a_table_its_budget_covers(monkeypatch):
+    # exactly N^2 = 8,555,625 at (25, 3): the budget admits the table, so its
+    # orbits are enumerated (stopped there, the table itself is 137 MB)
+    import symchar.table as table
+
+    class Started(Exception):
+        pass
+
+    def started(n, d):
+        raise Started
+
+    monkeypatch.setattr(table, "enumerate_orbits", started)
+    with pytest.raises(Started):
+        main(["verify", "unitary", "--n", "25", "--d", "3", "--budget", "8555625"])
+
+
 @pytest.mark.parametrize("samples", ["0", "-4"])
 def test_verify_permanent_needs_a_sample(samples, capsys):
     code, out, err = run_cli(["verify", "permanent", "--n", "3", "--d", "2", "--samples", samples], capsys)
@@ -282,9 +307,22 @@ def test_refused_input_exits_two(argv, error, capsys):
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == error
 
 
-def test_verify_walk_needs_a(capsys):
-    code, _, err = run_cli(["verify", "walk", "--n", "24", "--d", "3"], capsys)
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "walk", "--n", "24", "--d", "4", "--a", "8"],
+        ["verify", "translation", "--n", "3", "--d", "2", "--a", "1"],
+        ["table", "3", "2", "--max-orbits", "9"],
+        ["table", "3", "2", "--check-unitary"],
+        ["eval", "3", "0", "1", "--budget", "7", "--", "1", "2"],
+        ["eval", "--budget", "7", "3", "0", "1", "--", "1", "2"],
+    ],
+)
+def test_second_paths_and_knobs_are_usage_errors(argv, capsys):
+    # walk, verify unitary and table's --budget are the one path each
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
 
 
 def test_walk_command(capsys):
@@ -342,6 +380,38 @@ def test_reduce_with_supplied_reducer(capsys):
     assert code == 0
     cert = json.loads(out.strip().splitlines()[0])
     assert cert["det"] == 42
+
+
+@pytest.mark.parametrize(
+    "reducer",
+    ["7", '[[1,"a"],[0,1]]', "[[1.5,0],[0,1]]", "[[1]]", "[[1,0],[0,1],[0,0]]", "[[true,0],[0,1]]", "[[1,0]"],
+)
+def test_reduce_rejects_a_malformed_reducer(reducer, capsys):
+    # a d x d matrix of JSON integers, checked before anything is printed
+    code, out, err = run_cli(["reduce", "5", "1", "2", "--reducer", reducer], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "--reducer must be a JSON list of 2 rows of 2 integers"}
+
+
+@pytest.mark.parametrize("expect", ['[[1,"a"],[0,1]]', "[[1,2,3],[0,1,2]]", '{"a": 1}', "[[1, 2]", "[[9, 9]]"])
+def test_reduce_rejects_a_malformed_expect_b(expect, tmp_path, capsys):
+    expect_file = tmp_path / "b.json"
+    expect_file.write_text(expect)
+    code, out, err = run_cli(["reduce", "5", "1", "2", "--expect-b", str(expect_file)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "--expect-b must be a JSON list of 2 rows of 2 integers"}
+
+
+def test_reduce_failure_prints_its_witness(capsys):
+    # a singular reducer: the certificate's own check fails, and says on which orbit
+    code, out, err = run_cli(["reduce", "5", "1", "2", "--reducer", "[[1,0],[0,0]]"], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "VerificationFailed",
+        "detail": "determinant 0 is not a unit mod 5",
+        "witness": {"rep": {"n": 5, "entries": [1, 2]}},
+    }
 
 
 def test_reduce_expect_b_match(tmp_path, capsys):
@@ -408,9 +478,14 @@ def test_table_command(capsys):
 
 
 def test_table_unitary(capsys):
-    code, out, _ = run_cli(["table", "3", "2", "--check-unitary"], capsys)
+    from symchar.table import build_table, build_unitary
+
+    uni = build_unitary(build_table(3, 2))
+    code, out, _ = run_cli(["verify", "unitary", "--n", "3", "--d", "2"], capsys)
     assert code == 0
-    assert json.loads(out)["residual_unitary"] <= 1e-8
+    rec = json.loads(out)
+    assert (rec["residual_symmetry"], rec["residual_unitary"]) == (uni.residual_symmetry, uni.residual_unitary)
+    assert rec["residual_unitary"] <= 1e-8 and rec["passed"] is True
 
 
 def test_entry_point_subprocess():
@@ -429,7 +504,7 @@ SAMPLE_ARGV = {
     "image": ["image", "5", "0", "1", "--full-group", "--format", "json", "-o", "x.json", "--budget", "100"],
     "render": ["render", "5", "0", "1", "--range", "2", "--unit-res", "3", "-o", "x.png"],
     "reduce": ["reduce", "47", "1", "2", "44", "--grid", "47", "--format", "json"],
-    "table": ["table", "3", "2", "--check-unitary", "--max-orbits", "9"],
+    "table": ["table", "3", "2", "-o", "x.json", "--budget", "36"],
     "walk": ["walk", "24", "4", "8", "--budget", "100"],
     "solve": ["solve", "7", "0", "5", "12", "--brute"],
     "verify": ["verify", "hypocycloid", "--n", "13", "--d", "6", "--seed", "2"],

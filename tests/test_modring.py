@@ -107,8 +107,3 @@ def test_prime_power_descent():
     check_solution(6, 10, 2, 16, sol)
     sol = solve_bilinear_congruence(3, 6, 3, 27)
     check_solution(3, 6, 3, 27, sol)
-
-
-def test_method_validation():
-    with pytest.raises(ValueError):
-        solve_bilinear_congruence(1, 1, 1, 5, method="magic")

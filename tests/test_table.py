@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symchar.errors import BudgetExceeded, DimensionMismatch
+from symchar.evaluate import DEFAULT_BUDGET
 from symchar.table import (
     build_table,
     build_unitary,
@@ -108,5 +109,11 @@ def test_superclass_transform_shape_check():
 
 
 def test_orbit_budget():
-    with pytest.raises(BudgetExceeded):
-        build_table(50, 4, max_orbits=100)
+    # (3, 2) has N = 6 superclasses: N^2 = 36 evaluations, charged up front
+    with pytest.raises(BudgetExceeded) as info:
+        build_table(3, 2, budget=35)
+    assert (info.value.required, info.value.budget) == (36, 35)
+    assert build_table(3, 2, budget=36).count == 6
+    with pytest.raises(BudgetExceeded) as info:
+        build_table(50, 4)
+    assert info.value.budget == DEFAULT_BUDGET
