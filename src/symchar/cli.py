@@ -11,8 +11,9 @@
     symchar solve 7 0 5 12
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error or refused input (DimensionTooLarge, HypothesisFailed),
-3 evaluation budget exceeded.  Errors go to stderr as a single JSON line.
+2 usage error or refused input (DimensionTooLarge, HypothesisFailed, or an
+array too large to allocate: {"error": "memory", ...}), 3 evaluation budget
+exceeded.  Errors go to stderr as a single JSON line.
 Floats are printed with 11 decimal places.
 """
 
@@ -442,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, (DimensionTooLarge, HypothesisFailed)) else 1
     except ValueError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(json.dumps({"error": "memory", "detail": str(exc)}), file=sys.stderr)
         return 2
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -268,12 +268,22 @@ def cloud_difference(a: Iterable[complex], b: Iterable[complex], tol: float = TO
     return _unmatched(a, b, tol), _unmatched(b, a, tol)
 
 
+def rotation_witness(values: Sequence[complex], fold: int, tol: float = TOL) -> tuple[complex, complex] | None:
+    """The first value whose rotation by 2*pi/fold is not within tol of a
+    value, with that rotated value; None when the set is rotation-closed."""
+    if fold <= 1:
+        return None
+    rot = np.exp(2j * np.pi / fold)
+    rotated = [z * rot for z in values]
+    unmatched = _unmatched(rotated, values, tol)
+    if not unmatched:
+        return None
+    return values[rotated.index(unmatched[0])], unmatched[0]
+
+
 def rotation_closed(values: Sequence[complex], fold: int, tol: float = TOL) -> bool:
     """Is every value rotated by 2*pi/fold within tol of a value?"""
-    if fold <= 1:
-        return True
-    rot = np.exp(2j * np.pi / fold)
-    return not _unmatched([z * rot for z in values], values, tol)
+    return rotation_witness(values, fold, tol) is None
 
 
 # ---------------------------------------------------------------------------

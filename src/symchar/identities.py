@@ -44,8 +44,8 @@ from .evaluate import (
     dot_counts,
     image,
     orbit_array,
-    rotation_closed,
     roots_of_unity,
+    rotation_witness,
     supercharacter,
     union_image,
 )
@@ -199,13 +199,17 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     bilinear congruence solver produces (j, k) whose translation shifts
     the counts by exactly gcd(n, d), exhibiting the rotated value as
     another supercharacter value.  X and Y each run over a sample of
-    _UNION_WITNESS_ORBITS orbits.
+    _UNION_WITNESS_ORBITS orbits.  An unclosed union raises with the first
+    value whose rotation has no match and that rotated value as witness.
     """
     g = gcd(n, d)
     order = n // g
-    if not rotation_closed(union_image(n, d, budget=budget), order):
+    unclosed = rotation_witness(union_image(n, d, budget=budget), order)
+    if unclosed is not None:
+        value, rotated = unclosed
         raise VerificationFailed(
-            "union cloud not rotation-closed", witness={"n": n, "d": d, "order": order}
+            "union cloud not rotation-closed",
+            witness={"n": n, "d": d, "order": order, "value": value, "rotated": rotated},
         )
     for x_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
         for y_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
@@ -444,7 +448,9 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Ide
     """Each image is closed under rotation by 2*pi/dihedral_order(X), within TOL.
 
     The N images of N superclasses each count against the budget, N^2 in
-    all, before the first one is computed.
+    all, before the first one is computed.  A failed record's witness adds
+    the first value whose rotation has no match ("value") and that rotated
+    value ("rotated").
     """
     count = orbit_count(n, d)
     if count * count > budget:
@@ -452,13 +458,16 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Ide
     for x_rep in enumerate_orbits(n, d):
         order = dihedral_order(x_rep)
         values = image(x_rep, budget=budget)
-        ok = rotation_closed(values, order)
+        unclosed = rotation_witness(values, order)
+        witness = None
+        if unclosed is not None:
+            witness = {"x": x_rep, "order": order, "value": unclosed[0], "rotated": unclosed[1]}
         yield IdentityReport(
             "dihedral",
             {"x": x_rep, "order": order},
             False,
-            ok,
-            None if ok else {"x": x_rep, "order": order},
+            witness is None,
+            witness,
             info={"points": len(values)},
         )
 

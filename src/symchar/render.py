@@ -8,10 +8,12 @@ coordinates
     col = round(res + unit_res * Re z)
 
 and, when strictly interior (1 < row < 2*res and 1 < col < 2*res), stamps
-a fixed 3x3 intensity kernel centered there.  Overlapping stamps combine
-by elementwise maximum, which keeps the accumulation order-independent
-(an overwriting stamp would make output depend on point order).  The
-final grayscale image is 1 - accumulated, so points are dark on white.
+a fixed 3x3 intensity kernel centered there.  The raster holds the PNG's
+8-bit gray levels from the start: white is 255, and a kernel weight w
+leaves the byte round(255 * (1 - w)), so points are dark on white.
+Overlapping stamps combine by elementwise minimum, the darkest wins,
+which keeps the result order-independent (an overwriting stamp would
+make output depend on point order).
 
 Rounding is half-away-from-zero throughout; exact .5 ties do not occur
 for cyclotomic coordinates, so this is a determinism pin, not a
@@ -37,6 +39,9 @@ KERNEL = np.array(
         [0.3, 0.75, 0.3],
     ]
 )
+# the byte each kernel weight leaves: floor(255 * (1 - w) + 0.5), which is
+# [[179, 64, 179], [64, 0, 64], [179, 64, 179]]
+_LEVELS = np.floor(255.0 * (1.0 - KERNEL) + 0.5).astype(np.uint8)
 
 
 def round_half_away(x):
@@ -72,19 +77,21 @@ class BitmapSpec:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Final grayscale raster, values in [0, 1], 0 = black."""
+    """Final grayscale raster: side x side uint8 gray levels, the PNG's
+    pixels row by row, 0 = black and 255 = white."""
 
     spec: BitmapSpec
     pixels: np.ndarray
 
     def __post_init__(self):
         side = self.spec.side
-        if self.pixels.shape != (side, side):
-            raise ValueError(f"expected {side}x{side} pixels, got {self.pixels.shape}")
+        if self.pixels.dtype != np.uint8 or self.pixels.shape != (side, side):
+            raise ValueError(f"expected {side}x{side} uint8 pixels, got {self.pixels.dtype} {self.pixels.shape}")
 
 
 def render_bitmap(values: Iterable[complex], spec: BitmapSpec) -> GrayImage:
-    """Stamp every point into one accumulator and invert."""
+    """Stamp every point's kernel levels into one white byte raster,
+    keeping the darkest level at each pixel."""
     res = spec.res
     side = spec.side
     unit = spec.unit_res
@@ -95,18 +102,10 @@ def render_bitmap(values: Iterable[complex], spec: BitmapSpec) -> GrayImage:
     # 1-based center (row, col); the 3x3 block is 0-based rows row-2..row
     row = row[interior].astype(np.int64) - 2
     col = col[interior].astype(np.int64) - 2
-    acc = np.zeros((side, side))
-    for (dr, dc), weight in np.ndenumerate(KERNEL):
-        np.maximum.at(acc, (row + dr, col + dc), weight)
-    return GrayImage(spec, 1.0 - acc)
-
-
-def image_bytes(img: GrayImage) -> bytes:
-    """8-bit quantization: byte = round(255 * clamp(v, 0, 1)), row-major."""
-    clamped = np.clip(img.pixels, 0.0, 1.0)
-    # half-away-from-zero on nonnegative values = floor(x + 0.5)
-    quantized = np.floor(255.0 * clamped + 0.5).astype(np.uint8)
-    return quantized.tobytes()
+    pixels = np.full((side, side), 255, dtype=np.uint8)
+    for (dr, dc), level in np.ndenumerate(_LEVELS):
+        np.minimum.at(pixels, (row + dr, col + dc), level)
+    return GrayImage(spec, pixels)
 
 
 def _png_chunk(tag: bytes, payload: bytes) -> bytes:
@@ -115,7 +114,8 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def encode_png(img: GrayImage) -> bytes:
-    """Minimal deterministic PNG: 8-bit grayscale, filter 0, zlib level 9.
+    """Minimal deterministic PNG: 8-bit grayscale, zlib level 9, each row
+    of img.pixels written as is behind its filter-type-0 byte.
 
     Level 9 stays although level 6 compresses an 800 x 800 render about
     10x faster (for a file ~14% larger): the PNG bytes are pinned by
@@ -123,10 +123,7 @@ def encode_png(img: GrayImage) -> bytes:
     level changes them.
     """
     side = img.spec.side
-    raw = image_bytes(img)
-    scanlines = b"".join(
-        b"\x00" + raw[r * side : (r + 1) * side] for r in range(side)
-    )
+    scanlines = np.pad(img.pixels, ((0, 0), (1, 0))).tobytes()
     ihdr = struct.pack(">IIBBBBB", side, side, 8, 0, 0, 0, 0)
     return b"".join(
         [

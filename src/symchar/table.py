@@ -80,10 +80,14 @@ def build_unitary(table: SuperTable) -> UnitaryTable:
     """U[i][j] = S[i][j] sqrt(|X_j|) / (sqrt(|X_i|) sqrt(n^d))."""
     root = np.sqrt(table.sizes.astype(float))
     norm = float(table.n) ** (table.d / 2.0)
-    u = table.values * root[None, :] / root[:, None] / norm
+    # in place, so at most u, u.conj() and the Gram matrix are held at once
+    u = table.values * root[None, :]
+    u /= root[:, None]
+    u /= norm
     residual_symmetry = float(np.abs(u - u.T).max())
     gram = u @ u.conj().T
-    residual_unitary = float(np.abs(gram - np.eye(table.count)).max())
+    gram[np.diag_indices_from(gram)] -= 1
+    residual_unitary = float(np.abs(gram).max())
     return UnitaryTable(table, u, residual_symmetry, residual_unitary)
 
 

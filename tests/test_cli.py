@@ -456,6 +456,19 @@ def test_render_command(tmp_path, capsys):
     assert data[:8] == b"\x89PNG\r\n\x1a\n"
 
 
+def test_unallocatable_raster_is_one_json_line(tmp_path, capsys):
+    # a 2e8 x 2e8 raster: 4e16 bytes, above 2**48, so the allocation fails
+    # at once and touches no memory
+    out_file = tmp_path / "x.png"
+    code, out, err = run_cli(
+        ["render", "5", "0", "1", "--range", "100000", "--unit-res", "1000", "-o", str(out_file)], capsys
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "memory"
+    assert not out_file.exists()
+
+
 def test_render_requires_output(capsys):
     code, _, err = run_cli(["render", "7", "1", "--range", "2", "--unit-res", "2"], capsys)
     assert code == 2

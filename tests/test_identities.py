@@ -1,4 +1,5 @@
 import cmath
+import json
 from math import gcd
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from symchar import identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
-from symchar.evaluate import dot_counts, supercharacter
+from symchar.evaluate import TOL, dot_counts, supercharacter
 from symchar.identities import (
     conjugate_identity,
     dihedral_order,
@@ -124,6 +125,47 @@ def test_dihedral_sweep_charges_every_image_first(monkeypatch):
 def test_full_union_symmetry_order():
     assert full_union_symmetry(9, 3) == 3
     assert full_union_symmetry(5, 3) == 5
+
+
+def _rotation(order):
+    return np.exp(2j * np.pi / order)
+
+
+def test_dihedral_witness_shows_the_unmatched_rotation(monkeypatch):
+    real_image = identities.image
+    dropped = {}
+
+    def image_without_first(rep, **kwargs):
+        values = real_image(rep, **kwargs)
+        dropped[rep] = values[0]
+        return values[1:]
+
+    monkeypatch.setattr(identities, "image", image_without_first)
+    report = next(r for r in sweep_dihedral(5, 2) if not r.passed)
+    x, order = report.params["x"], report.params["order"]
+    value, rotated = report.witness["value"], report.witness["rotated"]
+    assert report.witness["x"] == x and report.witness["order"] == order
+    assert rotated == value * _rotation(order)
+    assert abs(rotated - dropped[x]) <= TOL  # the dropped value was its match
+    assert json.loads(report.to_json())["witness"]["rotated"] == [rotated.real, rotated.imag]
+
+
+def test_full_union_witness_shows_the_unmatched_rotation(monkeypatch):
+    real_union = identities.union_image
+    dropped = []
+
+    def union_without_first(n, d, **kwargs):
+        values = real_union(n, d, **kwargs)
+        dropped.append(values[0])
+        return values[1:]
+
+    monkeypatch.setattr(identities, "union_image", union_without_first)
+    with pytest.raises(VerificationFailed) as info:
+        full_union_symmetry(9, 3)
+    witness = info.value.witness
+    assert (witness["n"], witness["d"], witness["order"]) == (9, 3, 3)
+    assert witness["rotated"] == witness["value"] * _rotation(3)
+    assert abs(witness["rotated"] - dropped[0]) <= TOL
 
 
 def test_spike_detect_examples():

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 from math import floor
 
@@ -13,7 +14,6 @@ from symchar.render import (
     KERNEL,
     encode_png,
     export_points,
-    image_bytes,
     render_bitmap,
     round11,
     round_half_away,
@@ -77,18 +77,18 @@ def test_single_point_stamp():
     # origin lands at row = col = res (1-based), darkening a 3x3 box
     spec = BitmapSpec(2, 2)
     img = render_bitmap([0j], spec)
-    assert img.pixels.shape == (8, 8)
+    assert img.pixels.shape == (8, 8) and img.pixels.dtype == np.uint8
     box = img.pixels[2:5, 2:5]  # 1-based rows/cols res-1..res+1
-    assert np.allclose(box, 1 - KERNEL)
-    total = img.pixels.sum()
-    assert np.isclose(total, 64 - KERNEL.sum())
+    assert box.tolist() == [[179, 64, 179], [64, 0, 64], [179, 64, 179]]
+    assert np.array_equal(box, quantize(1 - KERNEL))
+    assert (img.pixels == 255).sum() == 64 - 9
 
 
 def test_corner_points_dropped():
     # the 1 < row < 2*res guard drops stamps that would fall on the frame
     spec = BitmapSpec(1, 2)
     img = render_bitmap([2 + 2j, -5 - 5j], spec)
-    assert np.allclose(img.pixels, 1.0)
+    assert np.all(img.pixels == 255)
 
 
 def test_overlap_takes_max_not_sum():
@@ -96,22 +96,26 @@ def test_overlap_takes_max_not_sum():
     one = render_bitmap([0j], spec)
     two = render_bitmap([0j, 0j], spec)
     assert np.array_equal(one.pixels, two.pixels)
+    # side by side, each overlapped pixel takes the darker of its two levels
+    near = render_bitmap([0j, 0.5 + 0j], spec)
+    assert near.pixels[2].tolist() == [255, 255, 179, 64, 64, 179, 255, 255]
+    assert near.pixels[3].tolist() == [255, 255, 64, 0, 0, 64, 255, 255]
 
 
-def test_image_bytes_quantization():
+def test_gray_image_needs_side_by_side_bytes():
     spec = BitmapSpec(1, 2)
-    img = GrayImage(spec, np.full((4, 4), 0.5))
-    data = np.frombuffer(image_bytes(img), dtype=np.uint8)
-    assert np.all(data == 128)  # floor(127.5 + 0.5)
+    GrayImage(spec, np.full((4, 4), 255, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        GrayImage(spec, np.full((4, 4), 1.0))
+    with pytest.raises(ValueError):
+        GrayImage(spec, np.full((4, 5), 255, dtype=np.uint8))
 
 
 def test_png_round_trip():
     spec = BitmapSpec(2, 8)
     img = render_bitmap([0j, 1 + 1j, -0.5 - 0.25j], spec)
     png = encode_png(img)
-    back = decode_png(png)
-    flat = np.frombuffer(image_bytes(img), dtype=np.uint8).reshape(back.shape)
-    assert np.array_equal(back, flat)
+    assert np.array_equal(decode_png(png), img.pixels)
 
 
 def test_write_png(tmp_path):
@@ -125,14 +129,14 @@ def test_write_png(tmp_path):
 def test_empty_cloud_all_white():
     spec = BitmapSpec(2, 4)
     img = render_bitmap([], spec)
-    assert np.all(img.pixels == 1.0)
-    assert np.all(np.frombuffer(image_bytes(img), dtype=np.uint8) == 255)
+    assert img.pixels.dtype == np.uint8 and np.all(img.pixels == 255)
+    assert np.all(decode_png(encode_png(img)) == 255)
 
 
 def test_pixel_value_lattice():
     spec = BitmapSpec(3, 5)
     img = render_bitmap([0j, 1 + 1j, -2 + 0.5j, 1.5 - 2.2j], spec)
-    assert set(np.round(np.unique(img.pixels), 10)) <= {0.0, 0.25, 0.7, 1.0}
+    assert set(np.unique(img.pixels).tolist()) <= {0, 64, 179, 255}
 
 
 def test_permuting_cloud_is_bit_identical():
@@ -143,8 +147,14 @@ def test_permuting_cloud_is_bit_identical():
     assert a == b
 
 
+def quantize(gray):
+    """8-bit levels of a float raster in [0, 1]: round(255 * clamp(v, 0, 1))."""
+    return np.floor(255.0 * np.clip(gray, 0.0, 1.0) + 0.5).astype(np.uint8)
+
+
 def reference_bitmap(values, spec):
-    """One 3x3 stamp per point, in a Python loop: the rule render_bitmap
+    """One 3x3 stamp per point, in a Python loop, into a float accumulator
+    of kernel weights, then inverted: quantized, the bytes render_bitmap
     must reproduce exactly."""
     def rnd(x):
         return floor(x + 0.5) if x >= 0 else -floor(-x + 0.5)
@@ -167,8 +177,23 @@ def test_render_matches_reference_loop():
     vals = list(rng.uniform(-3.6, 3.6, 400) + 1j * rng.uniform(-3.6, 3.6, 400))
     vals += [complex(k / 8, -k / 8) for k in range(-28, 29)] + [0.25 + 0.5j] * 3
     img = render_bitmap(vals, spec)
-    assert np.array_equal(img.pixels, reference_bitmap(vals, spec))
+    assert np.array_equal(img.pixels, quantize(reference_bitmap(vals, spec)))
     assert np.array_equal(render_bitmap(np.array(vals), spec).pixels, img.pixels)
+
+
+def test_render_and_encode_peak_memory():
+    # an 800 x 800 raster: the byte raster, its padded scanlines and their
+    # bytes copy, not float temporaries of 8 bytes per pixel each
+    spec = BitmapSpec(80, 5)
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(-80, 80, 20000) + 1j * rng.uniform(-80, 80, 20000)
+    tracemalloc.start()
+    try:
+        encode_png(render_bitmap(vals, spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * spec.side**2
 
 
 def test_export_points_empty():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,36 @@ def test_unitary_residuals_small():
         uni = build_unitary(build_table(n, d))
         assert uni.residual_symmetry <= 1e-9
         assert uni.residual_unitary <= 1e-8
+
+
+def reference_residuals(tab):
+    """Both residuals by the whole-array formula: u, u - u.T, the Gram
+    matrix and Gram - I as separate temporaries."""
+    root = np.sqrt(tab.sizes.astype(float))
+    u = tab.values * root[None, :] / root[:, None] / float(tab.n) ** (tab.d / 2.0)
+    gram = u @ u.conj().T
+    return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(tab.count)).max()), u
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (6, 3), (10, 4)])
+def test_unitary_residuals_match_whole_array_formula(n, d):
+    tab = build_table(n, d)
+    uni = build_unitary(tab)
+    symmetry, unitary, u = reference_residuals(tab)
+    assert (uni.residual_symmetry, uni.residual_unitary) == (symmetry, unitary)
+    assert np.array_equal(uni.matrix, u)
+
+
+def test_build_unitary_peak_memory():
+    # u, u.conj() and the Gram matrix are the most held at once: 3 tables
+    tab = build_table(9, 3)
+    tracemalloc.start()
+    try:
+        build_unitary(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * tab.values.nbytes
 
 
 def test_unitary_squared_is_negation():
