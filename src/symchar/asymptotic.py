@@ -283,7 +283,7 @@ def hypocycloid_exponents(d: int) -> ExponentMatrix:
 
 
 def sample_torus_map(
-    exponents: ExponentMatrix | Sequence[Sequence[int]],
+    exponents: ExponentMatrix,
     grid: int,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[complex, ...]:
@@ -295,7 +295,7 @@ def sample_torus_map(
     map is a root sum over the exponent columns, as a supercharacter is
     over its orbit.
     """
-    rows = exponents.rows if isinstance(exponents, ExponentMatrix) else tuple(map(tuple, exponents))
+    rows = exponents.rows
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
     if not rows or not rows[0]:
@@ -336,30 +336,30 @@ def _param_at_angle(theta: np.ndarray, d: int) -> np.ndarray:
     return _bisect(lambda t: t + np.angle((d - 1) + np.exp(-1j * d * t)) - theta, theta - half, theta + half)
 
 
-def _radial_accept(r: np.ndarray, phi: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """r <= rho(phi) + tol, where rho(phi) is the curve's radius on the ray
+def _radial_accept(r: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:
+    """r <= rho(phi) + TOL, where rho(phi) is the curve's radius on the ray
     at angle phi in [0, pi/d] (d >= 3); see hypocycloid_contains_many."""
-    s = r - tol
+    s = r - TOL
     c = np.clip((s * s - ((d - 1) ** 2 + 1)) / (2 * (d - 1)), -1.0, 1.0)
     t = np.arccos(c) / d
     return (s <= d - 2) | ((s <= d) & (phi <= t + np.angle((d - 1) + np.exp(-1j * d * t))))
 
 
-def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = TOL) -> np.ndarray:
-    """Which values lie in the filled d-cusp hypocycloid, up to tol.
+def hypocycloid_contains_many(values: Sequence[complex], d: int) -> np.ndarray:
+    """Which values lie in the filled d-cusp hypocycloid, up to TOL.
 
-    tol is a Euclidean distance: a value passes exactly when its distance
-    to the filled region is at most tol, and each pass is witnessed by the
-    value being inside or by a curve point within tol of it.  For d = 2
+    TOL is a Euclidean distance: a value passes exactly when its distance
+    to the filled region is at most TOL, and each pass is witnessed by the
+    value being inside or by a curve point within TOL of it.  For d = 2
     the region is the segment [-2, 2].
 
     For d >= 3 every value is folded by the dihedral symmetry into the
     wedge 0 <= phi = arg p <= pi/d, which holds the arc 0 <= t <= pi/d.
     It passes if r = |p| exceeds the curve's radius rho(phi) on its ray by
-    at most tol.  That radial test has a closed form.  On the arc,
+    at most TOL.  That radial test has a closed form.  On the arc,
     |z(t)|^2 = (d-1)^2 + 1 + 2(d-1) cos(dt) decreases from d^2 to (d-2)^2
     while arg z(t) increases from 0 to pi/d, so the arc is a graph
-    r = rho(phi) with rho decreasing from d to d - 2.  With s = r - tol,
+    r = rho(phi) with rho decreasing from d to d - 2.  With s = r - TOL,
     s <= rho(phi) therefore holds exactly when s <= d - 2 (the inscribed
     circle, which the whole curve encloses), or when s <= d and phi is at
     most the angle arg z(t_s) of the arc point of radius s, where
@@ -373,14 +373,14 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = TO
     only phi = 0 does).  Near those ends arccos is badly conditioned, but
     the computed t_s is the exact parameter of a radius within a few ulps
     of s, and arg z(t) is smooth in t, so a verdict can move only for a
-    value whose radial distance from the curve is within rounding of tol.
+    value whose radial distance from the curve is within rounding of TOL.
     The tests compare its verdicts with those of the 64-step bisection for
     the parameter at angle phi that it replaces.  Within about 1e-6 of a
     cusp's ray, where rho changes fast with phi, the bisection's radius is
     the less accurate of the two.
 
     A value the radial test rejects lies outside, and a curve point within
-    tol of it makes an angle of at most asin(tol/|p|) with it.  The
+    TOL of it makes an angle of at most asin(TOL/|p|) with it.  The
     candidates are the nearest point of the arc within that angle (the
     root of the derivative of |z(t) - p|^2, which increases there, found
     by bisection) and the cusp d, which that root can miss when p lies
@@ -390,17 +390,17 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = TO
         raise ValueError("needs d >= 2")
     z = np.asarray(values, dtype=complex)
     if d == 2:
-        return np.abs(z - np.clip(z.real, -2.0, 2.0)) <= tol
+        return np.abs(z - np.clip(z.real, -2.0, 2.0)) <= TOL
     r = np.abs(z)
     wedge = 2 * pi / d
     phi = np.mod(np.angle(z), wedge)
     phi = np.minimum(phi, wedge - phi)
-    ok = _radial_accept(r, phi, d, tol)
+    ok = _radial_accept(r, phi, d)
     rest = np.flatnonzero(~ok)
     if len(rest):
         r, phi = r[rest], phi[rest]
         p = r * np.exp(1j * phi)
-        spread = np.arcsin(tol / r)
+        spread = np.arcsin(TOL / r)
         lo = np.maximum(_param_at_angle(phi - spread, d), 0.0)
         hi = np.minimum(_param_at_angle(phi + spread, d), pi / d)
 
@@ -412,7 +412,7 @@ def hypocycloid_contains_many(values: Sequence[complex], d: int, tol: float = TO
             return ((curve(t) - p) * np.conj(tangent)).real
 
         nearest = np.abs(curve(_bisect(slope, lo, hi)) - p)
-        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= tol
+        ok[rest] = np.minimum(nearest, np.abs(d - p)) <= TOL
     return ok
 
 

@@ -236,14 +236,13 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     return tuple(arr[keep].tolist())
 
 
-def _unmatched(a: Iterable[complex], b: Iterable[complex], tol: float) -> list[complex]:
-    """The points of a, in order, with no point of b within tol.
+def _unmatched(a: Iterable[complex], b: Iterable[complex]) -> list[complex]:
+    """The points of a, in order, with no point of b within TOL.
 
-    b goes into buckets on a grid of width 2*tol, so a point within tol of
+    b goes into buckets on a grid of width 2*TOL, so a point within TOL of
     z lies in the 3x3 block of buckets around z's own.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = TOL
     width = 2.0 * tol
     buckets: dict[tuple[int, int], list[complex]] = {}
     for w in b:
@@ -261,29 +260,24 @@ def _unmatched(a: Iterable[complex], b: Iterable[complex], tol: float) -> list[c
     return [z for z in a if not matched(z)]
 
 
-def cloud_difference(a: Iterable[complex], b: Iterable[complex], tol: float = TOL) -> tuple[list[complex], list[complex]]:
-    """Points of a not within tol of a point of b, and points of b not within
-    tol of a point of a.  Both are empty exactly when the sets match."""
+def cloud_difference(a: Iterable[complex], b: Iterable[complex]) -> tuple[list[complex], list[complex]]:
+    """Points of a not within TOL of a point of b, and points of b not within
+    TOL of a point of a.  Both are empty exactly when the sets match."""
     a, b = list(a), list(b)
-    return _unmatched(a, b, tol), _unmatched(b, a, tol)
+    return _unmatched(a, b), _unmatched(b, a)
 
 
-def rotation_witness(values: Sequence[complex], fold: int, tol: float = TOL) -> tuple[complex, complex] | None:
-    """The first value whose rotation by 2*pi/fold is not within tol of a
+def rotation_witness(values: Sequence[complex], fold: int) -> tuple[complex, complex] | None:
+    """The first value whose rotation by 2*pi/fold is not within TOL of a
     value, with that rotated value; None when the set is rotation-closed."""
     if fold <= 1:
         return None
     rot = np.exp(2j * np.pi / fold)
     rotated = [z * rot for z in values]
-    unmatched = _unmatched(rotated, values, tol)
+    unmatched = _unmatched(rotated, values)
     if not unmatched:
         return None
     return values[rotated.index(unmatched[0])], unmatched[0]
-
-
-def rotation_closed(values: Sequence[complex], fold: int, tol: float = TOL) -> bool:
-    """Is every value rotated by 2*pi/fold within tol of a value?"""
-    return rotation_witness(values, fold, tol) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Exact verification of the supercharacter identities.
+"""Verification of the supercharacter identities.
 
-Every identity here is checked on integer counts, never on floats.
-dot_counts gives one counts row c[t] = #{x in X : x.y = t mod n} per point
-y of a block, and each identity compares whole count matrices, so a sweep
-and the per-pair check share one code path (the per-pair check is the
-one-row case):
+The count identities are exact.  dot_counts gives one integer counts row
+c[t] = #{x in X : x.y = t mod n} per point y of a block, and each identity
+compares whole count matrices, so a sweep and the per-pair check share one
+code path (the per-pair check is the one-row case):
 
 * conjugation      sigma_X(-y) = conj(sigma_X(y)) = sigma_{-X}(y)
   is an index reversal t -> -t of the counts;
@@ -15,9 +14,8 @@ one-row case):
 * reflection       X = r*1 - X implies sigma_X(y) = e(r[y]/n) conj(sigma_X(y)),
   a shifted index reversal, which pins values to 2n/gcd(r,n) rays.
 
-Numeric tolerances appear only where the claim is about computed floats.
-Each is evaluate.TOL, a Euclidean distance in the complex plane (the
-default of spike_identity's tol):
+The claims below are about computed floats, and each is compared within
+evaluate.TOL, a Euclidean distance in the complex plane:
 
 * rotational closure of an image or of the union of all images
   (sweep_dihedral, full_union_symmetry);
@@ -250,41 +248,28 @@ def ray_count(x_rep: OrbitRep, r: int) -> int:
     return 2 * x_rep.n // gcd(r, x_rep.n)
 
 
-def spike_identity(
-    x_rep: OrbitRep,
-    r: int,
-    y: OrbitRep | Sequence[int] | None = None,
-    tol: float = TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> IdentityReport:
-    """Check the reflection identity for X = r*1 - X.
+def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
+    """Check the reflection identity for X = r*1 - X over every superclass Y.
 
     Counts level (exact): dot_counts(X, y) must equal its index reversal
     shifted by r*[y].  Value level (numeric): sigma_X(y) must lie within
-    tol of one of the 2n/gcd(r,n) lines through the origin at angles
+    TOL of one of the 2n/gcd(r,n) lines through the origin at angles
     pi*m*gcd(r,n)/n (Euclidean distance, which avoids amplifying float
     noise in the argument of small-modulus values).
-    When y is None both checks run over every superclass Y in enumeration
-    order, and those C(n+d-1, d) superclasses count against the budget
-    before any work.  The witness names the first counts failure, else the
-    first ray failure; info["ray_max_modulus"] holds the largest modulus on
-    each ray over the points before the first ray failure.
+    Both checks run over every superclass Y in enumeration order, and
+    those C(n+d-1, d) superclasses count against the budget before any
+    work.  The witness names the first counts failure, else the first ray
+    failure; info["ray_max_modulus"] holds the largest modulus on each ray
+    over the points before the first ray failure.
     """
     n, d = x_rep.n, x_rep.d
-    if y is None and orbit_count(n, d) > budget:
+    if orbit_count(n, d) > budget:
         raise BudgetExceeded(orbit_count(n, d), budget)
     if canonicalize([r - v for v in x_rep.entries], n) != x_rep:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
     g = gcd(r, n)
     rays = 2 * n // g
-    if y is None:
-        ys = superclass_array(n, d).astype(np.int64)
-    else:
-        ys = np.array([[v % n for v in getattr(y, "entries", y)]], dtype=np.int64)
-
-    def y_at(i: int):
-        return OrbitRep(n, tuple(ys[i].tolist())) if y is None else y
-
+    ys = superclass_array(n, d).astype(np.int64)
     counts = dot_counts(x_rep, ys)
     mirror = (r * (ys.sum(axis=1) % n)[:, None] - np.arange(n)) % n
     bad_counts = np.flatnonzero(~(counts == np.take_along_axis(counts, mirror, axis=1)).all(axis=1))
@@ -294,19 +279,19 @@ def spike_identity(
     angle = np.angle(z)
     spacing = pi * g / n
     theta = angle % spacing
-    on_ray = (modulus < tol) | (modulus * np.sin(np.minimum(theta, spacing - theta)) <= tol)
+    on_ray = (modulus < TOL) | (modulus * np.sin(np.minimum(theta, spacing - theta)) <= TOL)
     bad_ray = np.flatnonzero(~on_ray)
     before = slice(0, bad_ray[0] if len(bad_ray) else len(z))
-    big = modulus[before] >= tol
+    big = modulus[before] >= TOL
     ray = np.rint((angle[before] % (2 * pi)) / spacing).astype(np.int64) % rays
     ray_max = np.zeros(rays)
     np.maximum.at(ray_max, ray[big], modulus[before][big])
     witness = None
     if len(bad_counts):
-        witness = {"x": x_rep, "y": y_at(bad_counts[0]), "failure": "counts"}
+        witness = {"x": x_rep, "y": OrbitRep(n, tuple(ys[bad_counts[0]].tolist())), "failure": "counts"}
     elif len(bad_ray):
         i = bad_ray[0]
-        witness = {"x": x_rep, "y": y_at(i), "value": complex(z[i]), "failure": "ray"}
+        witness = {"x": x_rep, "y": OrbitRep(n, tuple(ys[i].tolist())), "value": complex(z[i]), "failure": "ray"}
     return IdentityReport(
         "spike",
         {"x": x_rep, "r": r, "rays": rays, "all_r": spike_shifts(x_rep)},
@@ -368,7 +353,9 @@ def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -
     (0,...,0,1) mod n/gcd(n,a), as point sets matched within TOL.
 
     sigma for this orbit is the d-step walk sum with step a, and a*y mod n
-    ranges over exactly the multiples of gcd(n, a).
+    ranges over exactly the multiples of gcd(n, a).  The two images'
+    C(n+d-1, d) + C(r+d-1, d) superclasses, r = n/gcd(n, a), count against
+    the budget before either is computed.
     """
     if n <= 0 or d <= 0:
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
@@ -376,6 +363,9 @@ def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -
     if a == 0:
         raise HypothesisFailed("a must be nonzero mod n")
     r = n // gcd(n, a)
+    total = orbit_count(n, d) + orbit_count(r, d)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     big = image(canonicalize((0,) * (d - 1) + (a,), n), budget=budget)
     small = image(canonicalize((0,) * (d - 1) + (1,), r), budget=budget)
     only_big, only_small = cloud_difference(big, small)

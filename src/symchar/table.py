@@ -96,9 +96,8 @@ def negation_permutation(table: SuperTable) -> np.ndarray:
     return np.array([rank_orbit(negate_orbit(rep)) for rep in table.orbits], dtype=np.int64)
 
 
-def superclass_transform(table: SuperTable | UnitaryTable, f: Sequence[complex]) -> np.ndarray:
+def superclass_transform(unitary: UnitaryTable, f: Sequence[complex]) -> np.ndarray:
     """Apply U to a superclass function given as a vector over orbits."""
-    unitary = table if isinstance(table, UnitaryTable) else build_unitary(table)
     vec = np.asarray(f, dtype=complex)
     if vec.shape != (unitary.table.count,):
         raise DimensionMismatch(

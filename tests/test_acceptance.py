@@ -19,7 +19,7 @@ from symchar.asymptotic import (
     sample_torus_map,
     torus_map,
 )
-from symchar.evaluate import cloud_difference, image, permanent_oracle, rotation_closed, supercharacter
+from symchar.evaluate import cloud_difference, image, permanent_oracle, rotation_witness, supercharacter
 from symchar.identities import (
     dihedral_order,
     full_union_symmetry,
@@ -88,7 +88,7 @@ def test_criterion_04_dihedral_orders():
         X = canonicalize((0, 0, 0, 1, a), 12)
         order = dihedral_order(X)  # checks the exact counts-shift identity on sampled Y
         assert order == 12 // gcd(12, 1 + a), (a, order)
-        assert rotation_closed(image(X), order, 1e-9), (a, order)
+        assert rotation_witness(image(X), order) is None, (a, order)
         results.append(order)
     emit(4, True, f"orders for a in (5,7,2,1,6,10): {results}, closure within 1e-9")
 
@@ -153,7 +153,7 @@ def test_criterion_08_reduction_certificates():
 def test_criterion_09_image_equals_torus_sample():
     direct = image(canonicalize((1, 1, 5), 7))
     sampled = sample_torus_map(hypocycloid_exponents(3), 7)
-    ok = cloud_difference(sampled, direct, tol=1e-9) == ([], [])
+    ok = cloud_difference(sampled, direct) == ([], [])
     emit(9, ok, f"{len(direct)} image points equal the grid-7 monomial sample")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import symchar.asymptotic as asymptotic
 from symchar.asymptotic import (
+    ExponentMatrix,
     ReductionCertificate,
     certificate_from_rows,
     hypocycloid_contains_many,
@@ -17,7 +18,7 @@ from symchar.asymptotic import (
     torus_map,
 )
 from symchar.errors import HypothesisFailed, NoUnitPivot, VerificationFailed
-from symchar.evaluate import cloud_difference, dedupe_values, image, roots_of_unity
+from symchar.evaluate import TOL, cloud_difference, dedupe_values, image, roots_of_unity
 from symchar.orbits import canonicalize
 
 
@@ -163,7 +164,7 @@ def reference_torus_values(rows, grid):
     ],
 )
 def test_sample_torus_map_bitwise_as_gather(rows, grid):
-    values = sample_torus_map(rows, grid)
+    values = sample_torus_map(ExponentMatrix(grid, rows), grid)
     want = dedupe_values(reference_torus_values(rows, grid))
     assert np.array(values).tobytes() == np.array(want).tobytes()
 
@@ -175,7 +176,7 @@ def test_sample_rejects_map_without_variables():
     with pytest.raises(ValueError):
         sample_torus_map(em, 5)
     with pytest.raises(ValueError):
-        sample_torus_map([()], 5)
+        sample_torus_map(ExponentMatrix(5, ((),)), 5)
 
 
 def test_sample_budget():
@@ -264,7 +265,7 @@ def test_containment_matches_nearest_point_oracle(d):
     # 0.01 of a cusp, where the curve runs almost radially and the radial
     # test alone rejects points within tol; 20 more lie anywhere in the box
     mp = pytest.importorskip("mpmath")
-    tol = 1e-9
+    tol = TOL
     rng = np.random.default_rng(d)
     t = 2 * pi * rng.integers(d, size=100) / d + rng.choice([-1, 1], 100) * 10 ** rng.uniform(-4, -2, 100)
     t[::4] = rng.uniform(0, 2 * pi, 25)
@@ -276,7 +277,7 @@ def test_containment_matches_nearest_point_oracle(d):
     clear = np.abs(dist - tol) > 1e-12
     assert clear.sum() >= 115
     assert 0 < (dist[clear] <= tol).sum() < clear.sum()
-    got = hypocycloid_contains_many(pts, d, tol)
+    got = hypocycloid_contains_many(pts, d)
     assert got[clear].tolist() == (dist[clear] <= tol).tolist()
 
 
@@ -370,7 +371,7 @@ def test_closed_form_radial_test_keeps_every_verdict(d):
     # (t = pi/d + 2 pi k/d), anywhere on the curve and exactly at both,
     # moved radially by 0, 0.5, 0.999, 1.001 and 2 tol inward and outward,
     # and points on the inscribed circle |p| = d - 2
-    tol = 1e-9
+    tol = TOL
     rng = np.random.default_rng(d)
     k = 2 * pi * rng.integers(d, size=600) / d
     t = np.concatenate(
@@ -390,13 +391,13 @@ def test_closed_form_radial_test_keeps_every_verdict(d):
     want = reference_contains(pts, d, tol)
     assert 0 < want.sum() < len(pts)
     with np.errstate(invalid="raise"):
-        assert hypocycloid_contains_many(pts, d, tol).tolist() == want.tolist()
+        assert hypocycloid_contains_many(pts, d).tolist() == want.tolist()
     # the radial flags alone agree too, except within 1e-6 of a cusp's ray:
     # there the radius on a ray changes fast with its angle, so the
     # bisection's radius is off by more than the tol boundary's margin
     r, phi = _fold(pts, d)
     away = phi > 1e-6
-    radial = asymptotic._radial_accept(r, phi, d, tol)
+    radial = asymptotic._radial_accept(r, phi, d)
     assert 0 < radial[away].sum() < away.sum()
     assert radial[away].tolist() == reference_radial(r, phi, d, tol)[away].tolist()
 

@@ -19,7 +19,7 @@ from symchar.evaluate import (
     orbit_array,
     permanent_oracle,
     roots_of_unity,
-    rotation_closed,
+    rotation_witness,
     supercharacter,
     union_image,
     values_on_block,
@@ -523,15 +523,15 @@ def test_dedupe_values_keeps_first_signed_zero():
 
 
 def test_cloud_difference_respects_tolerance():
-    assert cloud_difference([1 + 0j], [1 + 5e-10j], tol=1e-9) == ([], [])
-    assert cloud_difference([1 + 0j], [1 + 1e-8j], tol=1e-9) == ([1 + 0j], [1 + 1e-8j])
+    assert cloud_difference([1 + 0j], [1 + 5e-10j]) == ([], [])
+    assert cloud_difference([1 + 0j], [1 + 1e-8j]) == ([1 + 0j], [1 + 1e-8j])
     assert cloud_difference([1 + 0j, 2 + 0j], [1 + 0j]) == ([2 + 0j], [])
 
 
 def test_cloud_difference_across_bucket_edges():
     # values straddling a rounding-bucket boundary must still pair up
     base = 0.1234567895
-    assert cloud_difference([base + 4.9e-10 + 0j], [base - 4.9e-10 + 0j], tol=1e-9) == ([], [])
+    assert cloud_difference([base + 4.9e-10 + 0j], [base - 4.9e-10 + 0j]) == ([], [])
 
 
 def test_cloud_difference_keeps_input_order():
@@ -539,24 +539,15 @@ def test_cloud_difference_keeps_input_order():
     assert cloud_difference(a, [1j, 1 + 1e-10j]) == ([3 + 0j, 2 + 0j, -1j], [])
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-def test_tolerance_must_be_positive(tol):
-    with pytest.raises(ValueError):
-        cloud_difference([1 + 0j], [1 + 0j], tol=tol)
-    with pytest.raises(ValueError):
-        cloud_difference([], [], tol=tol)
-    with pytest.raises(ValueError):
-        rotation_closed([1 + 0j, -1 + 0j], 2, tol=tol)
-
-
 def test_rotation_closed_within_tolerance():
     square = [1 + 0j, 1j, -1 + 0j, -1j]
-    assert rotation_closed(square, 4) and rotation_closed(square, 2)
-    assert not rotation_closed(square, 3)
-    assert not rotation_closed(square[:3], 4)
-    assert rotation_closed([1 + 0j, 2e-9 + 1j, -1 + 0j, -1j], 4, tol=3e-9)
-    assert not rotation_closed([1 + 0j, 2e-9 + 1j, -1 + 0j, -1j], 4)
-    assert rotation_closed([5 + 0j], 1) and rotation_closed([], 3)
+    assert rotation_witness(square, 4) is None and rotation_witness(square, 2) is None
+    assert rotation_witness(square, 3) is not None
+    value, rotated = rotation_witness(square[:3], 4)
+    assert value == -1 and abs(rotated + 1j) < 1e-15
+    assert rotation_witness([1 + 0j, 5e-10 + 1j, -1 + 0j, -1j], 4) is None
+    assert rotation_witness([1 + 0j, 2e-9 + 1j, -1 + 0j, -1j], 4) is not None
+    assert rotation_witness([5 + 0j], 1) is None and rotation_witness([], 3) is None
 
 
 def test_union_image_contains_each_orbit():
