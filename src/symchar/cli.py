@@ -207,7 +207,14 @@ def cmd_reduce(args) -> int:
 def cmd_table(args) -> int:
     if args.n <= 0 or args.d <= 0:
         raise UsageError("n and d must be positive")
-    _write_or_print(table.build_table(args.n, args.d, budget=args.budget).to_json(), _output_path(args.out))
+    tab = table.build_table(args.n, args.d, budget=args.budget)
+    path = _output_path(args.out)
+    if path is None:
+        tab.write_json(sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        with open(path, "w") as fh:
+            tab.write_json(fh)
     return 0
 
 

@@ -196,6 +196,54 @@ def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarr
     return rows
 
 
+def superclass_chunks(n: int, d: int, first_below: int, rows: int) -> Iterator[np.ndarray]:
+    """The rows of superclass_array(n, d, first_below), in order, as
+    consecutive blocks of at most `rows` rows, without building them all.
+
+    The rows that extend a prefix p by a next entry in [lo, hi), with k
+    entries left, are p followed by superclass_array(n - lo, k, hi - lo) + lo.
+    Ranges of next entries are taken as wide as fit in `rows`, a next entry
+    whose rows alone do not fit is split by the entry after it, and
+    neighbouring pieces are joined up to `rows`.  A prefix of at most
+    `rows` rows is the one block superclass_array(n, d, first_below).
+    """
+    if rows < 1 or not 1 <= first_below <= n:
+        raise ValueError(f"need rows >= 1 and first_below in [1, {n}], got {rows} and {first_below}")
+    if orbit_count(n, d) - orbit_count(n - first_below, d) <= rows:
+        yield superclass_array(n, d, first_below)
+        return
+    dtype = np.min_scalar_type(n - 1)
+
+    def pieces(prefix: tuple[int, ...], lo: int, hi: int) -> Iterator[np.ndarray]:
+        k = d - len(prefix)
+        v = lo
+        while v < hi:
+            w = v + 1
+            if k > 1 and orbit_count(n - v, k - 1) > rows:
+                yield from pieces(prefix + (v,), v, n)
+            else:
+                if orbit_count(n - v, k) - orbit_count(n - hi, k) <= rows:
+                    w = hi
+                while w < hi and orbit_count(n - v, k) - orbit_count(n - w - 1, k) <= rows:
+                    w += 1
+                tail = superclass_array(n - v, k, w - v)
+                piece = np.empty((len(tail), d), dtype=dtype)
+                piece[:, : len(prefix)] = prefix
+                np.add(tail, v, out=piece[:, len(prefix) :], dtype=dtype)
+                yield piece
+            v = w
+
+    pending: list[np.ndarray] = []
+    held = 0
+    for piece in pieces((), 0, first_below):
+        if held + len(piece) > rows:
+            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+            pending, held = [], 0
+        pending.append(piece)
+        held += len(piece)
+    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
 def point_array(n: int, d: int) -> np.ndarray:
     """All n^d points of (Z/nZ)^d as one (n^d, d) array in odometer order.
 

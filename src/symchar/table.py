@@ -11,14 +11,15 @@ negation map X -> -X.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .evaluate import DEFAULT_BUDGET, values_on_block
+from .evaluate import _BLOCK_CELLS, DEFAULT_BUDGET, values_on_block
 from .orbits import OrbitRep, enumerate_orbits, negate_orbit, orbit_count, orbit_size, rank_orbit
 
 
@@ -36,17 +37,25 @@ class SuperTable:
     def count(self) -> int:
         return len(self.orbits)
 
+    def write_json(self, fh: TextIO) -> None:
+        """Write to_json() to fh one table row at a time, so that only one
+        row's [re, im] lists and text are held at once."""
+        dumps = json.JSONEncoder(separators=(",", ":")).encode
+        orbits = [list(rep.entries) for rep in self.orbits]
+        fh.write(f'{{"n":{dumps(self.n)},"d":{dumps(self.d)},"orbits":{dumps(orbits)},')
+        fh.write(f'"sizes":{dumps(self.sizes.tolist())},"values":[')
+        for i, row in enumerate(self.values):
+            if i:
+                fh.write(",")
+            fh.write(dumps(row.view(float).reshape(-1, 2).tolist()))  # [re, im] per value
+        fh.write("]}")
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "d": self.d,
-                "orbits": [list(rep.entries) for rep in self.orbits],
-                "sizes": self.sizes.tolist(),
-                "values": [[[z.real, z.imag] for z in row] for row in self.values],
-            },
-            separators=(",", ":"),
-        )
+        """The table as one compact JSON object: n, d, orbits, sizes, and
+        values as rows of [re, im] pairs."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -77,18 +86,31 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
 
 
 def build_unitary(table: SuperTable) -> UnitaryTable:
-    """U[i][j] = S[i][j] sqrt(|X_j|) / (sqrt(|X_i|) sqrt(n^d))."""
+    """U[i][j] = S[i][j] sqrt(|X_j|) / (sqrt(|X_i|) sqrt(n^d)).
+
+    The residuals max|U - U^T| and max|U U^H - I| are taken in column
+    blocks of about _BLOCK_CELLS cells, each Gram block by the same product
+    as the whole-array formula u @ u.conj().T restricted to its columns, so
+    U, built in place, is the only N x N array held.
+    """
     root = np.sqrt(table.sizes.astype(float))
     norm = float(table.n) ** (table.d / 2.0)
-    # in place, so at most u, u.conj() and the Gram matrix are held at once
     u = table.values * root[None, :]
     u /= root[:, None]
     u /= norm
-    residual_symmetry = float(np.abs(u - u.T).max())
-    gram = u @ u.conj().T
-    gram[np.diag_indices_from(gram)] -= 1
-    residual_unitary = float(np.abs(gram).max())
-    return UnitaryTable(table, u, residual_symmetry, residual_unitary)
+    # blocks start on multiples of 16 columns, so that the BLAS kernel tiles
+    # each one as it tiles those columns of the whole product
+    step = max(16, _BLOCK_CELLS // len(u) // 16 * 16)
+    edges = list(range(step, len(u), step))
+    if edges and edges[-1] == len(u) - 1:
+        edges.pop()  # a one-column block would be a matrix-vector product
+    symmetry, unitary = [], []
+    for lo, hi in zip([0] + edges, edges + [len(u)]):
+        symmetry.append(np.abs(u[:, lo:hi] - u[lo:hi].T).max())
+        gram = u @ np.conj(u[lo:hi]).T  # columns lo:hi of u @ u.conj().T
+        gram[lo:hi].reshape(-1)[:: hi - lo + 1] -= 1  # their slice of the diagonal
+        unitary.append(np.abs(gram).max())
+    return UnitaryTable(table, u, float(np.max(symmetry)), float(np.max(unitary)))
 
 
 def negation_permutation(table: SuperTable) -> np.ndarray:

@@ -376,6 +376,63 @@ def test_image_matches_full_sweep(rep, cells):
     assert repr(values) == repr(full_sweep_image(rep))
 
 
+def union_reference(n, d):
+    """dedupe_values over every orbit's full sweep, concatenated in
+    enumeration order: what union_image must reproduce."""
+    return dedupe_values(np.concatenate([values_on_block(rep, superclass_array(n, d)) for rep in enumerate_orbits(n, d)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbits(), st.sampled_from([1, 2, 5, 40]))
+@example(canonicalize((0, 1, 5), 6), 3)  # L = 1
+@example(canonicalize((1, 1, 3), 12), 7)  # L = n
+@example(canonicalize((3,), 8), 2)  # d = 1, L = 8
+@example(canonicalize((4,), 8), 1)  # d = 1, L = 2
+@example(canonicalize((2, 5), 11), 4)  # d = 2, L = n
+@example(canonicalize((3, 5), 8), 5)  # d = 2, L = 1
+def test_multi_chunk_image_matches_full_sweep(rep, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_CHUNK_ROWS", rows)  # many chunks, and compactions from 2 rows up
+        values = image(rep)
+    assert repr(values) == repr(full_sweep_image(rep))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (6, 2), (4, 3), (3, 4)])
+def test_multi_chunk_union_image_matches_reference(n, d, rows, monkeypatch):
+    expected = repr(union_reference(n, d))
+    assert repr(union_image(n, d)) == expected
+    monkeypatch.setattr(evaluate, "_CHUNK_ROWS", rows)
+    assert repr(union_image(n, d)) == expected
+
+
+def test_union_image_builds_the_superclasses_once(monkeypatch):
+    built = []
+    real = evaluate.superclass_array
+    monkeypatch.setattr(evaluate, "superclass_array", lambda *a: built.append(a) or real(*a))
+    union_image(5, 3)
+    assert built == [(5, 3)]
+
+
+def test_multi_chunk_image_peak_memory():
+    # (1,1,1,1,1,25) mod 30 has L = 1: 278,256 prefix rows, 252 values kept.
+    # In chunks of 4,096 rows the sweep holds at most three chunks' values
+    # and their dedupe scratch, far below the 4.5 MB of the prefix's values.
+    rep = canonicalize((1, 1, 1, 1, 1, 25), 30)
+    rows = len(superclass_array(30, 6, rotation_order(rep)))
+    orbit_array(rep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_CHUNK_ROWS", 1 << 12)
+        tracemalloc.start()
+        try:
+            values = image(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(values) == 252
+    assert peak < rows * np.dtype(complex).itemsize / 2
+
+
 def test_image_sweeps_only_the_rotation_prefix(monkeypatch):
     rep = canonicalize((0, 1, 3), 12)  # [x] = 4, L = 3
     assert rotation_order(rep) == 3
@@ -520,6 +577,27 @@ def test_dedupe_values_large_coordinates():
 def test_dedupe_values_keeps_first_signed_zero():
     assert repr(dedupe_values([complex(-0.0, 0.0), 0j, complex(0.0, -0.0)])) == repr((complex(-0.0, 0.0),))
     assert dedupe_values([]) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _coords, _coords), max_size=60), st.data())
+def test_dedupe_of_deduped_chunks_is_dedupe_of_all(vals, data):
+    # near and exact twins of earlier values planted after them, so across
+    # chunk edges when a cut falls between; then random cuts
+    step = st.sampled_from([-1e-9, -5e-10, 0.0, 5e-10, 1e-9])
+    for _ in range(data.draw(st.integers(0, 12))):
+        if vals:
+            z = data.draw(st.sampled_from(vals))
+            twin = complex(z.real + data.draw(step), z.imag + data.draw(step))
+            vals.insert(data.draw(st.integers(vals.index(z) + 1, len(vals))), twin)
+    arr = np.array(vals, dtype=complex)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(vals)), max_size=8)))
+    chunks = np.split(arr, cuts)
+    expected = repr(dedupe_values(arr))
+    assert repr(dedupe_values(np.concatenate([np.array(dedupe_values(c), dtype=complex) for c in chunks]))) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_CHUNK_ROWS", data.draw(st.sampled_from([1, 2, 4, 1 << 18])))
+        assert repr(evaluate._dedupe_chunks(iter(chunks), np.asarray)) == expected
 
 
 def test_cloud_difference_respects_tolerance():

@@ -78,6 +78,19 @@ HYPOCYCLOID_GOLDEN = [
 ]
 
 
+# The supercharacter table's JSON, printed and written to a file, so that a
+# row-by-row writer must give the bytes of one json.dumps call.  A list of its
+# own, so the ids of GOLDEN cases do not change.
+TABLE_GOLDEN = [
+    (["table", "4", "3"], "d1f283f2b7733737ae509a99b3c79fb3772d09be6bd37b4cdc06e64cf7dfa662", None),
+    (
+        ["table", "6", "3", "-o", "table.json"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4ea6afce58a239abb5e6b7dd8e840ea0c582caf050ab0b8011e952e3e57a545c",
+    ),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -90,6 +103,11 @@ def test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, 
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
     if file_digest is not None:
         assert sha256((tmp_path / argv[-1]).read_bytes()) == file_digest
+
+
+@pytest.mark.parametrize("argv, stdout_digest, file_digest", TABLE_GOLDEN, ids=["-".join(g[0][1:3]) for g in TABLE_GOLDEN])
+def test_table_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys):
+    test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv, stdout_digest", SWEEP_GOLDEN, ids=["-".join(g[0][1::2]) for g in SWEEP_GOLDEN])

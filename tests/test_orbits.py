@@ -21,6 +21,7 @@ from symchar.orbits import (
     shift_orbit,
     stabilizer_order,
     superclass_array,
+    superclass_chunks,
     unrank_orbit,
 )
 
@@ -142,6 +143,29 @@ def test_superclass_array_first_below_is_prefix():
     for bad in (0, 6, -1):
         with pytest.raises(ValueError):
             superclass_array(5, 3, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+def test_superclass_chunks_are_the_prefix_in_blocks(n, d, data):
+    first_below = data.draw(st.integers(1, n))
+    rows = data.draw(st.sampled_from([1, 2, 3, 7, 40]) | st.integers(1, 2000))
+    part = superclass_array(n, d, first_below)
+    chunks = list(superclass_chunks(n, d, first_below, rows))
+    assert all(1 <= len(c) <= rows and c.dtype == part.dtype for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), part)
+    if len(part) <= rows:
+        assert len(chunks) == 1
+
+
+def test_superclass_chunks_wide_entries_and_validation():
+    # tails are built in the dtype of n - 1 before the offset is added
+    full = superclass_array(300, 3)
+    chunks = list(superclass_chunks(300, 3, 300, 5000))
+    assert chunks[0].dtype == np.uint16 and np.array_equal(np.concatenate(chunks), full)
+    for first_below, rows in [(5, 0), (0, 10), (6, 10)]:
+        with pytest.raises(ValueError):
+            next(superclass_chunks(5, 3, first_below, rows))
 
 
 def test_rotation_order():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -58,15 +59,30 @@ def test_unitary_residuals_match_whole_array_formula(n, d):
 
 
 def test_build_unitary_peak_memory():
-    # u, u.conj() and the Gram matrix are the most held at once: 3 tables
-    tab = build_table(9, 3)
+    # the returned u plus one column block's scratch (about 4 MB): no whole
+    # u.conj() copy and no N x N Gram matrix
+    tab = build_table(11, 4)  # N = 1,001: a 16 MB table, 64-column blocks
     tracemalloc.start()
     try:
         build_unitary(tab)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * tab.values.nbytes
+    assert peak < 1.25 * tab.values.nbytes
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (5, 3)])
+def test_table_json_is_one_json_dumps(n, d):
+    # written row by row, the bytes of one json.dumps of the whole table
+    tab = build_table(n, d)
+    whole = {
+        "n": n,
+        "d": d,
+        "orbits": [list(rep.entries) for rep in tab.orbits],
+        "sizes": tab.sizes.tolist(),
+        "values": [[[z.real, z.imag] for z in row] for row in tab.values],
+    }
+    assert tab.to_json() == json.dumps(whole, separators=(",", ":"))
 
 
 def test_unitary_squared_is_negation():
