@@ -244,19 +244,6 @@ class ExponentMatrix:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def variables(self) -> int:
-        return len(self.rows)
-
-    @property
-    def terms(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def column_multiset(self) -> tuple[tuple[int, ...], ...]:
-        """Columns as a sorted multiset, for order-insensitive comparison."""
-        cols = tuple(tuple(row[c] for row in self.rows) for c in range(self.terms))
-        return tuple(sorted(cols))
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "rows": [list(r) for r in self.rows]}, separators=(",", ":"))
 

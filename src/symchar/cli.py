@@ -24,6 +24,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterable
 
 from . import asymptotic, identities, render, table
 from .errors import BudgetExceeded, DimensionTooLarge, HypothesisFailed, NoUnitPivot, SymcharError
@@ -81,12 +82,18 @@ def _jobspec(args, entries) -> OrbitRep:
     return rep
 
 
-def _write_or_print(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write text chunks to the file at path, or else to stdout, where
+    text that does not end in a newline gets one."""
+    if path is not None:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        return
+    last = ""
+    for last in chunks:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_image(args) -> int:
     rep = _jobspec(args, args.entries)
     values = image(rep, budget=args.budget, full_group=args.full_group)
-    _write_or_print(render.export_points(values, args.format), _output_path(args.out))
+    _write_output(render.export_points(values, args.format), _output_path(args.out))
     return 0
 
 
@@ -200,7 +207,7 @@ def cmd_reduce(args) -> int:
         print(exponents.to_json())
         if args.grid is not None:
             values = asymptotic.sample_torus_map(exponents, args.grid, budget=args.budget)
-            _write_or_print(render.export_points(values, args.format), _output_path(args.out))
+            _write_output(render.export_points(values, args.format), _output_path(args.out))
     return 0
 
 
@@ -208,26 +215,7 @@ def cmd_table(args) -> int:
     if args.n <= 0 or args.d <= 0:
         raise UsageError("n and d must be positive")
     tab = table.build_table(args.n, args.d, budget=args.budget)
-    path = _output_path(args.out)
-    if path is None:
-        tab.write_json(sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            tab.write_json(fh)
-    return 0
-
-
-def cmd_walk(args) -> int:
-    report = identities.walk_reduction_check(args.n, args.d, args.a, budget=args.budget)
-    print(report.to_json())
-    return 0 if report.passed else 1
-
-
-def cmd_solve(args) -> int:
-    solve = solve_bilinear_brute if args.brute else solve_bilinear_congruence
-    sol = solve(args.a, args.b, args.d, args.n)
-    print(json.dumps({"j": sol.j, "k": sol.k, "method": sol.method}))
+    _write_output(tab.json_chunks(), _output_path(args.out))
     return 0
 
 
@@ -239,59 +227,81 @@ def _emit(reports) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_walk(args) -> int:
+    return _emit([identities.walk_reduction_check(args.n, args.d, args.a, budget=args.budget)])
+
+
+def cmd_solve(args) -> int:
+    solve = solve_bilinear_brute if args.brute else solve_bilinear_congruence
+    sol = solve(args.a, args.b, args.d, args.n)
+    print(json.dumps({"j": sol.j, "k": sol.k, "method": sol.method}))
+    return 0
+
+
+def _verify_sweep(args) -> int:
+    # looked up on identities when it runs, so that a wrapped sweep is the one called
+    sweep = getattr(identities, f"sweep_{args.check}")
+    return _emit(sweep(args.n, args.d, budget=args.budget))
+
+
+def _verify_full_union(args) -> int:
+    order = identities.full_union_symmetry(args.n, args.d, budget=args.budget)
+    print(json.dumps({"check": "full-union", "n": args.n, "d": args.d, "order": order, "passed": True}))
+    return 0
+
+
+def _verify_hypocycloid(args) -> int:
+    return _emit([asymptotic.hypocycloid_orbit_check(args.n, args.d, budget=args.budget)])
+
+
+def _verify_permanent(args) -> int:
     n, d = args.n, args.d
-    if n <= 0 or d <= 0:
-        raise UsageError("--n and --d must be positive")
-    check = args.check
-    if check == "conjugate":
-        return _emit(identities.sweep_conjugate(n, d, budget=args.budget))
-    if check == "translation":
-        return _emit(identities.sweep_translation(n, d, budget=args.budget))
-    if check == "constancy":
-        return _emit(identities.sweep_constancy(n, d, budget=args.budget))
-    if check == "dihedral":
-        return _emit(identities.sweep_dihedral(n, d, budget=args.budget))
-    if check == "spikes":
-        return _emit(identities.sweep_spikes(n, d, budget=args.budget))
-    if check == "full-union":
-        order = identities.full_union_symmetry(n, d, budget=args.budget)
-        print(json.dumps({"check": "full-union", "n": n, "d": d, "order": order, "passed": True}))
-        return 0
-    if check == "hypocycloid":
-        report = asymptotic.hypocycloid_orbit_check(n, d, budget=args.budget)
-        print(report.to_json())
-        return 0 if report.passed else 1
-    if check == "permanent":
-        if args.samples < 1:
-            raise UsageError("--samples must be positive")
-        total = orbit_count(n, d) * args.samples
-        if total > args.budget:
-            raise BudgetExceeded(total, args.budget)
-        rng = random.Random(args.seed)
-        bad = 0
-        for rep in enumerate_orbits(n, d):
-            ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
-            bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > TOL).sum())
-        print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
-        return 0 if bad == 0 else 1
-    if check == "unitary":
-        uni = table.build_unitary(table.build_table(n, d, budget=args.budget))
-        ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
-        print(
-            json.dumps(
-                {
-                    "check": "unitary",
-                    "n": n,
-                    "d": d,
-                    "residual_symmetry": uni.residual_symmetry,
-                    "residual_unitary": uni.residual_unitary,
-                    "passed": ok,
-                }
-            )
+    if args.samples < 1:
+        raise UsageError("--samples must be positive")
+    total = orbit_count(n, d) * args.samples
+    if total > args.budget:
+        raise BudgetExceeded(total, args.budget)
+    rng = random.Random(args.seed)
+    bad = 0
+    for rep in enumerate_orbits(n, d):
+        ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
+        bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > TOL).sum())
+    print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
+    return 0 if bad == 0 else 1
+
+
+def _verify_unitary(args) -> int:
+    uni = table.build_unitary(table.build_table(args.n, args.d, budget=args.budget))
+    ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
+    print(
+        json.dumps(
+            {
+                "check": "unitary",
+                "n": args.n,
+                "d": args.d,
+                "residual_symmetry": uni.residual_symmetry,
+                "residual_unitary": uni.residual_unitary,
+                "passed": ok,
+            }
         )
-        return 0 if ok else 1
-    raise UsageError(f"unknown check {check!r}")
+    )
+    return 0 if ok else 1
+
+
+# check name -> handler, in the order --help lists them
+CHECKS = {
+    **dict.fromkeys(["conjugate", "translation", "constancy", "dihedral", "spikes"], _verify_sweep),
+    "full-union": _verify_full_union,
+    "hypocycloid": _verify_hypocycloid,
+    "permanent": _verify_permanent,
+    "unitary": _verify_unitary,
+}
+
+
+def cmd_verify(args) -> int:
+    if args.n <= 0 or args.d <= 0:
+        raise UsageError("--n and --d must be positive")
+    return CHECKS[args.check](args)
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +387,7 @@ def _solve_args(p):
 
 
 def _verify_args(p):
-    p.add_argument(
-        "check",
-        choices=[
-            "conjugate",
-            "translation",
-            "constancy",
-            "dihedral",
-            "spikes",
-            "full-union",
-            "hypocycloid",
-            "permanent",
-            "unitary",
-        ],
-    )
+    p.add_argument("check", choices=list(CHECKS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, default=10, help="random y per orbit (verify permanent)")

@@ -4,8 +4,8 @@ A superclass is the orbit of a tuple under permutation of its entries, so
 it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
 which matches itertools.combinations_with_replacement(range(n), d); a
-position in that order can be ranked and unranked.  Whole sweeps take all
-representatives at once as one array instead.
+position in that order can be unranked.  Whole sweeps take all
+representatives at once as one array instead, or in blocks of rows.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ def unrank_orbit(n: int, d: int, index: int) -> OrbitRep:
     return OrbitRep(n, tuple(entries))
 
 
-def rank_orbit(rep: OrbitRep) -> int:
-    """Inverse of unrank_orbit: position in lexicographic enumeration."""
-    n, d = rep.n, rep.d
-    m = n + d - 1
-    rank = 0
-    prev = 0
-    for slot, v in enumerate(rep.entries):
-        c = v + slot
-        for lower in range(prev, c):
-            rank += comb(m - lower - 1, d - slot - 1)
-        prev = c + 1
-    return rank
-
-
 def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
     """Stream all C(n+d-1, d) canonical representatives in lexicographic order."""
     if d <= 0:
@@ -166,15 +152,24 @@ def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
     return (OrbitRep(n, t) for t in combinations_with_replacement(range(n), d))
 
 
+def _extend(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row ending in v, repeated n - v times and extended by v, v+1, ..., n-1."""
+    last = rows[:, -1].astype(np.int64)
+    reps = n - last
+    ends = np.cumsum(reps)
+    # copy i of a row starting at position s gets last + (i - s)
+    col = np.arange(ends[-1]) - np.repeat(ends - reps - last, reps)
+    return np.column_stack([np.repeat(rows, reps, axis=0), col.astype(rows.dtype)])
+
+
 def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarray:
     """All C(n+d-1, d) canonical representatives as one (rows, d) array.
 
     Rows are in the lexicographic order of enumerate_orbits.  Built by
-    prefix extension: each row ending in v is repeated n - v times and
-    extended by v, v+1, ..., n-1.  Entries use the smallest unsigned
-    dtype that holds n - 1.  With first_below = L in [1, n], only the
-    rows whose first entry is < L are built; they are a prefix of the
-    full array.
+    prefix extension (_extend) from the one-entry rows.  Entries use the
+    smallest unsigned dtype that holds n - 1.  With first_below = L in
+    [1, n], only the rows whose first entry is < L are built; they are a
+    prefix of the full array.
     """
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -184,64 +179,46 @@ def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarr
         first_below = n
     if not 1 <= first_below <= n:
         raise ValueError(f"first_below must be in [1, {n}], got {first_below}")
-    dtype = np.min_scalar_type(n - 1)
-    rows = np.arange(first_below, dtype=dtype)[:, None]
+    rows = np.arange(first_below, dtype=np.min_scalar_type(n - 1))[:, None]
     for _ in range(d - 1):
-        last = rows[:, -1].astype(np.int64)
-        reps = n - last
-        ends = np.cumsum(reps)
-        # copy i of a row starting at position s gets last + (i - s)
-        col = np.arange(ends[-1]) - np.repeat(ends - reps - last, reps)
-        rows = np.column_stack([np.repeat(rows, reps, axis=0), col.astype(dtype)])
+        rows = _extend(rows, n)
     return rows
 
 
 def superclass_chunks(n: int, d: int, first_below: int, rows: int) -> Iterator[np.ndarray]:
     """The rows of superclass_array(n, d, first_below), in order, as
-    consecutive blocks of at most `rows` rows, without building them all.
+    consecutive blocks of 1 to `rows` rows, without building them all.
 
-    The rows that extend a prefix p by a next entry in [lo, hi), with k
-    entries left, are p followed by superclass_array(n - lo, k, hi - lo) + lo.
-    Ranges of next entries are taken as wide as fit in `rows`, a next entry
-    whose rows alone do not fit is split by the entry after it, and
-    neighbouring pieces are joined up to `rows`.  A prefix of at most
-    `rows` rows is the one block superclass_array(n, d, first_below).
+    The d-entry rows are the extensions (_extend) of the (d-1)-entry rows,
+    which come in blocks from this function at d - 1.  Each of those blocks
+    is cut into runs that extend to at most `rows` rows; a single row that
+    extends to more (only when rows < n) is extended alone and sliced.  A
+    prefix of at most `rows` rows is the one block
+    superclass_array(n, d, first_below).
     """
     if rows < 1 or not 1 <= first_below <= n:
         raise ValueError(f"need rows >= 1 and first_below in [1, {n}], got {rows} and {first_below}")
     if orbit_count(n, d) - orbit_count(n - first_below, d) <= rows:
         yield superclass_array(n, d, first_below)
         return
-    dtype = np.min_scalar_type(n - 1)
-
-    def pieces(prefix: tuple[int, ...], lo: int, hi: int) -> Iterator[np.ndarray]:
-        k = d - len(prefix)
-        v = lo
-        while v < hi:
-            w = v + 1
-            if k > 1 and orbit_count(n - v, k - 1) > rows:
-                yield from pieces(prefix + (v,), v, n)
+    if d == 1:
+        yield from _slices(superclass_array(n, 1, first_below), rows)
+        return
+    for block in superclass_chunks(n, d - 1, first_below, rows):
+        ends = np.cumsum(n - block[:, -1].astype(np.int64))
+        i = 0
+        while i < len(block):
+            j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + rows, side="right"))
+            if j > i:
+                yield _extend(block[i:j], n)
             else:
-                if orbit_count(n - v, k) - orbit_count(n - hi, k) <= rows:
-                    w = hi
-                while w < hi and orbit_count(n - v, k) - orbit_count(n - w - 1, k) <= rows:
-                    w += 1
-                tail = superclass_array(n - v, k, w - v)
-                piece = np.empty((len(tail), d), dtype=dtype)
-                piece[:, : len(prefix)] = prefix
-                np.add(tail, v, out=piece[:, len(prefix) :], dtype=dtype)
-                yield piece
-            v = w
+                j = i + 1
+                yield from _slices(_extend(block[i:j], n), rows)
+            i = j
 
-    pending: list[np.ndarray] = []
-    held = 0
-    for piece in pieces((), 0, first_below):
-        if held + len(piece) > rows:
-            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-            pending, held = [], 0
-        pending.append(piece)
-        held += len(piece)
-    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+def _slices(a: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    return (a[lo : lo + rows] for lo in range(0, len(a), rows))
 
 
 def point_array(n: int, d: int) -> np.ndarray:

@@ -25,10 +25,11 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +43,8 @@ KERNEL = np.array(
 # the byte each kernel weight leaves: floor(255 * (1 - w) + 0.5), which is
 # [[179, 64, 179], [64, 0, 64], [179, 64, 179]]
 _LEVELS = np.floor(255.0 * (1.0 - KERNEL) + 0.5).astype(np.uint8)
+# points per chunk of export_points text
+_EXPORT_POINTS = 1 << 16
 
 
 def round_half_away(x):
@@ -58,8 +61,8 @@ class BitmapSpec:
     unit_res: int
 
     def __post_init__(self):
-        if self.range <= 0:
-            raise ValueError(f"range must be positive, got {self.range}")
+        if not 0 < self.range < math.inf:  # also refuses nan
+            raise ValueError(f"range must be positive and finite, got {self.range}")
         if self.unit_res <= 0 or self.unit_res != int(self.unit_res):
             raise ValueError(f"unit_res must be a positive integer, got {self.unit_res}")
         res = self.unit_res * self.range
@@ -147,19 +150,30 @@ def round11(v: float) -> float:
     return 0.0 if r == 0 else r
 
 
-def export_points(values: Iterable[complex], fmt: str = "csv") -> str:
-    """Serialize a deduplicated point list: CSV rows or a JSON array.
+def export_points(values: Sequence[complex], fmt: str = "csv") -> Iterator[str]:
+    """Serialize a deduplicated point list, CSV rows or a JSON array, as
+    chunks of text of _EXPORT_POINTS points each, so that only one chunk's
+    text is held at once.
 
     Floats are printed with 11 decimal places (12 significant digits at
     plot scale) so files diff cleanly across runs: round11 of each
     coordinate, which for a Python float is what .11f prints once a
     "-0.00000000000" is folded into "0.00000000000".
     """
-    if fmt == "csv":
-        lines = ["re,im"]
-        lines += [f"{z.real:.11f},{z.imag:.11f}" for z in values]
-        return ("\n".join(lines) + "\n").replace("-0.00000000000", "0.00000000000")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return _export_chunks(values, fmt)
+
+
+def _export_chunks(values: Sequence[complex], fmt: str) -> Iterator[str]:
+    yield "re,im\n" if fmt == "csv" else "["
+    for lo in range(0, len(values), _EXPORT_POINTS):
+        chunk = values[lo : lo + _EXPORT_POINTS]
+        if fmt == "csv":
+            text = "".join([f"{z.real:.11f},{z.imag:.11f}\n" for z in chunk])
+            yield text.replace("-0.00000000000", "0.00000000000")
+        else:
+            pts = [[round11(z.real), round11(z.imag)] for z in chunk]
+            yield ("," if lo else "") + json.dumps(pts, separators=(",", ":"))[1:-1]  # no outer brackets
     if fmt == "json":
-        pts = [[round11(z.real), round11(z.imag)] for z in values]
-        return json.dumps(pts, separators=(",", ":"))
-    raise ValueError(f"unknown format {fmt!r}")
+        yield "]"

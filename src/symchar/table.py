@@ -11,16 +11,15 @@ negation map X -> -X.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded
 from .evaluate import _BLOCK_CELLS, DEFAULT_BUDGET, values_on_block
-from .orbits import OrbitRep, enumerate_orbits, negate_orbit, orbit_count, orbit_size, rank_orbit
+from .orbits import OrbitRep, enumerate_orbits, orbit_count, orbit_size
 
 
 @dataclass(frozen=True)
@@ -33,29 +32,18 @@ class SuperTable:
     sizes: np.ndarray = field(repr=False)  # |X_j|, shape (N,)
     values: np.ndarray = field(repr=False)  # S[i][j], shape (N, N)
 
-    @property
-    def count(self) -> int:
-        return len(self.orbits)
-
-    def write_json(self, fh: TextIO) -> None:
-        """Write to_json() to fh one table row at a time, so that only one
-        row's [re, im] lists and text are held at once."""
+    def json_chunks(self) -> Iterator[str]:
+        """The table as one compact JSON object, in chunks of text: n, d,
+        orbits, sizes, and values as rows of [re, im] pairs.  Each table
+        row is one chunk, so that only one row's [re, im] lists and text
+        are held at once."""
         dumps = json.JSONEncoder(separators=(",", ":")).encode
         orbits = [list(rep.entries) for rep in self.orbits]
-        fh.write(f'{{"n":{dumps(self.n)},"d":{dumps(self.d)},"orbits":{dumps(orbits)},')
-        fh.write(f'"sizes":{dumps(self.sizes.tolist())},"values":[')
+        yield f'{{"n":{dumps(self.n)},"d":{dumps(self.d)},"orbits":{dumps(orbits)},'
+        yield f'"sizes":{dumps(self.sizes.tolist())},"values":['
         for i, row in enumerate(self.values):
-            if i:
-                fh.write(",")
-            fh.write(dumps(row.view(float).reshape(-1, 2).tolist()))  # [re, im] per value
-        fh.write("]}")
-
-    def to_json(self) -> str:
-        """The table as one compact JSON object: n, d, orbits, sizes, and
-        values as rows of [re, im] pairs."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
+            yield ("," if i else "") + dumps(row.view(float).reshape(-1, 2).tolist())  # [re, im] per value
+        yield "]}"
 
 
 @dataclass(frozen=True)
@@ -112,25 +100,3 @@ def build_unitary(table: SuperTable) -> UnitaryTable:
         unitary.append(np.abs(gram).max())
     return UnitaryTable(table, u, float(np.max(symmetry)), float(np.max(unitary)))
 
-
-def negation_permutation(table: SuperTable) -> np.ndarray:
-    """Index permutation sending each orbit to its negation -X."""
-    return np.array([rank_orbit(negate_orbit(rep)) for rep in table.orbits], dtype=np.int64)
-
-
-def superclass_transform(unitary: UnitaryTable, f: Sequence[complex]) -> np.ndarray:
-    """Apply U to a superclass function given as a vector over orbits."""
-    vec = np.asarray(f, dtype=complex)
-    if vec.shape != (unitary.table.count,):
-        raise DimensionMismatch(
-            f"expected a vector of length {unitary.table.count}, got shape {vec.shape}"
-        )
-    return unitary.matrix @ vec
-
-
-def second_orthogonality_residual(table: SuperTable) -> float:
-    """max over row pairs i != i' of |sum_j |X_j| S[i][j] conj(S[i'][j])|."""
-    weighted = table.values * table.sizes[None, :]
-    gram = weighted @ table.values.conj().T
-    off = gram - np.diag(np.diag(gram))
-    return float(np.abs(off).max())

@@ -142,8 +142,8 @@ def test_criterion_08_reduction_certificates():
 
     known = certificate_from_rows(hummingbird, [[3, 1, 0], [2, -1, 0], [1, 1, 1]])
     assert known.zero_rows == 1 and gcd(known.det, 47) == 1
-    expect = tuple(sorted([(5, 0), (0, 5), (7, 3), (3, 7), (-8, -7), (-7, -8)]))
-    assert torus_map(known).column_multiset() == expect
+    expect = sorted([(5, 0), (0, 5), (7, 3), (3, 7), (-8, -7), (-7, -8)])
+    assert sorted(zip(*torus_map(known).rows)) == expect  # the reduced form up to column order
 
     manta = row_reduce_mod_n(orbit_matrix(canonicalize((0, 1, 1, 15), 17)))
     assert manta.complete and manta.zero_rows == 1 and gcd(manta.det, 17) == 1

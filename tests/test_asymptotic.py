@@ -85,15 +85,14 @@ def test_certificate_from_supplied_reducer():
     assert cert.det == 42  # -5 mod 47, a unit
     assert gcd(cert.det, 47) == 1
     em = torus_map(cert)
-    assert em.column_multiset() == tuple(
-        sorted([(5, 0), (0, 5), (7, 3), (3, 7), (-8, -7), (-7, -8)])
-    )
+    # the reduced form up to column order
+    assert sorted(zip(*em.rows)) == sorted([(5, 0), (0, 5), (7, 3), (3, 7), (-8, -7), (-7, -8)])
 
 
 def test_torus_map_lifts_to_symmetric_range():
     cert = row_reduce_mod_n(orbit_matrix(canonicalize((1, 2, 44), 47)))
     em = torus_map(cert)
-    assert em.variables == 2
+    assert len(em.rows) == 2
     assert all(-23 <= v <= 23 for row in em.rows for v in row)
 
 
@@ -107,7 +106,6 @@ def test_torus_map_requires_complete():
 def test_hypocycloid_exponents_shape():
     em = hypocycloid_exponents(4)
     assert em.rows == ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
-    assert em.variables == 3 and em.terms == 4
 
 
 def test_sample_torus_map_matches_direct_image():
@@ -172,7 +170,7 @@ def test_sample_torus_map_bitwise_as_gather(rows, grid):
 def test_sample_rejects_map_without_variables():
     cert = row_reduce_mod_n(orbit_matrix(canonicalize((0, 0), 5)))
     em = torus_map(cert)
-    assert em.variables == 0 and em.terms == 0
+    assert em.rows == ()
     with pytest.raises(ValueError):
         sample_torus_map(em, 5)
     with pytest.raises(ValueError):

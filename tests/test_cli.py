@@ -492,6 +492,17 @@ def test_unallocatable_raster_is_one_json_line(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_render_nonfinite_range_is_a_usage_error(bad, tmp_path, capsys):
+    out_file = tmp_path / "x.png"
+    code, out, err = run_cli(["render", "3", "0", "1", "--range", bad, "--unit-res", "1", "-o", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    line = json.loads(err)
+    assert line["error"] == "usage" and "range" in line["detail"]
+    assert not out_file.exists()
+
+
 def test_render_requires_output(capsys):
     code, _, err = run_cli(["render", "7", "1", "--range", "2", "--unit-res", "2"], capsys)
     assert code == 2

@@ -91,6 +91,26 @@ TABLE_GOLDEN = [
 ]
 
 
+# image and reduce output in JSON, printed and written to a file, and CSV
+# written to a file, so that a chunked exporter must give the bytes of one
+# whole-text export.  `image 400 1 2` in GOLDEN (80k points) spans several
+# chunks.  A list of its own, so the ids of GOLDEN cases do not change.
+EXPORT_GOLDEN = [
+    (["image", "11", "3", "4", "5", "6", "9", "10", "--format", "json"], "4e69fb2bdadeaa201264027f357c88d39808cfcf4d12c9eb584ced5f875289c1", None),
+    (
+        ["image", "12", "0", "1", "3", "--format", "json", "-o", "p.json"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d76fd7ffe4de76a97b9f4b75014c2677d2a3add817d657fdb4fdf1b08d3834c1",
+    ),
+    (
+        ["image", "12", "0", "1", "3", "--format", "csv", "-o", "p.csv"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ca10c869ff84d0a79242f8052f0fe7c82c152262ee51a0b795da2da27cec9c0b",
+    ),
+    (["reduce", "47", "1", "2", "44", "--grid", "47", "--format", "json"], "9bb7bea65f8e62d91e8700a16823aed6f1e1b2f1fad2eb4a079432516acee978", None),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -120,3 +140,8 @@ def test_sweep_golden_digest(argv, stdout_digest, capsys):
 def test_hypocycloid_golden_digest(argv, stdout_digest, capsys):
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+@pytest.mark.parametrize("argv, stdout_digest, file_digest", EXPORT_GOLDEN, ids=["-".join(g[0][:2] + g[0][-3:]) for g in EXPORT_GOLDEN])
+def test_export_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys):
+    test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys)

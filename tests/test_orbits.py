@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 
 import numpy as np
@@ -15,7 +15,6 @@ from symchar.orbits import (
     orbit_size,
     orbit_sum,
     point_array,
-    rank_orbit,
     residue_multiplicities,
     rotation_order,
     shift_orbit,
@@ -82,7 +81,6 @@ def test_shift_and_negate():
 def test_rank_unrank_roundtrip():
     for n, d in [(3, 2), (5, 3), (7, 2), (4, 4)]:
         for i, rep in enumerate(enumerate_orbits(n, d)):
-            assert rank_orbit(rep) == i
             assert unrank_orbit(n, d, i) == rep
 
 
@@ -90,8 +88,7 @@ def test_rank_unrank_roundtrip():
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=5), st.data())
 def test_unrank_in_range(n, d, data):
     i = data.draw(st.integers(min_value=0, max_value=orbit_count(n, d) - 1))
-    rep = unrank_orbit(n, d, i)
-    assert rank_orbit(rep) == i
+    assert unrank_orbit(n, d, i).entries == next(islice(combinations_with_replacement(range(n), d), i, None))
 
 
 def test_enumerate_matches_combinations():
@@ -166,6 +163,22 @@ def test_superclass_chunks_wide_entries_and_validation():
     for first_below, rows in [(5, 0), (0, 10), (6, 10)]:
         with pytest.raises(ValueError):
             next(superclass_chunks(5, 3, first_below, rows))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 299])
+@pytest.mark.parametrize("d, first_below", [(2, 300), (3, 2)])
+def test_superclass_chunks_narrower_than_one_row_extension(d, first_below, rows):
+    # rows < n: a row ending in a small entry extends to more than `rows`
+    # rows, which are sliced; entries are uint16
+    part = superclass_array(300, d, first_below)
+    chunks = list(superclass_chunks(300, d, first_below, rows))
+    assert all(1 <= len(c) <= rows and c.dtype == np.uint16 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), part)
+
+
+def test_superclass_chunks_of_one_entry():
+    assert [c.tolist() for c in superclass_chunks(5, 1, 1, 1)] == [[[0]]]
+    assert [c.tolist() for c in superclass_chunks(5, 1, 5, 2)] == [[[0], [1]], [[2], [3]], [[4]]]
 
 
 def test_rotation_order():

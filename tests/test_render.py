@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symchar import render
 from symchar.render import (
     BitmapSpec,
     GrayImage,
@@ -58,6 +59,12 @@ def test_spec_validation():
         BitmapSpec(0, 4)
     with pytest.raises(ValueError):
         BitmapSpec(2, 0)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_spec_refuses_nonfinite_range(bad):
+    with pytest.raises(ValueError, match="range"):
+        BitmapSpec(bad, 1)
 
 
 def test_kernel_shape():
@@ -196,13 +203,17 @@ def test_render_and_encode_peak_memory():
     assert peak <= 6 * spec.side**2
 
 
+def export(values, fmt):
+    return "".join(export_points(values, fmt))
+
+
 def test_export_points_empty():
-    assert export_points([], "csv") == "re,im\n"
-    assert json.loads(export_points([], "json")) == []
+    assert export([], "csv") == "re,im\n"
+    assert json.loads(export([], "json")) == []
 
 
 def test_export_points_csv():
-    out = export_points([0.5 + 0.25j, -1j], "csv")
+    out = export([0.5 + 0.25j, -1j], "csv")
     lines = out.strip().splitlines()
     assert lines[0] == "re,im"
     assert lines[1] == "0.50000000000,0.25000000000"
@@ -210,13 +221,13 @@ def test_export_points_csv():
 
 
 def test_export_points_json():
-    out = export_points([1 + 2j], "json")
+    out = export([1 + 2j], "json")
     data = json.loads(out)
     assert data == [[1.0, 2.0]]
 
 
 def test_export_points_no_negative_zero():
-    out = export_points([complex(-1e-14, -1e-14)], "csv")
+    out = export([complex(-1e-14, -1e-14)], "csv")
     assert "-0.0" not in out
 
 
@@ -240,13 +251,27 @@ def test_export_points_csv_matches_round11():
     coords = [float(v) for v in _csv_coords]
     values = [complex(a, b) for a, b in zip(coords, coords[1:] + coords[:1])]
     values += [complex(a, b) for a, b in zip(coords[::-1], coords)]
-    assert export_points(values, "csv") == reference_csv(values)
+    assert export(values, "csv") == reference_csv(values)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 1000])
+def test_export_points_chunks_join_to_the_whole_text(points, monkeypatch):
+    # a chunk boundary falls anywhere in the list, and the JSON separators
+    # between chunks give the bytes of one json.dumps
+    monkeypatch.setattr(render, "_EXPORT_POINTS", points)
+    coords = [float(v) for v in _csv_coords if np.isfinite(v)]
+    values = [complex(a, b) for a, b in zip(coords, coords[1:] + coords[:1])][:2500]
+    for n in (0, 1, 2, 3, 4, len(values)):
+        assert export(values[:n], "csv") == reference_csv(values[:n])
+        pts = [[round11(z.real), round11(z.imag)] for z in values[:n]]
+        assert export(values[:n], "json") == json.dumps(pts, separators=(",", ":"))
+    assert len(list(export_points(values, "csv"))) == 1 + -(-len(values) // points)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(complex, st.floats(), st.floats() | st.sampled_from(_csv_coords)), max_size=30))
 def test_export_points_csv_matches_round11_anywhere(values):
-    assert export_points(values, "csv") == reference_csv(values)
+    assert export(values, "csv") == reference_csv(values)
 
 
 def test_export_points_bad_format():

@@ -5,20 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symchar.errors import BudgetExceeded, DimensionMismatch
+from symchar.errors import BudgetExceeded
 from symchar.evaluate import DEFAULT_BUDGET
-from symchar.table import (
-    build_table,
-    build_unitary,
-    negation_permutation,
-    second_orthogonality_residual,
-    superclass_transform,
-)
+from symchar.orbits import negate_orbit
+from symchar.table import build_table, build_unitary
+
+
+def negation_index(tab):
+    """The index of -X for each orbit X of the table."""
+    index = {rep: i for i, rep in enumerate(tab.orbits)}
+    return np.array([index[negate_orbit(rep)] for rep in tab.orbits])
 
 
 def test_n2_d1_table():
     tab = build_table(2, 1)
-    assert tab.count == 2
+    assert len(tab.orbits) == 2
     S = np.array(tab.values)
     assert np.allclose(S, [[1, 1], [1, -1]])
     uni = build_unitary(tab)
@@ -46,7 +47,7 @@ def reference_residuals(tab):
     root = np.sqrt(tab.sizes.astype(float))
     u = tab.values * root[None, :] / root[:, None] / float(tab.n) ** (tab.d / 2.0)
     gram = u @ u.conj().T
-    return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(tab.count)).max()), u
+    return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(len(u))).max()), u
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (6, 3), (10, 4)])
@@ -82,47 +83,39 @@ def test_table_json_is_one_json_dumps(n, d):
         "sizes": tab.sizes.tolist(),
         "values": [[[z.real, z.imag] for z in row] for row in tab.values],
     }
-    assert tab.to_json() == json.dumps(whole, separators=(",", ":"))
+    assert "".join(tab.json_chunks()) == json.dumps(whole, separators=(",", ":"))
 
 
 def test_unitary_squared_is_negation():
     tab = build_table(5, 2)
     uni = build_unitary(tab)
-    perm = negation_permutation(tab)
-    N = tab.count
+    N = len(tab.orbits)
     P = np.zeros((N, N))
-    P[np.arange(N), perm] = 1
+    P[np.arange(N), negation_index(tab)] = 1
     assert np.abs(uni.matrix @ uni.matrix - P).max() < 1e-8
-
-
-def test_negation_permutation_is_involution():
-    tab = build_table(7, 2)
-    perm = negation_permutation(tab)
-    for i, j in enumerate(perm):
-        assert perm[j] == i
 
 
 def test_second_orthogonality():
     for n, d in [(3, 2), (4, 2), (5, 2)]:
-        assert second_orthogonality_residual(build_table(n, d)) < 1e-8
+        tab = build_table(n, d)
+        gram = (tab.values * tab.sizes) @ tab.values.conj().T  # sum_j |X_j| S[i][j] conj(S[i'][j])
+        assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-8
 
 
 def test_superclass_transform_constant():
     # transform of the all-ones class function: only the trivial line survives
     tab = build_table(2, 1)
     uni = build_unitary(tab)
-    out = superclass_transform(uni, np.ones(2))
+    out = uni.matrix @ np.ones(2)
     assert np.allclose(out, [math.sqrt(2), 0])
 
 
 def test_transform_twice_is_negation_permutation():
     tab = build_table(5, 2)
-    perm = negation_permutation(tab)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(tab.count) + 1j * rng.standard_normal(tab.count)
-    uni = build_unitary(tab)
-    twice = superclass_transform(uni, superclass_transform(uni, f))
-    assert np.abs(twice - f[perm]).max() < 1e-9
+    f = rng.standard_normal(len(tab.orbits)) + 1j * rng.standard_normal(len(tab.orbits))
+    u = build_unitary(tab).matrix
+    assert np.abs(u @ (u @ f) - f[negation_index(tab)]).max() < 1e-9
 
 
 def test_transform_preserves_norm():
@@ -130,25 +123,18 @@ def test_transform_preserves_norm():
     uni = build_unitary(tab)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        f = rng.standard_normal(tab.count) + 1j * rng.standard_normal(tab.count)
-        out = superclass_transform(uni, f)
+        f = rng.standard_normal(len(tab.orbits)) + 1j * rng.standard_normal(len(tab.orbits))
+        out = uni.matrix @ f
         assert abs(np.linalg.norm(out) - np.linalg.norm(f)) < 1e-9
 
 
 def test_transform_of_zero_indicator_is_size_column():
     tab = build_table(3, 2)
-    f = np.zeros(tab.count)
+    f = np.zeros(len(tab.orbits))
     f[0] = 1.0  # the zero orbit is enumerated first
-    out = superclass_transform(build_unitary(tab), f)
+    out = build_unitary(tab).matrix @ f
     expect = np.sqrt(tab.sizes.astype(float)) / 3.0  # sqrt(|X_i|) / sqrt(n^d)
     assert np.allclose(out, expect)
-
-
-def test_superclass_transform_shape_check():
-    tab = build_table(3, 2)
-    uni = build_unitary(tab)
-    with pytest.raises(DimensionMismatch):
-        superclass_transform(uni, np.ones(5))
 
 
 def test_orbit_budget():
@@ -156,7 +142,7 @@ def test_orbit_budget():
     with pytest.raises(BudgetExceeded) as info:
         build_table(3, 2, budget=35)
     assert (info.value.required, info.value.budget) == (36, 35)
-    assert build_table(3, 2, budget=36).count == 6
+    assert len(build_table(3, 2, budget=36).orbits) == 6
     with pytest.raises(BudgetExceeded) as info:
         build_table(50, 4)
     assert info.value.budget == DEFAULT_BUDGET
