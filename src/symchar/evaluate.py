@@ -185,10 +185,17 @@ def _round_coords(v: np.ndarray) -> np.ndarray:
     """
     scale = 10.0**DEDUPE_DECIMALS
     with np.errstate(invalid="ignore", over="ignore"):
+        undecided = ~(np.abs(v) < _BIG)
         scaled = v * scale
-        m = np.rint(scaled)
-        keys = m / scale + 0.0  # + 0.0 folds -0.0 into +0.0
-        undecided = ~(np.abs(v) < _BIG) | (np.abs(0.5 - np.abs(scaled - m)) <= np.spacing(np.abs(scaled)))
+        keys = np.rint(scaled)  # m, for now
+        # in place, so that at most three temporaries of v's size are held
+        gap = np.abs(scaled - keys)
+        np.subtract(0.5, gap, out=gap)
+        np.abs(gap, out=gap)  # distance from fl(v * 1e9) to the nearest half-integer
+        np.abs(scaled, out=scaled)
+        undecided |= gap <= np.spacing(scaled, out=scaled)
+        keys /= scale
+        keys += 0.0  # folds -0.0 into +0.0
     for i in np.flatnonzero(undecided).tolist():
         keys[i] = _round_coord(float(v[i]))
     return keys
@@ -235,9 +242,7 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     first_seen = np.zeros(len(arr), dtype=bool)
     first_seen[np.minimum.reduceat(order, runs)] = True
     crowd = np.flatnonzero(near & first_seen)
-    keys = np.empty(len(crowd), dtype=complex)  # built by part: 1j * inf would be nan + inf j
-    keys.real = _round_coords(arr.real[crowd])
-    keys.imag = _round_coords(arr.imag[crowd])
+    keys = _round_coords(arr[crowd].view(np.float64)).view(complex)  # both parts in one call
     _, first = np.unique(keys, return_index=True, equal_nan=False)  # stable: first occurrences
     keep[crowd[first]] = True
     return tuple(arr[keep].tolist())
@@ -331,6 +336,75 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _translate_key_weights(n: int, d: int) -> np.ndarray:
+    """Weights that pack the sort keys of a row's translates into limbs.
+
+    For a sorted row y with cyclic gaps g_j = y_(j+1) - y_j and
+    g_(d-1) = n + y_0 - y_(d-1), key k is (y_k mod L, g_k, ..., g_(k+d-2)),
+    gap indices mod d.  Its digits lie in [0, n] and are packed in base
+    n + 1, as many to a limb as keep the limb below 2^51.  The gaps are
+    linear in y, so with z = (y mod L, y, 1) the product z @ W holds limb l
+    of key k in column l*d + k (row l*d + k of W.T @ z when z holds one
+    row y per column).  The terms of each entry are integers whose moduli
+    add up to less than 4 * 2^51 = 2^53, so a float64 matmul computes
+    every entry exactly, in any order of summation.
+    """
+    base = n + 1
+    per = 1
+    while base ** (per + 1) <= 2**51:
+        per += 1
+    limbs = -(-d // per)
+    first = np.zeros((d, limbs * d))
+    gaps = np.zeros((d, limbs * d))  # weight of g_j in each limb of each key
+    for k in range(d):
+        for i in range(d):  # digit i of key k
+            limb = i // per
+            weight = base ** (min((limb + 1) * per, d) - 1 - i)
+            if i == 0:
+                first[k, k] = weight
+            else:
+                gaps[(k + i - 1) % d, limb * d + k] = weight
+    # g_(j-1) adds y_j and g_j subtracts it; g_(d-1) adds n
+    w = np.vstack([first, np.roll(gaps, 1, axis=0) - gaps, n * gaps[-1:]])
+    w.setflags(write=False)
+    return w
+
+
+def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
+    """The rows of `block` that are lexicographically least among their
+    translates y + c*step*1 mod n, re-sorted, for c = 0 .. n/step - 1.
+
+    Rows must be sorted, with entries in [0, n) and first entry < step, and
+    step must divide n.  Key k of _translate_key_weights is at least the
+    re-sorted translate that brings y_k to y_k mod step (equal to it unless
+    that translate puts another entry first), and every re-sorted translate
+    is at least the key of the entry it puts first.  So a row, whose own key
+    is key 0, is least exactly when key 0 is at most every key k, compared
+    limb by limb, and each class of translates keeps one row.  Rows go
+    through about _BLOCK_CELLS cells at a time.
+    """
+    d = block.shape[1]
+    w = _translate_key_weights(n, d)
+    size = max(1, _BLOCK_CELLS // max(w.shape))
+    keep = np.empty(len(block), dtype=bool)
+    for lo in range(0, len(block), size):
+        y = block[lo : lo + size].T
+        # z and the keys transposed: each limb of each key is a contiguous row
+        z = np.empty((2 * d + 1, y.shape[1]))
+        z[:d] = y % step
+        z[d:-1] = y
+        z[-1] = 1
+        keys = w.T @ z
+        *high, low = range(0, w.shape[1], d)
+        least = keys[low : low + d] >= keys[low]  # key 0 <= key k in the limbs from here on
+        for col in reversed(high):
+            own, other = keys[col], keys[col : col + d]
+            least = (other > own) | ((other == own) & least)
+        least.all(axis=0, out=keep[lo : lo + y.shape[1]])
+    return block[keep]
+
+
 def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
     """sigma_X at each row of `block`, whose entries lie in [0, n)."""
     return root_sums(rep.n, orbit_array(rep), block)
@@ -370,16 +444,23 @@ def image(
     """All values of sigma_X, deduplicated by dedupe_values.
 
     By default y runs over the canonical superclass representatives (the
-    value is constant on superclasses), and only over those whose first
-    entry is < L = rotation_order(rep).  A superclass Y with first entry
-    m >= L adds nothing: with q = m // L, Y - qL*1 is sorted and earlier
-    in the enumeration, and since L*[x] = 0 mod n its dot products equal
-    those of Y mod n element by element, so its value is bitwise the same.
-    The result is therefore that of the full sweep, order included.  The
-    budget still counts all C(n+d-1, d) superclasses.  The prefix is swept
-    in blocks of at most _CHUNK_ROWS rows (superclass_chunks) through
-    _dedupe_chunks, so memory follows the values kept, not the rows swept;
-    a prefix of one block is one superclass_array call and one dedupe.
+    value is constant on superclasses), and of those only over the ones
+    least among their translates Y + cL*1 mod n, re-sorted, with
+    L = rotation_order(rep) (_least_translates; at L = n that is every
+    one).  Since L*[x] = 0 mod n, a translate has Y's dot products mod n,
+    so the value of Y.  One that does not wrap mod n keeps their order, so
+    its value is bitwise the same; one that wraps sums the same terms in
+    another order, so its value can differ in the last bits.  The least
+    translate comes first in the enumeration, so the values kept are those
+    of the full sweep, order included, except where a wrapped translate's
+    float and the least one's straddle a rounding boundary of
+    dedupe_values: the full sweep keeps both, this sweep only the first.
+    The budget still counts all C(n+d-1, d) superclasses.  Least
+    translates have first entry < L, so only that prefix is built, in
+    blocks of at most _CHUNK_ROWS rows (superclass_chunks), each filtered
+    and evaluated in turn through _dedupe_chunks, so memory follows the
+    values kept, not the rows swept; a prefix of one block is one
+    superclass_array call and one dedupe.
     full_group=True instead sweeps all n^d points as an oracle for the
     constancy, in the odometer order of point_array, evaluated in one call.
     """
@@ -389,15 +470,19 @@ def image(
         raise BudgetExceeded(total, budget)
     if full_group:
         return dedupe_values(values_on_block(rep, point_array(n, d)))
-    blocks = superclass_chunks(n, d, rotation_order(rep), _CHUNK_ROWS)
+    step = rotation_order(rep)
+    blocks = superclass_chunks(n, d, step, _CHUNK_ROWS)
+    if step < n:
+        blocks = map(partial(_least_translates, n=n, step=step), blocks)  # holds no unfiltered block
     return _dedupe_chunks(blocks, partial(values_on_block, rep))
 
 
 def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, ...]:
     """Union of the images of every orbit at (n, d), deduplicated.
 
-    The superclasses are built once; each orbit's image sweeps the prefix
-    of them that image() would, and every image goes through one
+    The superclasses are built once, and the rows that image() sweeps at
+    each rotation order L are filtered from them once.  Each orbit's image
+    sweeps the rows of its L, and every image goes through one
     _dedupe_chunks, so the result is dedupe_values of the images' values
     concatenated in enumeration order.
     """
@@ -405,11 +490,14 @@ def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, 
     if count * count > budget:
         raise BudgetExceeded(count * count, budget)
     rows = superclass_array(n, d)
+    swept = {n: rows}  # the rows image() sweeps, by rotation order
 
     def blocks():
         for rep in enumerate_orbits(n, d):
-            prefix = rows[: count - orbit_count(n - rotation_order(rep), d)]  # first entry < L
-            for lo in range(0, len(prefix), _CHUNK_ROWS):
-                yield rep, prefix[lo : lo + _CHUNK_ROWS]
+            step = rotation_order(rep)
+            if step not in swept:
+                swept[step] = _least_translates(rows[: count - orbit_count(n - step, d)], n, step)
+            for lo in range(0, len(swept[step]), _CHUNK_ROWS):
+                yield rep, swept[step][lo : lo + _CHUNK_ROWS]
 
     return _dedupe_chunks(blocks(), lambda block: values_on_block(*block))

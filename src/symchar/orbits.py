@@ -154,12 +154,13 @@ def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
 
 def _extend(rows: np.ndarray, n: int) -> np.ndarray:
     """Each row ending in v, repeated n - v times and extended by v, v+1, ..., n-1."""
-    last = rows[:, -1].astype(np.int64)
-    reps = n - last
+    reps = n - rows[:, -1].astype(np.int64)
     ends = np.cumsum(reps)
-    # copy i of a row starting at position s gets last + (i - s)
-    col = np.arange(ends[-1]) - np.repeat(ends - reps - last, reps)
-    return np.column_stack([np.repeat(rows, reps, axis=0), col.astype(rows.dtype)])
+    out = np.empty((ends[-1], rows.shape[1] + 1), dtype=rows.dtype)
+    out[:, :-1] = np.repeat(rows, reps, axis=0)
+    # copy i of a row whose copies end at position e gets v + (i - (e - reps)) = n - e + i
+    out[:, -1] = np.arange(ends[-1]) - np.repeat(ends - n, reps)
+    return out
 
 
 def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarray:

@@ -32,6 +32,7 @@ from symchar.orbits import (
     rotation_order,
     stabilizer_order,
     superclass_array,
+    superclass_chunks,
 )
 
 
@@ -415,9 +416,10 @@ def test_union_image_builds_the_superclasses_once(monkeypatch):
 
 
 def test_multi_chunk_image_peak_memory():
-    # (1,1,1,1,1,25) mod 30 has L = 1: 278,256 prefix rows, 252 values kept.
-    # In chunks of 4,096 rows the sweep holds at most three chunks' values
-    # and their dedupe scratch, far below the 4.5 MB of the prefix's values.
+    # (1,1,1,1,1,25) mod 30 has L = 1: 278,256 prefix rows, of which the
+    # 54,132 least translates are swept, and 252 values kept.  In chunks of
+    # 4,096 prefix rows the sweep holds at most three chunks' values and
+    # their dedupe scratch, far below the 4.5 MB of the prefix's values.
     rep = canonicalize((1, 1, 1, 1, 1, 25), 30)
     rows = len(superclass_array(30, 6, rotation_order(rep)))
     orbit_array(rep)
@@ -433,20 +435,72 @@ def test_multi_chunk_image_peak_memory():
     assert peak < rows * np.dtype(complex).itemsize / 2
 
 
-def test_image_sweeps_only_the_rotation_prefix(monkeypatch):
-    rep = canonicalize((0, 1, 3), 12)  # [x] = 4, L = 3
-    assert rotation_order(rep) == 3
+def least_translates_reference(rows, n, step):
+    """The rows that equal the least of their translates y + c*step*1 mod n,
+    re-sorted, one translate at a time."""
+    return [y for y in rows.tolist() if y == min(sorted((v + c * step) % n for v in y) for c in range(n // step))]
+
+
+def test_image_sweeps_only_least_translates(monkeypatch):
     seen = []
     real = evaluate.values_on_block
     monkeypatch.setattr(evaluate, "values_on_block", lambda r, blk: seen.append(blk.copy()) or real(r, blk))
-    image(rep)
-    rows = np.concatenate(seen)
     full = superclass_array(12, 3)
-    assert np.array_equal(rows, full[full[:, 0] < 3])
+    rep = canonicalize((0, 1, 3), 12)  # [x] = 4, L = 3
+    assert rotation_order(rep) == 3
+    image(rep)
+    assert np.concatenate(seen).tolist() == least_translates_reference(full, 12, 3)
+    seen.clear()
+    image(canonicalize((1, 1, 3), 12))  # L = n: every superclass
+    assert np.array_equal(np.concatenate(seen), full)
     # the budget still counts every superclass
     with pytest.raises(BudgetExceeded) as info:
         image(rep, budget=len(full) - 1)
     assert info.value.required == len(full)
+
+
+def test_least_translates_matches_brute_force():
+    for n in range(1, 13):
+        for d in range(1, 6):
+            for step in (s for s in range(1, n + 1) if n % s == 0):
+                rows = superclass_array(n, d, step)
+                got = evaluate._least_translates(rows, n, step)
+                assert got.dtype == rows.dtype
+                assert got.tolist() == least_translates_reference(rows, n, step), (n, d, step)
+
+
+@pytest.mark.parametrize("d, step, every", [(2, 1, 1), (2, 4, 1), (2, 150, 1), (3, 1, 37), (3, 2, 97)])
+def test_least_translates_of_uint16_rows(d, step, every):
+    rows = superclass_array(300, d, step)[::every]
+    assert rows.dtype == np.uint16
+    assert evaluate._least_translates(rows, 300, step).tolist() == least_translates_reference(rows, 300, step)
+
+
+def test_least_translates_over_two_limbs():
+    # base 4 digits at d = 30 and base 256 digits at d = 8 need two limbs
+    assert evaluate._translate_key_weights(3, 30).shape == (61, 60)
+    assert evaluate._translate_key_weights(255, 8).shape == (17, 16)
+    for step in (1, 3):
+        rows = superclass_array(3, 30, step)
+        assert evaluate._least_translates(rows, 3, step).tolist() == least_translates_reference(rows, 3, step)
+    # cyclic gaps (a, a, a, a, a, a, b, c) with b, c > a, started at every
+    # position: the keys of the translates that start a run of a's agree in
+    # the first limb (the first entry and five gaps) and differ in the second
+    cycles = [[a] * 6 + [b, 255 - 6 * a - b] for a in range(25, 31) for b in range(a + 1, 255 - 7 * a)]
+    starts = [np.roll(c, -r)[:7] for c in cycles for r in range(8)]
+    for step in (1, 5, 17):
+        firsts = np.arange(len(starts)) % step
+        rows = np.cumsum(np.column_stack([firsts, starts]), axis=1).astype(np.uint8)
+        assert evaluate._least_translates(rows, 255, step).tolist() == least_translates_reference(rows, 255, step)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+@pytest.mark.parametrize("n, d, step", [(12, 4, 1), (12, 3, 4), (30, 4, 5), (300, 2, 2)])
+def test_least_translates_of_blocks_is_that_of_the_prefix(n, d, step, rows, monkeypatch):
+    expected = evaluate._least_translates(superclass_array(n, d, step), n, step)
+    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 50)  # a few rows per slice
+    blocks = [evaluate._least_translates(b, n, step) for b in superclass_chunks(n, d, step, rows)]
+    assert np.array_equal(np.concatenate(blocks), expected)
 
 
 def test_max_modulus_at_zero():

@@ -6,10 +6,12 @@ odometer and zero-row count of `reduce`, the spike scan, the 11-place
 float formatting of `eval`, the dedupe counts and containment verdicts
 of `verify hypocycloid`, the exact counts path (`dot_counts`) under
 each identity sweep, the permanent check and `eval` with entries outside
-[0, n), and the line-rotation prefix of `image` at L = 1 (`verify
-hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`) and L = n (the other
-images).  `image 400 1 2` runs the kernel's int64 mod-n branch, which
-only large n reaches; the other images run its periodic-table branch.
+[0, n), and the line-rotation sweep of `image` over the superclasses
+least among their translates by multiples of L*1, at L = 1 (`verify
+hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`), L = 19 (`image 38 2 15
+25 30`) and L = n (the other images, which sweep every superclass).
+`image 400 1 2` runs the kernel's int64 mod-n branch, which only large n
+reaches; the other images run its periodic-table branch.
 A digest may change only with a deliberate change of output, never with
 a refactor.
 """
@@ -52,6 +54,12 @@ GOLDEN = [
     (["verify", "hypocycloid", "--n", "15", "--d", "6"], "abbe2b7a70eda3f704d391c3f36a13f40e1cd4bbb649c02bd28b90c7b52b4393", None),
     (["verify", "hypocycloid", "--n", "16", "--d", "6"], "ce8b8883cd661bd568e386ad1d15022bed143df5dae42bed47ee4231dfeec351", None),
     (["verify", "hypocycloid", "--n", "20", "--d", "5"], "94f9cdb647864112464c51a7b5a8d1d5f7a427366ee1961d8a2a4657eb23097d", None),
+    # A deliberate change of output: (2, 5, 27, 30) and its translate
+    # (8, 11, 21, 24) = (2, 5, 27, 30) + 19*1 mod 38 have equal counts, but
+    # their floats straddle a round(., 9) boundary, so the sweep of every
+    # superclass with first entry < L printed the point twice.  Only the least
+    # translate is swept now, and the CSV has 38,818 points, each once.
+    (["image", "38", "2", "15", "25", "30", "--format", "csv"], "1ed4853dc214ccc30e20bfbe1337dd9886088668dd1cccc1e88c99828c9ff05e", None),
 ]
 
 
