@@ -288,9 +288,7 @@ def sample_torus_map(
     if not rows or not rows[0]:
         raise ValueError("the map has no variables or no terms, so there is nothing to sample")
     v = len(rows)
-    total = grid**v
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(grid**v, budget)
     emat = np.array(rows, dtype=np.int64)  # (vars x terms)
     values = root_sums(grid, emat.T % grid, point_array(grid, v))
     return evaluate.dedupe_values(values)

@@ -259,8 +259,7 @@ def _verify_permanent(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     total = orbit_count(n, d) * args.samples
-    if total > args.budget:
-        raise BudgetExceeded(total, args.budget)
+    BudgetExceeded.check(total, args.budget)
     rng = random.Random(args.seed)
     bad = 0
     for rep in enumerate_orbits(n, d):

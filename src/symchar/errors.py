@@ -25,6 +25,12 @@ class BudgetExceeded(SymcharError):
         self.required = required
         self.budget = budget
 
+    @classmethod
+    def check(cls, required, budget):
+        """Raise BudgetExceeded unless `required` evaluations fit in `budget`."""
+        if required > budget:
+            raise cls(required, budget)
+
 
 class NoUnitPivot(SymcharError):
     """Row reduction mod n stalled: no remaining entry is coprime to n."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import floor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -465,9 +465,7 @@ def image(
     constancy, in the odometer order of point_array, evaluated in one call.
     """
     n, d = rep.n, rep.d
-    total = n**d if full_group else orbit_count(n, d)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(n**d if full_group else orbit_count(n, d), budget)
     if full_group:
         return dedupe_values(values_on_block(rep, point_array(n, d)))
     step = rotation_order(rep)
@@ -477,27 +475,27 @@ def image(
     return _dedupe_chunks(blocks, partial(values_on_block, rep))
 
 
-def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, ...]:
-    """Union of the images of every orbit at (n, d), deduplicated.
-
-    The superclasses are built once, and the rows that image() sweeps at
-    each rotation order L are filtered from them once.  Each orbit's image
-    sweeps the rows of its L, and every image goes through one
-    _dedupe_chunks, so the result is dedupe_values of the images' values
-    concatenated in enumeration order.
+def orbit_sweeps(n: int, d: int) -> Iterator[tuple[OrbitRep, np.ndarray]]:
+    """Each orbit at (n, d) in enumeration order, with the rows image() sweeps
+    for it.  The superclasses are built once, and the rows of each rotation
+    order L are filtered from them once; orbits of one L share that array.
+    Each caller charges its own budget before the first row is built.
     """
     count = orbit_count(n, d)
-    if count * count > budget:
-        raise BudgetExceeded(count * count, budget)
     rows = superclass_array(n, d)
-    swept = {n: rows}  # the rows image() sweeps, by rotation order
+    swept = {n: rows}  # by rotation order
+    for rep in enumerate_orbits(n, d):
+        step = rotation_order(rep)
+        if step not in swept:
+            swept[step] = _least_translates(rows[: count - orbit_count(n - step, d)], n, step)
+        yield rep, swept[step]
 
-    def blocks():
-        for rep in enumerate_orbits(n, d):
-            step = rotation_order(rep)
-            if step not in swept:
-                swept[step] = _least_translates(rows[: count - orbit_count(n - step, d)], n, step)
-            for lo in range(0, len(swept[step]), _CHUNK_ROWS):
-                yield rep, swept[step][lo : lo + _CHUNK_ROWS]
 
-    return _dedupe_chunks(blocks(), lambda block: values_on_block(*block))
+def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, ...]:
+    """Union of the images of every orbit at (n, d): dedupe_values of their
+    values concatenated in enumeration order.  The N images of N superclasses
+    count N^2 against the budget before any work, so an orbit's at most N
+    values go through _dedupe_chunks as one block.
+    """
+    BudgetExceeded.check(orbit_count(n, d) ** 2, budget)
+    return _dedupe_chunks(orbit_sweeps(n, d), lambda sweep: values_on_block(*sweep))

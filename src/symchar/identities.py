@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import evaluate
 from .errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from .evaluate import (
     DEFAULT_BUDGET,
@@ -63,6 +64,7 @@ from .orbits import (
 from .report import IdentityReport
 
 _UNION_WITNESS_ORBITS = 8
+_LINE_SHIFT_SAMPLES = 12  # superclasses at which dihedral_order checks every line shift
 
 
 def _conjugate_reports(x_rep: OrbitRep, y_reps: Sequence[OrbitRep]) -> Iterator[IdentityReport]:
@@ -155,7 +157,7 @@ def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> Id
 
 
 @lru_cache(maxsize=64)
-def _sample_orbits(n: int, d: int, limit: int = 12) -> tuple[OrbitRep, ...]:
+def _sample_orbits(n: int, d: int, limit: int = _LINE_SHIFT_SAMPLES) -> tuple[OrbitRep, ...]:
     """Deterministic small sample of orbits spread across the enumeration."""
     total = orbit_count(n, d)
     if total <= limit:
@@ -263,8 +265,7 @@ def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> Ide
     over the points before the first ray failure.
     """
     n, d = x_rep.n, x_rep.d
-    if orbit_count(n, d) > budget:
-        raise BudgetExceeded(orbit_count(n, d), budget)
+    BudgetExceeded.check(orbit_count(n, d), budget)
     if canonicalize([r - v for v in x_rep.entries], n) != x_rep:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
     g = gcd(r, n)
@@ -363,9 +364,7 @@ def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -
     if a == 0:
         raise HypothesisFailed("a must be nonzero mod n")
     r = n // gcd(n, a)
-    total = orbit_count(n, d) + orbit_count(r, d)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(orbit_count(n, d) + orbit_count(r, d), budget)
     big = image(canonicalize((0,) * (d - 1) + (a,), n), budget=budget)
     small = image(canonicalize((0,) * (d - 1) + (1,), r), budget=budget)
     only_big, only_small = cloud_difference(big, small)
@@ -388,20 +387,14 @@ def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -
 
 
 def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
-    count = orbit_count(n, d)
-    total = 3 * count * count
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(3 * orbit_count(n, d) ** 2, budget)
     y_reps = list(enumerate_orbits(n, d))
     for x_rep in y_reps:
         yield from _conjugate_reports(x_rep, y_reps)
 
 
 def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
-    count = orbit_count(n, d)
-    total = count * count * n * n
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check((orbit_count(n, d) * n) ** 2, budget)
     reps = list(enumerate_orbits(n, d))
     for x_rep in reps:
         yield from _translation_reports(x_rep, reps, range(n), range(n))
@@ -412,9 +405,7 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
 
     One count matrix per X over every point of (Z/nZ)^d, grouped by orbit.
     """
-    total = orbit_count(n, d) * n**d
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(orbit_count(n, d) * n**d, budget)
     y_reps = list(enumerate_orbits(n, d))
     orbits = [orbit_array(y_rep) for y_rep in y_reps]
     sizes = [len(orbit) for orbit in orbits]
@@ -437,17 +428,18 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
 def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
     """Each image is closed under rotation by 2*pi/dihedral_order(X), within TOL.
 
-    The N images of N superclasses each count against the budget, N^2 in
-    all, before the first one is computed.  A failed record's witness adds
-    the first value whose rotation has no match ("value") and that rotated
-    value ("rotated").
+    Each of the N orbits evaluates its image at N superclasses, from the
+    rows of evaluate.orbit_sweeps, and dihedral_order's count rows at its
+    min(_LINE_SHIFT_SAMPLES, N) sampled superclasses times n line shifts,
+    all charged against the budget before any work.  A failed record's
+    witness adds the first value whose rotation has no match ("value") and
+    that rotated value ("rotated").
     """
     count = orbit_count(n, d)
-    if count * count > budget:
-        raise BudgetExceeded(count * count, budget)
-    for x_rep in enumerate_orbits(n, d):
+    BudgetExceeded.check(count * (count + min(_LINE_SHIFT_SAMPLES, count) * n), budget)
+    for x_rep, rows in evaluate.orbit_sweeps(n, d):
         order = dihedral_order(x_rep)
-        values = image(x_rep, budget=budget)
+        values = evaluate.dedupe_values(evaluate.values_on_block(x_rep, rows))
         unclosed = rotation_witness(values, order)
         witness = None
         if unclosed is not None:
@@ -463,10 +455,7 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Ide
 
 
 def sweep_spikes(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
-    count = orbit_count(n, d)
-    total = count * count
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    BudgetExceeded.check(orbit_count(n, d) ** 2, budget)
     for x_rep in enumerate_orbits(n, d):
         r = spike_detect(x_rep)
         if r is not None:

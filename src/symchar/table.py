@@ -62,8 +62,7 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     The N^2 evaluations count against budget before any work.
     """
     count = orbit_count(n, d)
-    if count * count > budget:
-        raise BudgetExceeded(count * count, budget)
+    BudgetExceeded.check(count * count, budget)
     orbits = tuple(enumerate_orbits(n, d))
     reps = np.array([rep.entries for rep in orbits], dtype=np.int64)
     sizes = np.array([orbit_size(rep) for rep in orbits], dtype=np.int64)

@@ -203,7 +203,9 @@ def test_budget_exit_code(capsys):
         ("constancy", [], 6 * 3**2),
         ("spikes", [], 6 * 6),
         ("permanent", ["--samples", "4"], 6 * 4),
-        ("dihedral", [], 6 * 6),
+        # N images of N superclasses, and per orbit min(12, N) = 6 sampled
+        # superclasses times n = 3 line shifts for dihedral_order
+        ("dihedral", [], 6 * (6 + 6 * 3)),
         ("unitary", [], 6 * 6),
     ],
 )

@@ -17,6 +17,7 @@ from symchar.evaluate import (
     dot_counts,
     image,
     orbit_array,
+    orbit_sweeps,
     permanent_oracle,
     roots_of_unity,
     rotation_witness,
@@ -24,6 +25,7 @@ from symchar.evaluate import (
     union_image,
     values_on_block,
 )
+from symchar.identities import sweep_dihedral
 from symchar.orbits import (
     canonicalize,
     distinct_permutations,
@@ -407,12 +409,24 @@ def test_multi_chunk_union_image_matches_reference(n, d, rows, monkeypatch):
     assert repr(union_image(n, d)) == expected
 
 
-def test_union_image_builds_the_superclasses_once(monkeypatch):
+@pytest.mark.parametrize(
+    "sweep", [union_image, lambda n, d: list(sweep_dihedral(n, d))], ids=["union_image", "sweep_dihedral"]
+)
+def test_union_image_builds_the_superclasses_once(sweep, monkeypatch):
     built = []
     real = evaluate.superclass_array
     monkeypatch.setattr(evaluate, "superclass_array", lambda *a: built.append(a) or real(*a))
-    union_image(5, 3)
+    sweep(5, 3)
     assert built == [(5, 3)]
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (6, 2), (4, 3), (3, 4), (12, 3)])
+def test_orbit_sweeps_give_each_image(n, d):
+    # L = 1, 1 < L < n, L = n and d = 1 among them; (12, 3) has six orders
+    sweeps = list(orbit_sweeps(n, d))
+    assert [rep for rep, _ in sweeps] == list(enumerate_orbits(n, d))
+    for rep, rows in sweeps:
+        assert repr(dedupe_values(values_on_block(rep, rows))) == repr(image(rep))
 
 
 def test_multi_chunk_image_peak_memory():

@@ -65,14 +65,17 @@ GOLDEN = [
 
 # Sweep sizes beyond the benchmark's, so a batched sweep must reproduce the
 # per-pair records at other shapes too: dihedral at N > 12 (sampled orbits)
-# and N <= 12 (every orbit is a sample).  A list of its own, so the ids of
-# GOLDEN cases do not change.
+# and N <= 12 (every orbit is a sample), and dihedral and full-union at the
+# composite n = 12, whose orbits have six rotation orders.  A list of its
+# own, so the ids of GOLDEN cases do not change.
 SWEEP_GOLDEN = [
     (["verify", "translation", "--n", "5", "--d", "2"], "22ce38bbf0ed53af521df028ad150751b1517160922230fc26100e025ad6527f"),
     (["verify", "translation", "--n", "3", "--d", "4"], "dd014bac95a17181c5933a974ca050914a9fc998b5b1a202600443bcad0f08da"),
     (["verify", "dihedral", "--n", "7", "--d", "3"], "db17f546de0474f65a6d640700ad9a3abb39ca2603b1df66ce830afbca476c80"),
     (["verify", "dihedral", "--n", "4", "--d", "2"], "cf61ddd204887fdaae267354ac1c0bb4eddbfb64c0fa2a09c3d03d798f3c1a56"),
     (["verify", "conjugate", "--n", "5", "--d", "4"], "504b8f1a9dba8601139572f6250c5e20472dab81719601785485a217a285a60f"),
+    (["verify", "dihedral", "--n", "12", "--d", "3"], "99fa949eeeac7344be0ede8bd1f0bb9c11e0f1d7b872922567b94f014a94b162"),
+    (["verify", "full-union", "--n", "12", "--d", "3"], "ef8241ef92ffea25b37b22f31cc7b7810c473ec98fa52eb04436600c864f8e23"),
 ]
 
 

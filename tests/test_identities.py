@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symchar import identities
+from symchar import evaluate, identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from symchar.evaluate import TOL, dot_counts, supercharacter
 from symchar.identities import (
@@ -113,13 +113,14 @@ def test_dihedral_sweep():
 
 
 def test_dihedral_sweep_charges_every_image_first(monkeypatch):
-    # n = 5, d = 3: N = 35 images of 35 superclasses each
-    assert sum(rep.passed for rep in sweep_dihedral(5, 3, budget=35 * 35)) == 35
-    monkeypatch.setattr(identities, "image", None)
+    # n = 5, d = 3: N = 35 images of 35 superclasses each, and dihedral_order's
+    # 12 sampled superclasses times 5 line shifts per orbit: 35 * (35 + 60)
+    assert sum(rep.passed for rep in sweep_dihedral(5, 3, budget=35 * 95)) == 35
+    monkeypatch.setattr(evaluate, "orbit_sweeps", None)
     monkeypatch.setattr(identities, "dihedral_order", None)
     with pytest.raises(BudgetExceeded) as info:
-        next(sweep_dihedral(5, 3, budget=35 * 35 - 1))
-    assert (info.value.required, info.value.budget) == (35 * 35, 35 * 35 - 1)
+        next(sweep_dihedral(5, 3, budget=35 * 95 - 1))
+    assert (info.value.required, info.value.budget) == (35 * 95, 35 * 95 - 1)
 
 
 def test_full_union_symmetry_order():
@@ -132,21 +133,21 @@ def _rotation(order):
 
 
 def test_dihedral_witness_shows_the_unmatched_rotation(monkeypatch):
-    real_image = identities.image
-    dropped = {}
+    real_dedupe = evaluate.dedupe_values
+    dropped = []  # the first value of each image, one image per record
 
-    def image_without_first(rep, **kwargs):
-        values = real_image(rep, **kwargs)
-        dropped[rep] = values[0]
-        return values[1:]
+    def dedupe_without_first(values):
+        kept = real_dedupe(values)
+        dropped.append(kept[0])
+        return kept[1:]
 
-    monkeypatch.setattr(identities, "image", image_without_first)
-    report = next(r for r in sweep_dihedral(5, 2) if not r.passed)
+    monkeypatch.setattr(evaluate, "dedupe_values", dedupe_without_first)
+    i, report = next((i, r) for i, r in enumerate(sweep_dihedral(5, 2)) if not r.passed)
     x, order = report.params["x"], report.params["order"]
     value, rotated = report.witness["value"], report.witness["rotated"]
     assert report.witness["x"] == x and report.witness["order"] == order
     assert rotated == value * _rotation(order)
-    assert abs(rotated - dropped[x]) <= TOL  # the dropped value was its match
+    assert abs(rotated - dropped[i]) <= TOL  # the dropped value was its match
     assert json.loads(report.to_json())["witness"]["rotated"] == [rotated.real, rotated.imag]
 
 
