@@ -376,7 +376,10 @@ def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
     translates y + c*step*1 mod n, re-sorted, for c = 0 .. n/step - 1.
 
     Rows must be sorted, with entries in [0, n) and first entry < step, and
-    step must divide n.  Key k of _translate_key_weights is at least the
+    step must divide n.  Sweeps pass the candidates of
+    orbits.superclass_array(n, d, step), built by two rules on the first
+    two digits of "key 0 <= key k"; only this filter sees the wrap-around
+    gap and the later digits.  Key k of _translate_key_weights is at least the
     re-sorted translate that brings y_k to y_k mod step (equal to it unless
     that translate puts another entry first), and every re-sorted translate
     is at least the key of the entry it puts first.  So a row, whose own key
@@ -455,12 +458,14 @@ def image(
     of the full sweep, order included, except where a wrapped translate's
     float and the least one's straddle a rounding boundary of
     dedupe_values: the full sweep keeps both, this sweep only the first.
-    The budget still counts all C(n+d-1, d) superclasses.  Least
-    translates have first entry < L, so only that prefix is built, in
-    blocks of at most _CHUNK_ROWS rows (superclass_chunks), each filtered
-    and evaluated in turn through _dedupe_chunks, so memory follows the
-    values kept, not the rows swept; a prefix of one block is one
-    superclass_array call and one dedupe.
+    The budget still counts all C(n+d-1, d) superclasses.  Only the
+    candidates for least translate are built (superclass_array(n, d, L):
+    first entry < L, and each entry passing two rules of the translate
+    keys), in blocks of at most _CHUNK_ROWS rows (superclass_chunks), each
+    filtered and evaluated in turn through _dedupe_chunks, so memory
+    follows the values kept, not the rows swept; when the rows with first
+    entry < L fit in one block, the sweep is one superclass_array call and
+    one dedupe.
     full_group=True instead sweeps all n^d points as an oracle for the
     constancy, in the odometer order of point_array, evaluated in one call.
     """
@@ -477,17 +482,17 @@ def image(
 
 def orbit_sweeps(n: int, d: int) -> Iterator[tuple[OrbitRep, np.ndarray]]:
     """Each orbit at (n, d) in enumeration order, with the rows image() sweeps
-    for it.  The superclasses are built once, and the rows of each rotation
-    order L are filtered from them once; orbits of one L share that array.
-    Each caller charges its own budget before the first row is built.
+    for it.  The rows of each rotation order L are built and filtered once,
+    as in image(): superclass_array(n, d, L), filtered by _least_translates
+    when L < n; orbits of one L share that array.  Each caller charges its
+    own budget before the first row is built.
     """
-    count = orbit_count(n, d)
-    rows = superclass_array(n, d)
-    swept = {n: rows}  # by rotation order
+    swept = {}  # by rotation order
     for rep in enumerate_orbits(n, d):
         step = rotation_order(rep)
         if step not in swept:
-            swept[step] = _least_translates(rows[: count - orbit_count(n - step, d)], n, step)
+            rows = superclass_array(n, d, step)
+            swept[step] = _least_translates(rows, n, step) if step < n else rows
         yield rep, swept[step]
 
 

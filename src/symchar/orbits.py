@@ -5,7 +5,9 @@ it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
 which matches itertools.combinations_with_replacement(range(n), d); a
 position in that order can be unranked.  Whole sweeps take all
-representatives at once as one array instead, or in blocks of rows.
+representatives at once as one array instead, or in blocks of rows, or
+only the candidates for least among their translates by multiples of a
+divisor of n.
 """
 
 from __future__ import annotations
@@ -152,69 +154,110 @@ def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
     return (OrbitRep(n, t) for t in combinations_with_replacement(range(n), d))
 
 
-def _extend(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row ending in v, repeated n - v times and extended by v, v+1, ..., n-1."""
-    reps = n - rows[:, -1].astype(np.int64)
-    ends = np.cumsum(reps)
+def _next_entries(rows: np.ndarray, n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the candidate next entries of each row start, and how many there are.
+
+    A sorted row y = (y_0, ..., y_(t-1)) with y_0 < step, step a divisor of
+    n, is extended only by the entries v >= y_(t-1) that can keep it least
+    among its translates y + c*step*1 mod n, re-sorted: by the keys of
+    evaluate._translate_key_weights, key 0 <= key t needs v mod step >= y_0
+    in the first digit, and when t >= 2 and y_(t-1) = y_0 mod step, so that
+    keys 0 and t - 1 tie there, key 0 <= key t - 1 needs
+    v - y_(t-1) >= y_1 - y_0 in the second.  The entries with
+    v mod step >= y_0 are numbered j = 0, 1, ... in increasing order, as
+    v = j + y_0 * (1 + j // (step - y_0)); a row's candidates are `count`
+    consecutive numbers from `start`.  At step = 1 (where y_0 = 0) and at
+    step = n (where v >= y_0) every entry from the bound on is a candidate
+    and is its own number; at step = n the second rule is vacuous too.
+    """
+    lo = rows[:, -1].astype(np.int64)
+    if step == n:
+        return lo, n - lo
+    first = rows[:, 0].astype(np.int64)
+    if rows.shape[1] > 1:
+        lo += np.where(lo % step == first, rows[:, 1] - first, 0)
+        np.minimum(lo, n, out=lo)
+    if step == 1:
+        return lo, n - lo
+    width = step - first
+    start = lo // step * width + np.maximum(lo % step - first, 0)
+    return start, n // step * width - start
+
+
+def _extend(rows: np.ndarray, n: int, step: int) -> np.ndarray:
+    """Each row, repeated once per candidate next entry (_next_entries) and
+    extended by those entries in increasing order."""
+    start, count = _next_entries(rows, n, step)
+    ends = np.cumsum(count)
     out = np.empty((ends[-1], rows.shape[1] + 1), dtype=rows.dtype)
-    out[:, :-1] = np.repeat(rows, reps, axis=0)
-    # copy i of a row whose copies end at position e gets v + (i - (e - reps)) = n - e + i
-    out[:, -1] = np.arange(ends[-1]) - np.repeat(ends - n, reps)
+    out[:, :-1] = np.repeat(rows, count, axis=0)
+    # copy i of a row whose copies end at position e gets number start + i
+    numbers = np.arange(ends[-1]) - np.repeat(ends - count - start, count)
+    if step not in (1, n):
+        first = np.repeat(rows[:, 0].astype(np.int64), count)
+        numbers += first * (1 + numbers // (step - first))
+    out[:, -1] = numbers
     return out
 
 
-def superclass_array(n: int, d: int, first_below: int | None = None) -> np.ndarray:
+def superclass_array(n: int, d: int, translate_step: int | None = None) -> np.ndarray:
     """All C(n+d-1, d) canonical representatives as one (rows, d) array.
 
     Rows are in the lexicographic order of enumerate_orbits.  Built by
     prefix extension (_extend) from the one-entry rows.  Entries use the
-    smallest unsigned dtype that holds n - 1.  With first_below = L in
-    [1, n], only the rows whose first entry is < L are built; they are a
-    prefix of the full array.
+    smallest unsigned dtype that holds n - 1.  With translate_step = L, a
+    divisor of n, only the candidates for least among their translates by
+    multiples of L are built: the rows with first entry < L whose every
+    entry passes the two rules of _next_entries.  At L = n that is every
+    row.  Every row that evaluate._least_translates keeps of the rows with
+    first entry < L is a candidate, so its filter of the candidates is its
+    filter of that whole prefix, in the same order.
     """
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    if first_below is None:
-        first_below = n
-    if not 1 <= first_below <= n:
-        raise ValueError(f"first_below must be in [1, {n}], got {first_below}")
-    rows = np.arange(first_below, dtype=np.min_scalar_type(n - 1))[:, None]
+    step = n if translate_step is None else translate_step
+    if step < 1 or n % step:
+        raise ValueError(f"translate_step must be a positive divisor of {n}, got {step}")
+    rows = np.arange(step, dtype=np.min_scalar_type(n - 1))[:, None]
     for _ in range(d - 1):
-        rows = _extend(rows, n)
+        rows = _extend(rows, n, step)
     return rows
 
 
-def superclass_chunks(n: int, d: int, first_below: int, rows: int) -> Iterator[np.ndarray]:
-    """The rows of superclass_array(n, d, first_below), in order, as
+def superclass_chunks(n: int, d: int, translate_step: int, rows: int) -> Iterator[np.ndarray]:
+    """The rows of superclass_array(n, d, translate_step), in order, as
     consecutive blocks of 1 to `rows` rows, without building them all.
 
     The d-entry rows are the extensions (_extend) of the (d-1)-entry rows,
     which come in blocks from this function at d - 1.  Each of those blocks
-    is cut into runs that extend to at most `rows` rows; a single row that
-    extends to more (only when rows < n) is extended alone and sliced.  A
-    prefix of at most `rows` rows is the one block
-    superclass_array(n, d, first_below).
+    is cut into runs that extend to at most `rows` rows, counted by
+    _next_entries; a single row that extends to more (only when rows < n)
+    is extended alone and sliced, and a run that extends to none is
+    skipped.  When the rows with first entry < translate_step, of which
+    the candidates are some, are at most `rows`, the one block is
+    superclass_array(n, d, translate_step).
     """
-    if rows < 1 or not 1 <= first_below <= n:
-        raise ValueError(f"need rows >= 1 and first_below in [1, {n}], got {rows} and {first_below}")
-    if orbit_count(n, d) - orbit_count(n - first_below, d) <= rows:
-        yield superclass_array(n, d, first_below)
+    if rows < 1 or translate_step < 1 or n % translate_step:
+        raise ValueError(f"need rows >= 1 and translate_step dividing {n}, got {rows} and {translate_step}")
+    if orbit_count(n, d) - orbit_count(n - translate_step, d) <= rows:
+        yield superclass_array(n, d, translate_step)
         return
     if d == 1:
-        yield from _slices(superclass_array(n, 1, first_below), rows)
+        yield from _slices(superclass_array(n, 1, translate_step), rows)
         return
-    for block in superclass_chunks(n, d - 1, first_below, rows):
-        ends = np.cumsum(n - block[:, -1].astype(np.int64))
+    for block in superclass_chunks(n, d - 1, translate_step, rows):
+        ends = np.cumsum(_next_entries(block, n, translate_step)[1])
         i = 0
         while i < len(block):
-            j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + rows, side="right"))
-            if j > i:
-                yield _extend(block[i:j], n)
-            else:
+            done = ends[i - 1] if i else 0
+            j = int(np.searchsorted(ends, done + rows, side="right"))
+            if j == i:
                 j = i + 1
-                yield from _slices(_extend(block[i:j], n), rows)
+                yield from _slices(_extend(block[i:j], n, translate_step), rows)
+            elif ends[j - 1] > done:
+                yield _extend(block[i:j], n, translate_step)
             i = j
 
 

@@ -30,6 +30,7 @@ from symchar.orbits import (
     canonicalize,
     distinct_permutations,
     enumerate_orbits,
+    orbit_count,
     orbit_size,
     rotation_order,
     stabilizer_order,
@@ -417,7 +418,8 @@ def test_union_image_builds_the_superclasses_once(sweep, monkeypatch):
     real = evaluate.superclass_array
     monkeypatch.setattr(evaluate, "superclass_array", lambda *a: built.append(a) or real(*a))
     sweep(5, 3)
-    assert built == [(5, 3)]
+    # one build per rotation order, the first at [x] = 0 (L = 1), not one per orbit
+    assert built == [(5, 3, 1), (5, 3, 5)]
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (6, 2), (4, 3), (3, 4), (12, 3)])
@@ -430,12 +432,14 @@ def test_orbit_sweeps_give_each_image(n, d):
 
 
 def test_multi_chunk_image_peak_memory():
-    # (1,1,1,1,1,25) mod 30 has L = 1: 278,256 prefix rows, of which the
-    # 54,132 least translates are swept, and 252 values kept.  In chunks of
-    # 4,096 prefix rows the sweep holds at most three chunks' values and
-    # their dedupe scratch, far below the 4.5 MB of the prefix's values.
+    # (1,1,1,1,1,25) mod 30 has L = 1: 278,256 prefix rows, of which 74,095
+    # are built as candidates, the 54,132 least translates are swept, and
+    # 252 values kept.  In chunks of 4,096 candidate rows the sweep holds at
+    # most three chunks' values and their dedupe scratch, far below the
+    # 4.5 MB of the prefix's values.
     rep = canonicalize((1, 1, 1, 1, 1, 25), 30)
-    rows = len(superclass_array(30, 6, rotation_order(rep)))
+    assert rotation_order(rep) == 1
+    rows = orbit_count(30, 6) - orbit_count(29, 6)
     orbit_array(rep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "_CHUNK_ROWS", 1 << 12)
@@ -451,8 +455,23 @@ def test_multi_chunk_image_peak_memory():
 
 def least_translates_reference(rows, n, step):
     """The rows that equal the least of their translates y + c*step*1 mod n,
-    re-sorted, one translate at a time."""
-    return [y for y in rows.tolist() if y == min(sorted((v + c * step) % n for v in y) for c in range(n // step))]
+    re-sorted, one translate at a time: a row is dropped when a translate
+    is smaller at the first entry where the two differ.  Returned as an
+    int64 array."""
+    y = np.asarray(rows, dtype=np.int64)
+    least = np.ones(len(y), dtype=bool)
+    for c in range(1, n // step):
+        t = np.sort((y + c * step) % n, axis=1)
+        differ = t != y
+        at = differ.argmax(axis=1)[:, None]
+        least &= ~differ.any(axis=1) | (np.take_along_axis(y, at, 1) < np.take_along_axis(t, at, 1))[:, 0]
+    return y[least]
+
+
+def prefix_rows(n, d, step):
+    """Every superclass row with first entry < step, unpruned."""
+    full = superclass_array(n, d)
+    return full[full[:, 0] < step]
 
 
 def test_image_sweeps_only_least_translates(monkeypatch):
@@ -463,7 +482,7 @@ def test_image_sweeps_only_least_translates(monkeypatch):
     rep = canonicalize((0, 1, 3), 12)  # [x] = 4, L = 3
     assert rotation_order(rep) == 3
     image(rep)
-    assert np.concatenate(seen).tolist() == least_translates_reference(full, 12, 3)
+    assert np.array_equal(np.concatenate(seen), least_translates_reference(full, 12, 3))
     seen.clear()
     image(canonicalize((1, 1, 3), 12))  # L = n: every superclass
     assert np.array_equal(np.concatenate(seen), full)
@@ -473,21 +492,38 @@ def test_image_sweeps_only_least_translates(monkeypatch):
     assert info.value.required == len(full)
 
 
+def divisors(n):
+    return [s for s in range(1, n + 1) if n % s == 0]
+
+
 def test_least_translates_matches_brute_force():
     for n in range(1, 13):
         for d in range(1, 6):
-            for step in (s for s in range(1, n + 1) if n % s == 0):
-                rows = superclass_array(n, d, step)
+            for step in divisors(n):
+                rows = prefix_rows(n, d, step)
                 got = evaluate._least_translates(rows, n, step)
                 assert got.dtype == rows.dtype
-                assert got.tolist() == least_translates_reference(rows, n, step), (n, d, step)
+                assert np.array_equal(got, least_translates_reference(rows, n, step)), (n, d, step)
+
+
+def test_least_translates_of_the_candidates_is_that_of_the_prefix():
+    # superclass_array(n, d, step) prunes by two necessary rules only; the
+    # filter must keep from it exactly the rows it keeps of the whole prefix
+    for n in range(1, 31):
+        for d in range(1, 6):
+            for step in divisors(n):
+                got = evaluate._least_translates(superclass_array(n, d, step), n, step)
+                assert np.array_equal(got, least_translates_reference(prefix_rows(n, d, step), n, step)), (n, d, step)
 
 
 @pytest.mark.parametrize("d, step, every", [(2, 1, 1), (2, 4, 1), (2, 150, 1), (3, 1, 37), (3, 2, 97)])
 def test_least_translates_of_uint16_rows(d, step, every):
     rows = superclass_array(300, d, step)[::every]
     assert rows.dtype == np.uint16
-    assert evaluate._least_translates(rows, 300, step).tolist() == least_translates_reference(rows, 300, step)
+    assert np.array_equal(evaluate._least_translates(rows, 300, step), least_translates_reference(rows, 300, step))
+    if every == 1:
+        expected = least_translates_reference(prefix_rows(300, d, step), 300, step)
+        assert np.array_equal(evaluate._least_translates(rows, 300, step), expected)
 
 
 def test_least_translates_over_two_limbs():
@@ -495,8 +531,9 @@ def test_least_translates_over_two_limbs():
     assert evaluate._translate_key_weights(3, 30).shape == (61, 60)
     assert evaluate._translate_key_weights(255, 8).shape == (17, 16)
     for step in (1, 3):
-        rows = superclass_array(3, 30, step)
-        assert evaluate._least_translates(rows, 3, step).tolist() == least_translates_reference(rows, 3, step)
+        expected = least_translates_reference(prefix_rows(3, 30, step), 3, step)
+        assert np.array_equal(evaluate._least_translates(prefix_rows(3, 30, step), 3, step), expected)
+        assert np.array_equal(evaluate._least_translates(superclass_array(3, 30, step), 3, step), expected)
     # cyclic gaps (a, a, a, a, a, a, b, c) with b, c > a, started at every
     # position: the keys of the translates that start a run of a's agree in
     # the first limb (the first entry and five gaps) and differ in the second
@@ -505,13 +542,16 @@ def test_least_translates_over_two_limbs():
     for step in (1, 5, 17):
         firsts = np.arange(len(starts)) % step
         rows = np.cumsum(np.column_stack([firsts, starts]), axis=1).astype(np.uint8)
-        assert evaluate._least_translates(rows, 255, step).tolist() == least_translates_reference(rows, 255, step)
+        assert np.array_equal(evaluate._least_translates(rows, 255, step), least_translates_reference(rows, 255, step))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 40])
-@pytest.mark.parametrize("n, d, step", [(12, 4, 1), (12, 3, 4), (30, 4, 5), (300, 2, 2)])
+@pytest.mark.parametrize(
+    "n, d, step", [(12, 4, 1), (12, 3, 4), (30, 4, 5), (300, 2, 2), (300, 2, 4), (3, 30, 1), (3, 30, 3)]
+)
 def test_least_translates_of_blocks_is_that_of_the_prefix(n, d, step, rows, monkeypatch):
-    expected = evaluate._least_translates(superclass_array(n, d, step), n, step)
+    # the candidates in blocks; uint16 entries at n = 300, two-limb keys at d = 30
+    expected = least_translates_reference(prefix_rows(n, d, step), n, step)
     monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 50)  # a few rows per slice
     blocks = [evaluate._least_translates(b, n, step) for b in superclass_chunks(n, d, step, rows)]
     assert np.array_equal(np.concatenate(blocks), expected)

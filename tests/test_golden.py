@@ -8,8 +8,11 @@ of `verify hypocycloid`, the exact counts path (`dot_counts`) under
 each identity sweep, the permanent check and `eval` with entries outside
 [0, n), and the line-rotation sweep of `image` over the superclasses
 least among their translates by multiples of L*1, at L = 1 (`verify
-hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`), L = 19 (`image 38 2 15
-25 30`) and L = n (the other images, which sweep every superclass).
+hypocycloid`), L = 3 (`walk`, `image 12 0 1 3`), L = 4 (`image 40 0 1 2
+3 4`, whose 428,000 rows with first entry < L exceed one block of 2^18, so
+the candidates are built through the block planner), L = 5 (`image 30 0 0
+0 0 0 6`, whose 287,137 candidates span two blocks), L = 19 (`image 38 2
+15 25 30`) and L = n (the other images, which sweep every superclass).
 `image 400 1 2` runs the kernel's int64 mod-n branch, which only large n
 reaches; the other images run its periodic-table branch.
 A digest may change only with a deliberate change of output, never with
@@ -60,6 +63,8 @@ GOLDEN = [
     # superclass with first entry < L printed the point twice.  Only the least
     # translate is swept now, and the CSV has 38,818 points, each once.
     (["image", "38", "2", "15", "25", "30", "--format", "csv"], "1ed4853dc214ccc30e20bfbe1337dd9886088668dd1cccc1e88c99828c9ff05e", None),
+    (["image", "40", "0", "1", "2", "3", "4", "--format", "csv"], "ea3eaec6c41790f0c6591cb0b60d997cb42f02e0e6647951fc621b0950d597f1", None),
+    (["image", "30", "0", "0", "0", "0", "0", "6", "--format", "csv"], "956ca33cb547340db3c8a6d970be0ac33bb8cb53963a44c509283d51a2747fe5", None),
 ]
 
 

@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement, islice, product
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -127,31 +128,54 @@ def test_superclass_array_dtype_and_validation():
         superclass_array(3, 0)
 
 
-def test_superclass_array_first_below_is_prefix():
+def divisors(n):
+    return [s for s in range(1, n + 1) if n % s == 0]
+
+
+@lru_cache(maxsize=None)
+def candidates_reference(n, d, step):
+    """The sorted d-tuples over [0, n) with first entry < step whose every
+    entry y_t, t >= 1, has y_t mod step >= y_0 and, when t >= 2 and
+    y_(t-1) = y_0 mod step, y_t - y_(t-1) >= y_1 - y_0; in
+    lexicographic order."""
+    return [
+        list(y)
+        for y in combinations_with_replacement(range(n), d)
+        if y[0] < step
+        and all(
+            y[t] % step >= y[0] and (t < 2 or (y[t - 1] - y[0]) % step or y[t] - y[t - 1] >= y[1] - y[0])
+            for t in range(1, d)
+        )
+    ]
+
+
+def test_superclass_array_translate_step_gives_the_candidates():
     for n in range(1, 13):
         for d in range(1, 7):
             full = superclass_array(n, d)
-            for first_below in range(1, n + 1):
-                part = superclass_array(n, d, first_below)
+            for step in divisors(n):
+                part = superclass_array(n, d, step)
                 assert part.dtype == full.dtype
-                assert np.array_equal(part, full[full[:, 0] < first_below])
-                assert np.array_equal(part, full[: len(part)])
+                assert part.tolist() == candidates_reference(n, d, step), (n, d, step)
+            assert np.array_equal(superclass_array(n, d, n), full)  # L = n: every row
     assert np.array_equal(superclass_array(5, 3, None), superclass_array(5, 3))
-    for bad in (0, 6, -1):
+    for bad in (0, 6, -1, 2):
         with pytest.raises(ValueError):
             superclass_array(5, 3, bad)
+    with pytest.raises(ValueError):
+        superclass_array(12, 3, 5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 5), st.data())
-def test_superclass_chunks_are_the_prefix_in_blocks(n, d, data):
-    first_below = data.draw(st.integers(1, n))
+def test_superclass_chunks_are_the_candidates_in_blocks(n, d, data):
+    step = data.draw(st.sampled_from(divisors(n)))
     rows = data.draw(st.sampled_from([1, 2, 3, 7, 40]) | st.integers(1, 2000))
-    part = superclass_array(n, d, first_below)
-    chunks = list(superclass_chunks(n, d, first_below, rows))
+    part = superclass_array(n, d, step)
+    chunks = list(superclass_chunks(n, d, step, rows))
     assert all(1 <= len(c) <= rows and c.dtype == part.dtype for c in chunks)
-    assert np.array_equal(np.concatenate(chunks), part)
-    if len(part) <= rows:
+    assert np.concatenate(chunks).tolist() == candidates_reference(n, d, step)
+    if orbit_count(n, d) - orbit_count(n - step, d) <= rows:  # the rows with first entry < step
         assert len(chunks) == 1
 
 
@@ -160,20 +184,19 @@ def test_superclass_chunks_wide_entries_and_validation():
     full = superclass_array(300, 3)
     chunks = list(superclass_chunks(300, 3, 300, 5000))
     assert chunks[0].dtype == np.uint16 and np.array_equal(np.concatenate(chunks), full)
-    for first_below, rows in [(5, 0), (0, 10), (6, 10)]:
+    for step, rows in [(5, 0), (0, 10), (6, 10), (2, 10)]:
         with pytest.raises(ValueError):
-            next(superclass_chunks(5, 3, first_below, rows))
+            next(superclass_chunks(5, 3, step, rows))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 299])
-@pytest.mark.parametrize("d, first_below", [(2, 300), (3, 2)])
-def test_superclass_chunks_narrower_than_one_row_extension(d, first_below, rows):
+@pytest.mark.parametrize("d, step", [(2, 300), (3, 2)])
+def test_superclass_chunks_narrower_than_one_row_extension(d, step, rows):
     # rows < n: a row ending in a small entry extends to more than `rows`
     # rows, which are sliced; entries are uint16
-    part = superclass_array(300, d, first_below)
-    chunks = list(superclass_chunks(300, d, first_below, rows))
+    chunks = list(superclass_chunks(300, d, step, rows))
     assert all(1 <= len(c) <= rows and c.dtype == np.uint16 for c in chunks)
-    assert np.array_equal(np.concatenate(chunks), part)
+    assert np.concatenate(chunks).tolist() == candidates_reference(300, d, step)
 
 
 def test_superclass_chunks_of_one_entry():
