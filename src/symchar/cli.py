@@ -39,7 +39,7 @@ from .evaluate import (
 )
 from .modring import solve_bilinear_brute, solve_bilinear_congruence
 from .orbits import OrbitRep, canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
-from .report import _encode
+from .report import ReportBlock, _encode
 
 
 class UsageError(Exception):
@@ -220,10 +220,17 @@ def cmd_table(args) -> int:
 
 
 def _emit(reports) -> int:
+    """Print the JSON line of each IdentityReport and of each record of each
+    ReportBlock, a block's lines one group per write; 1 if a record failed."""
     ok = True
     for rep in reports:
-        print(rep.to_json())
-        ok = ok and rep.passed
+        if isinstance(rep, ReportBlock):
+            for text in rep.json_chunks():
+                sys.stdout.write(text)
+            ok = ok and bool(rep.passed.all())
+        else:
+            sys.stdout.write(rep.to_json() + "\n")
+            ok = ok and rep.passed
     return 0 if ok else 1
 
 

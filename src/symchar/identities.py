@@ -3,7 +3,9 @@
 The count identities are exact.  dot_counts gives one integer counts row
 c[t] = #{x in X : x.y = t mod n} per point y of a block, and each identity
 compares whole count matrices, so a sweep and the per-pair check share one
-code path (the per-pair check is the one-row case):
+code path (the per-pair check is the one-row case).  That path gives a
+report.ReportBlock of every record at one X: a sweep yields one block per X,
+and the per-pair check takes the one record of its block.  The identities:
 
 * conjugation      sigma_X(-y) = conj(sigma_X(y)) = sigma_{-X}(y)
   is an index reversal t -> -t of the counts;
@@ -61,32 +63,37 @@ from .orbits import (
     superclass_array,
     unrank_orbit,
 )
-from .report import IdentityReport
+from .report import IdentityReport, ParamValues, ReportBlock
 
 _UNION_WITNESS_ORBITS = 8
 _LINE_SHIFT_SAMPLES = 12  # superclasses at which dihedral_order checks every line shift
 
 
-def _conjugate_reports(x_rep: OrbitRep, y_reps: Sequence[OrbitRep]) -> Iterator[IdentityReport]:
-    """Conjugation identity at (X, Y) for each Y, from three count matrices."""
+def _entries(reps: Sequence[OrbitRep]) -> np.ndarray:
+    """The entries of each orbit, one int64 row per orbit."""
+    return np.array([rep.entries for rep in reps], dtype=np.int64)
+
+
+def _conjugate_block(x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray) -> ReportBlock:
+    """Conjugation identity at (X, Y) for each Y, from three count matrices;
+    ys holds the entries of y_reps."""
     n = x_rep.n
-    ys = np.array([y_rep.entries for y_rep in y_reps])
     base = dot_counts(x_rep, ys)
     neg_y = dot_counts(x_rep, -ys)
     neg_x = dot_counts(negate_orbit(x_rep), ys)
     reversed_counts = base[:, -np.arange(n) % n]
     passed = ((neg_y == reversed_counts) & (neg_x == reversed_counts)).all(axis=1)
-    for i, (y_rep, ok) in enumerate(zip(y_reps, passed.tolist())):
-        witness = None
-        if not ok:
-            witness = {
-                "x": x_rep,
-                "y": y_rep,
-                "counts": base[i].tolist(),
-                "counts_at_minus_y": neg_y[i].tolist(),
-                "counts_of_minus_x": neg_x[i].tolist(),
-            }
-        yield IdentityReport("conjugate", {"x": x_rep, "y": y_rep, "n": n}, True, ok, witness)
+    witnesses = {
+        i: {
+            "x": x_rep,
+            "y": y_reps[i],
+            "counts": base[i].tolist(),
+            "counts_at_minus_y": neg_y[i].tolist(),
+            "counts_of_minus_x": neg_x[i].tolist(),
+        }
+        for i in np.flatnonzero(~passed).tolist()
+    }
+    return ReportBlock("conjugate", True, {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
 
 
 def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
@@ -95,20 +102,19 @@ def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
     dot_counts(X, -y) must equal the index reversal of dot_counts(X, y),
     and dot_counts(-X, y) must equal the same reversal.
     """
-    return next(_conjugate_reports(x_rep, [y_rep]))
+    return next(iter(_conjugate_block(x_rep, [y_rep], _entries([y_rep]))))
 
 
-def _translation_reports(
-    x_rep: OrbitRep, y_reps: Sequence[OrbitRep], js: Sequence[int], ks: Sequence[int]
-) -> Iterator[IdentityReport]:
+def _translation_block(
+    x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray, js: Sequence[int], ks: Sequence[int]
+) -> ReportBlock:
     """Translation identity at (X, Y, j, k) for each Y in y_reps, j in js and
-    k in ks, in that order with k fastest.
+    k in ks, in that order with k fastest; ys holds the entries of y_reps.
 
     One count matrix for the base rows dot_counts(X, y) of every Y, then one
     per j whose rows are dot_counts(X + j1, y + k1) for every (Y, k).
     """
     n, d = x_rep.n, x_rep.d
-    ys = np.array([y_rep.entries for y_rep in y_reps], dtype=np.int64)
     kr = np.array([k % n for k in ks], dtype=np.int64)
     base = dot_counts(x_rep, ys)
     # shifted rows: row (Y, k) holds y + k1, so one count matrix covers every (Y, k) of a j
@@ -126,7 +132,7 @@ def _translation_reports(
         rhs = base[rows, (t - shifts[:, :, None]) % n]
         passed[:, ji] = (lhs == rhs).all(axis=2)
         for yi, ki in np.argwhere(~passed[:, ji]).tolist():
-            witnesses[yi, ji, ki] = {
+            witnesses[(yi * len(js) + ji) * len(kr) + ki] = {
                 "x": x_rep,
                 "y": y_reps[yi],
                 "j": j,
@@ -135,16 +141,7 @@ def _translation_reports(
                 "lhs": lhs[yi, ki].tolist(),
                 "rhs": rhs[yi, ki].tolist(),
             }
-    for yi, (y_rep, y_passed) in enumerate(zip(y_reps, passed.tolist())):
-        for ji, (j, j_passed) in enumerate(zip(js, y_passed)):
-            for ki, (k, ok) in enumerate(zip(ks, j_passed)):
-                yield IdentityReport(
-                    "translation",
-                    {"x": x_rep, "y": y_rep, "j": j, "k": k, "n": n},
-                    True,
-                    ok,
-                    None if ok else witnesses[yi, ji, ki],
-                )
+    return ReportBlock("translation", True, {"x": x_rep, "n": n}, ("y", "j", "k"), (y_reps, js, ks), passed, witnesses)
 
 
 def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> IdentityReport:
@@ -153,7 +150,7 @@ def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> Id
     Shifting X by j*1 and y by k*1 multiplies the value by e(t0/n) with
     t0 = [y]j + [x]k + djk, i.e. shifts the counts vector by t0.
     """
-    return next(_translation_reports(x_rep, [y_rep], [j], [k]))
+    return next(iter(_translation_block(x_rep, [y_rep], _entries([y_rep]), [j], [k])))
 
 
 @lru_cache(maxsize=64)
@@ -386,27 +383,33 @@ def walk_reduction_check(n: int, d: int, a: int, budget: int = DEFAULT_BUDGET) -
 # sweeps used by the CLI and the test suite
 
 
-def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+def sweep_conjugate(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[ReportBlock]:
+    """One block per X of the conjugation records at every Y."""
     BudgetExceeded.check(3 * orbit_count(n, d) ** 2, budget)
-    y_reps = list(enumerate_orbits(n, d))
+    y_reps = ParamValues(enumerate_orbits(n, d))
+    ys = _entries(y_reps)
     for x_rep in y_reps:
-        yield from _conjugate_reports(x_rep, y_reps)
+        yield _conjugate_block(x_rep, y_reps, ys)
 
 
-def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+def sweep_translation(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[ReportBlock]:
+    """One block per X of the translation records at every (Y, j, k)."""
     BudgetExceeded.check((orbit_count(n, d) * n) ** 2, budget)
-    reps = list(enumerate_orbits(n, d))
+    reps = ParamValues(enumerate_orbits(n, d))
+    ys = _entries(reps)
+    shifts = ParamValues(range(n))
     for x_rep in reps:
-        yield from _translation_reports(x_rep, reps, range(n), range(n))
+        yield _translation_block(x_rep, reps, ys, shifts, shifts)
 
 
-def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[ReportBlock]:
     """dot_counts(X, y) is the same row for every y in the orbit Y.
 
-    One count matrix per X over every point of (Z/nZ)^d, grouped by orbit.
+    One count matrix per X over every point of (Z/nZ)^d, grouped by orbit,
+    and one block per X of the records at every Y.
     """
     BudgetExceeded.check(orbit_count(n, d) * n**d, budget)
-    y_reps = list(enumerate_orbits(n, d))
+    y_reps = ParamValues(enumerate_orbits(n, d))
     orbits = [orbit_array(y_rep) for y_rep in y_reps]
     sizes = [len(orbit) for orbit in orbits]
     starts = np.cumsum([0] + sizes[:-1])
@@ -415,14 +418,9 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Id
     for x_rep in y_reps:
         counts = dot_counts(x_rep, points)
         same = (counts == counts[first_row]).all(axis=1)
-        for y_rep, ok in zip(y_reps, np.logical_and.reduceat(same, starts).tolist()):
-            yield IdentityReport(
-                "constancy",
-                {"x": x_rep, "y": y_rep, "n": n},
-                True,
-                ok,
-                None if ok else {"x": x_rep, "y": y_rep},
-            )
+        passed = np.logical_and.reduceat(same, starts)
+        witnesses = {i: {"x": x_rep, "y": y_reps[i]} for i in np.flatnonzero(~passed).tolist()}
+        yield ReportBlock("constancy", True, {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
 
 
 def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:

@@ -5,6 +5,7 @@ Each test is self-contained and asserts everything it prints.
 """
 
 import random
+from itertools import chain
 import time
 from math import gcd
 
@@ -48,10 +49,10 @@ def test_criterion_01_exact_identity_sweep():
     t0 = time.time()
     checks = 0
     for n, d in pairs:
-        for rep in sweep_conjugate(n, d):
+        for rep in chain.from_iterable(sweep_conjugate(n, d)):
             assert rep.exact and rep.passed, rep.to_json()
             checks += 1
-        for rep in sweep_translation(n, d):
+        for rep in chain.from_iterable(sweep_translation(n, d)):
             assert rep.exact and rep.passed, rep.to_json()
             checks += 1
     elapsed = time.time() - t0
@@ -62,7 +63,7 @@ def test_criterion_02_constancy_on_superclasses():
     checks = 0
     for n in range(2, 6):
         for d in range(1, 5):
-            for rep in sweep_constancy(n, d):
+            for rep in chain.from_iterable(sweep_constancy(n, d)):
                 assert rep.passed, rep.to_json()
                 checks += 1
     emit(2, True, f"{checks} (X, Y) pairs constant on superclasses, exact")

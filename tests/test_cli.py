@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -286,6 +287,51 @@ def test_verify_translation(capsys):
     for line in out.strip().splitlines():
         rec = json.loads(line)
         assert rec["passed"] is True
+
+
+def _break_conjugate(monkeypatch, d):
+    monkeypatch.setattr(identities, "negate_orbit", lambda rep: rep)  # forgets to negate X
+
+
+def _break_translation(monkeypatch, d):
+    monkeypatch.setattr(identities, "shift_orbit", lambda rep, j: rep)  # forgets to shift X
+
+
+def _break_constancy(monkeypatch, d):
+    real = identities.orbit_array
+    # every orbit gains the point (0, ..., 0, 1), which lies in another orbit
+    monkeypatch.setattr(identities, "orbit_array", lambda rep: np.vstack([real(rep), [[0] * (d - 1) + [1]]]))
+
+
+BREAKS = {"conjugate": _break_conjugate, "translation": _break_translation, "constancy": _break_constancy}
+
+
+@pytest.mark.parametrize(
+    "check, n, d",
+    [
+        ("conjugate", 4, 2),
+        ("conjugate", 5, 3),
+        ("conjugate", 12, 1),
+        ("translation", 3, 2),
+        ("translation", 4, 3),
+        ("translation", 1, 2),
+        ("constancy", 4, 3),
+        ("constancy", 5, 2),
+        ("constancy", 3, 1),
+    ],
+)
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
+def test_block_sweep_prints_its_records(check, n, d, broken, monkeypatch, capsys):
+    if broken:
+        BREAKS[check](monkeypatch, d)
+    records = list(chain.from_iterable(getattr(identities, f"sweep_{check}")(n, d)))
+    code, out, err = run_cli(["verify", check, "--n", str(n), "--d", str(d)], capsys)
+    assert out == "".join(r.to_json() + "\n" for r in records)
+    assert code == (0 if all(r.passed for r in records) else 1) and err == ""
+    if not broken:
+        assert all(r.passed for r in records)
+    elif n > 1:  # mod 1 every orbit is its own shift and negation
+        assert not all(r.passed for r in records)
 
 
 def test_verify_permanent(capsys, monkeypatch):

@@ -71,8 +71,11 @@ GOLDEN = [
 # Sweep sizes beyond the benchmark's, so a batched sweep must reproduce the
 # per-pair records at other shapes too: dihedral at N > 12 (sampled orbits)
 # and N <= 12 (every orbit is a sample), and dihedral and full-union at the
-# composite n = 12, whose orbits have six rotation orders.  A list of its
-# own, so the ids of GOLDEN cases do not change.
+# composite n = 12, whose orbits have six rotation orders.  The block
+# writers of the exact sweeps are pinned at other shapes: constancy at
+# d = 2 and d = 4, conjugate with two-digit n and entries, and translation
+# at n = 1, where each (X, Y) has one j and one k.  A list of its own, so
+# the ids of GOLDEN cases do not change.
 SWEEP_GOLDEN = [
     (["verify", "translation", "--n", "5", "--d", "2"], "22ce38bbf0ed53af521df028ad150751b1517160922230fc26100e025ad6527f"),
     (["verify", "translation", "--n", "3", "--d", "4"], "dd014bac95a17181c5933a974ca050914a9fc998b5b1a202600443bcad0f08da"),
@@ -81,6 +84,10 @@ SWEEP_GOLDEN = [
     (["verify", "conjugate", "--n", "5", "--d", "4"], "504b8f1a9dba8601139572f6250c5e20472dab81719601785485a217a285a60f"),
     (["verify", "dihedral", "--n", "12", "--d", "3"], "99fa949eeeac7344be0ede8bd1f0bb9c11e0f1d7b872922567b94f014a94b162"),
     (["verify", "full-union", "--n", "12", "--d", "3"], "ef8241ef92ffea25b37b22f31cc7b7810c473ec98fa52eb04436600c864f8e23"),
+    (["verify", "constancy", "--n", "5", "--d", "2"], "74693d50b94362a09de65a1d66145d5649e6bd908bcd472c5ca3c2e1de67520c"),
+    (["verify", "constancy", "--n", "3", "--d", "4"], "00719958347bc8765c753bfb4e4a20de512841f2167ff8cc8983a28e418a8461"),
+    (["verify", "conjugate", "--n", "12", "--d", "2"], "fafe7851154fe6dd2c8fc48868a0e0d0d624278b0e496e4201d3072794ec560b"),
+    (["verify", "translation", "--n", "1", "--d", "2"], "36f9e33516c098586ea268e4328a9efb5b6703b4f2f71dd34208f163c1ef8c17"),
 ]
 
 

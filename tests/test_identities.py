@@ -1,5 +1,6 @@
 import cmath
 import json
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -52,13 +53,23 @@ def real_valued_check(x_rep):
 
 
 def test_conjugate_small_sweep():
-    for rep in sweep_conjugate(4, 2):
+    for rep in chain.from_iterable(sweep_conjugate(4, 2)):
         assert rep.exact and rep.passed, rep.to_json()
 
 
 def test_translation_small_sweep():
-    for rep in sweep_translation(3, 2):
+    for rep in chain.from_iterable(sweep_translation(3, 2)):
         assert rep.exact and rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+def test_exact_sweeps_yield_one_block_per_x(n, d):
+    reps = list(enumerate_orbits(n, d))
+    for sweep, per_x in [(sweep_conjugate, len(reps)), (sweep_translation, len(reps) * n * n), (sweep_constancy, len(reps))]:
+        blocks = list(sweep(n, d))
+        assert [block.shared["x"] for block in blocks] == reps
+        assert [block.passed.size for block in blocks] == [per_x] * len(reps)
+        assert all(r.params["x"] == block.shared["x"] for block in blocks for r in block)
 
 
 def test_translation_specific():
@@ -87,7 +98,7 @@ def test_real_valued_iff_palindromic_counts():
 
 
 def test_constancy_sweep():
-    for rep in sweep_constancy(4, 3):
+    for rep in chain.from_iterable(sweep_constancy(4, 3)):
         assert rep.passed
 
 
@@ -242,7 +253,7 @@ def test_conjugate_witness_carries_reference_counts(monkeypatch):
     X = canonicalize((0, 1, 3), 7)  # -X = (0, 4, 6) != X
     wrong = canonicalize((0, 1, 4), 7)
     monkeypatch.setattr(identities, "negate_orbit", lambda rep: wrong)
-    reports = [r for r in sweep_conjugate(7, 3) if r.params["x"] == X]
+    reports = [r for r in chain.from_iterable(sweep_conjugate(7, 3)) if r.params["x"] == X]
     for Y, report in zip(enumerate_orbits(7, 3), reports):
         y = Y.entries
         counts = reference_counts(X, y)
@@ -264,7 +275,7 @@ def test_translation_witness_carries_reference_counts(monkeypatch):
     n, d = 5, 3
     X, Y = canonicalize((0, 1, 3), n), canonicalize((1, 1, 4), n)
     monkeypatch.setattr(identities, "shift_orbit", lambda rep, j: rep)  # forgets to shift X
-    reports = [r for r in sweep_translation(n, d) if r.params["x"] == X and r.params["y"] == Y]
+    reports = [r for r in chain.from_iterable(sweep_translation(n, d)) if r.params["x"] == X and r.params["y"] == Y]
     assert [(r.params["j"], r.params["k"]) for r in reports] == [(j, k) for j in range(n) for k in range(n)]
     base = reference_counts(X, Y.entries)
     for report in reports:
@@ -307,7 +318,7 @@ def test_translation_sweep_matches_per_pair_reference(n, d, broken, monkeypatch)
         shift = lambda X, j: X  # noqa: E731
     else:
         shift = lambda X, j: canonicalize([v + j for v in X.entries], n)  # noqa: E731
-    got = [(r.name, r.params, r.exact, r.passed, r.witness) for r in sweep_translation(n, d)]
+    got = [(r.name, r.params, r.exact, r.passed, r.witness) for r in chain.from_iterable(sweep_translation(n, d))]
     expected = list(reference_translation(n, d, shift))
     assert got == expected
     assert all(r[3] for r in expected) != broken
@@ -322,7 +333,7 @@ def test_translation_sweep_makes_n_plus_one_block_calls_per_x(monkeypatch):
         return dot_counts(rep, ys)
 
     monkeypatch.setattr(identities, "dot_counts", counting)
-    assert sum(1 for _ in sweep_translation(n, d)) == orbit_count(n, d) ** 2 * n * n
+    assert sum(1 for _ in chain.from_iterable(sweep_translation(n, d))) == orbit_count(n, d) ** 2 * n * n
     assert len(calls) == orbit_count(n, d) * (n + 1)
 
 
@@ -351,7 +362,7 @@ def test_constancy_witness_names_the_broken_orbit(monkeypatch):
         return np.vstack([real(rep), [[0, 0, 3]]])  # a point of another orbit
 
     monkeypatch.setattr(identities, "orbit_array", orbit_array)
-    failed = [(r.params["x"], r.params["y"], r.witness) for r in sweep_constancy(4, 3) if not r.passed]
+    failed = [(r.params["x"], r.params["y"], r.witness) for r in chain.from_iterable(sweep_constancy(4, 3)) if not r.passed]
     expected = [
         (X, broken, {"x": X, "y": broken})
         for X in enumerate_orbits(4, 3)

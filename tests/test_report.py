@@ -1,12 +1,15 @@
-"""IdentityReport.to_json against the json.dumps record it must equal byte for byte."""
+"""IdentityReport.to_json against the json.dumps record it must equal byte
+for byte, and a ReportBlock's lines against those of its records."""
 
 import json
 import math
+from itertools import product
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from symchar.orbits import canonicalize
-from symchar.report import IdentityReport, _encode
+from symchar.report import IdentityReport, ReportBlock, _encode
 
 
 def reference_json(report: IdentityReport) -> str:
@@ -54,3 +57,40 @@ def test_to_json_equals_sorted_json_dumps(name, params, exact, passed, witness, 
     report = IdentityReport(name, params, exact, passed, witness, info)
     assert report.to_json() == reference_json(report)
 
+
+
+@st.composite
+def blocks(draw):
+    keys = draw(st.lists(st.text(max_size=4), min_size=0, max_size=4, unique=True))
+    axes = [draw(st.lists(values, max_size=3)) for _ in keys]
+    shape = tuple(len(axis) for axis in axes)
+    passed = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape))), dtype=bool)
+    witnesses = {i: draw(fields) for i in np.flatnonzero(~passed).tolist()}
+    shared = draw(st.dictionaries(st.text(max_size=6), values, max_size=4))
+    return ReportBlock(draw(st.text()), draw(st.booleans()), shared, tuple(keys), tuple(axes), passed.reshape(shape), witnesses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks())
+def test_block_lines_are_its_records_lines(block):
+    records = list(block)
+    assert len(records) == block.passed.size
+    combos = list(product(*block.axes))
+    assert [r.params for r in records] == [{**block.shared, **dict(zip(block.keys, values))} for values in combos]
+    assert [r.passed for r in records] == block.passed.ravel().tolist()
+    assert [r.witness for r in records] == [block.witnesses.get(i) for i in range(len(combos))]
+    assert all(r.name == block.name and r.exact == block.exact and r.info is None for r in records)
+    chunks = list(block.json_chunks())
+    assert "".join(chunks) == "".join(r.to_json() + "\n" for r in records)
+    # one chunk per combination of every varying param but the last two
+    assert len(chunks) == math.prod(len(axis) for axis in block.axes[:-2])
+
+
+def test_block_slots_avoid_private_use_text_in_the_record():
+    # the shared params hold the first private-use characters, escaped as the
+    # stand-ins for the varying values would be
+    block = ReportBlock(
+        "\ue000", True, {"a": "\ue001", "\ue002": ["\\ue003"]}, ("y", "\ue004"), ([1, "\ue000"], [{}]),
+        np.array([[True], [False]]), {1: {"w": "{0}"}},
+    )
+    assert "".join(block.json_chunks()) == "".join(r.to_json() + "\n" for r in block)
