@@ -128,35 +128,60 @@ def supercharacter(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray |
     return counts_value(dot_counts(rep, y))
 
 
+@lru_cache(maxsize=16)
+def _column_set_layers(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The subset lattice of d columns, layer by layer, for permanent_oracle.
+
+    Entry L - 1 is (sources, cols), both of shape (L, C(d, L)), for the
+    column sets of size L in a fixed order: set i less its column
+    cols[m, i] is set sources[m, i] of layer L - 1.
+    """
+    layers = [[mask for mask in range(1 << d) if mask.bit_count() == size] for size in range(d + 1)]
+    steps = []
+    for below, layer in zip(layers, layers[1:]):
+        where = {mask: i for i, mask in enumerate(below)}
+        cols = [[k for k in range(d) if mask >> k & 1] for mask in layer]
+        sources = [[where[mask ^ 1 << k] for k in row] for mask, row in zip(layer, cols)]
+        steps.append((np.array(sources, dtype=np.int64).T.copy(), np.array(cols, dtype=np.int64).T.copy()))
+    return tuple(steps)
+
+
 def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray | complex:
     """Independent evaluation of sigma_X(y) through a matrix permanent.
 
     With M[j][k] = e(x_j y_k / n) for any orbit member x, per(M) equals the
     full-group sum over S_d and hence stabilizer_order(X) * sigma_X(y).
     y is one point, shape (d,), giving a complex, or a block of points,
-    shape (rows, d), giving one value per row.  Ryser's formula
+    shape (rows, d), giving one value per row.
 
-        per(M) = sum over nonempty column sets S of
-                 (-1)^(d - |S|) prod_j sum_{k in S} M[j][k]
+    Over column sets C, let P(C) be the sum of prod_{j < |C|} M[j][pi(j)]
+    over the bijections pi from rows 0..|C|-1 onto C, so that
+    P(all columns) = per(M) and
 
-    runs over all 2^d - 1 sets at once: the row sums are M times a 0/1
-    subset matrix, O(2^d d^2) per point.  Points go through in chunks of
-    about _BLOCK_CELLS row sums.
+        P(C) = sum over k in C of P(C - {k}) * M[|C| - 1][k].
+
+    All 2^d sets of a point are filled in layer by layer, O(2^d d).  P(C)
+    is a sum of |C|! unit terms, and so is every partial sum bounded, so
+    the rounding error stays near d * d! ulp.  Ryser's formula instead adds
+    row-sum products as large as d^d that cancel down to per(M), which at
+    d = 10 costs it three more digits.  Points go through in chunks of
+    about _BLOCK_CELLS products.
     """
     n, d = rep.n, rep.d
     if d > PERMANENT_MAX_D:
         raise DimensionTooLarge(f"permanent of a {d}x{d} matrix refused (cutoff {PERMANENT_MAX_D})")
     block, lead = _point_block(y, n, d)
     x = np.array(rep.entries, dtype=np.int64)
-    subsets = (np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1  # row s - 1: the bits of s
-    signs = np.where((d - subsets.sum(axis=1)) % 2, -1.0, 1.0)
-    columns = subsets.T.astype(float)
+    layers = _column_set_layers(d)
     table = roots_of_unity(n)
-    step = max(1, _BLOCK_CELLS // (d * len(subsets)))
+    step = max(1, _BLOCK_CELLS // max(cols.size for _, cols in layers))
     per = np.empty(len(block), dtype=complex)
     for lo in range(0, len(block), step):
         mats = table[(x[:, None] * block[lo : lo + step, None, :]) % n]  # M of each point
-        per[lo : lo + step] = np.prod(mats @ columns, axis=1) @ signs
+        sets = np.ones((len(mats), 1), dtype=complex)  # P(empty set) = 1
+        for j, (sources, cols) in enumerate(layers):
+            sets = (sets[:, sources] * mats[:, j, cols]).sum(axis=1)
+        per[lo : lo + step] = sets[:, 0]
     per /= stabilizer_order(rep)
     return per if lead else complex(per[0])
 

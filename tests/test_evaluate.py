@@ -179,26 +179,40 @@ def test_permanent_oracle_two_by_two():
 
 
 def gray_code_permanent(rep, y):
-    """Ryser's formula one column set at a time, in Gray-code order."""
+    """Ryser's formula one column set at a time, in Gray-code order, exactly.
+
+    M[j][k] is the monomial z^(x_j y_k mod n) of Z[z]/(z^n - 1).  An element
+    sum_t c_t z^t with every c_t in [0, 2^64) is held as the integer
+    sum_t c_t 2^(64 t), and reducing a product modulo 2^(64 n) - 1 wraps
+    z^n to 1.  The coefficients of a product of d row sums add up to |S|^d,
+    and the terms of each sign are summed apart, so no coefficient
+    overflows; e(t/n) is applied to their difference only.
+    """
     n, d = rep.n, rep.d
-    table = roots_of_unity(n)
-    mat = np.array([[table[(xj * yk) % n] for yk in y] for xj in rep.entries])
-    total = 0j
-    rowsum = np.zeros(d, dtype=complex)
+    bits = 64
+    wrap = (1 << (bits * n)) - 1
+    mono = [[1 << (bits * ((xj * yk) % n)) for yk in y] for xj in rep.entries]
+    rowsum = [0] * d
+    sums = {1: 0, -1: 0}  # by the sign (-1)^(d - |S|) of the term
     gray = 0
-    parity = 1  # (-1)^|S| for the current set S encoded by gray
+    parity = (-1) ** d  # (-1)^(d - |S|) for the current set S encoded by gray
     for step in range(1, 1 << d):
         new_gray = step ^ (step >> 1)
         changed = new_gray ^ gray
         col = changed.bit_length() - 1
-        if new_gray & changed:
-            rowsum += mat[:, col]
-        else:
-            rowsum -= mat[:, col]
+        sign = 1 if new_gray & changed else -1
+        for j in range(d):
+            rowsum[j] += sign * mono[j][col]
         parity = -parity
         gray = new_gray
-        total += parity * np.prod(rowsum)
-    return complex(total * (-1) ** d) / stabilizer_order(rep)
+        term = 1
+        for r in rowsum:
+            term = term * r % wrap
+        sums[parity] += term
+    mask = (1 << bits) - 1
+    coeffs = [((sums[1] >> (bits * t)) & mask) - ((sums[-1] >> (bits * t)) & mask) for t in range(n)]
+    table = roots_of_unity(n)
+    return complex(sum(c * table[t] for t, c in enumerate(coeffs))) / stabilizer_order(rep)
 
 
 @settings(max_examples=60, deadline=None)
