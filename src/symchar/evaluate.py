@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import floor
+from numbers import Integral
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -79,10 +80,15 @@ def orbit_array(rep: OrbitRep) -> np.ndarray:
 def _point_block(y: Sequence[int] | np.ndarray, n: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """y, one point of shape (d,) or a block of shape (rows, d) holding any
     integers, as a (rows, d) int64 array reduced mod n, and y's shape
-    without its last axis: () for one point."""
+    without its last axis: () for one point.  Raises ValueError for an
+    entry that is not an integer."""
     ys = np.asarray(y)
-    if ys.dtype.kind != "i":  # unsigned, wider than int64, or made float by mixing such integers
-        ys = np.array(y, dtype=object) % n
+    if ys.dtype.kind != "i":  # unsigned, wider than int64, made float by mixing such integers, or not integers
+        ys = np.array(y, dtype=object)
+        for v in ys.flat:
+            if not isinstance(v, Integral):
+                raise ValueError(f"entries of y must be integers, got {v!r}")
+        ys = ys % n
     if ys.ndim not in (1, 2) or ys.shape[-1] != d:
         raise DimensionMismatch(f"y has shape {ys.shape}, expected ({d},) or (rows, {d})")
     return ys.reshape(-1, d).astype(np.int64) % n, ys.shape[:-1]
@@ -93,7 +99,7 @@ def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
 
     y is one point, shape (d,), giving an (n,) int64 array, or a block of
     points, shape (rows, d), giving (rows, n) with one counts row per point.
-    Entries of y may be any integers; they are reduced mod n first.
+    Entries of y may be any integers, not floats; they are reduced mod n first.
     """
     n = rep.n
     block, lead = _point_block(y, n, rep.d)

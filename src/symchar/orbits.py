@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,10 +47,15 @@ class OrbitRep:
 
 
 def canonicalize(vec: Sequence[int], n: int) -> OrbitRep:
-    """Reduce a tuple mod n and sort it into the canonical representative."""
+    """Reduce a tuple mod n and sort it into the canonical representative.
+
+    n and the entries may be any integers, numpy ones too; the entries
+    become Python ints.  A float raises TypeError.
+    """
+    n = index(n)
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
-    return OrbitRep(n, tuple(sorted(v % n for v in vec)))
+    return OrbitRep(n, tuple(sorted(index(v) % n for v in vec)))
 
 
 def residue_multiplicities(rep: OrbitRep) -> tuple[int, ...]:

@@ -4,16 +4,16 @@ A check gives one IdentityReport.  An exact sweep gives one ReportBlock per
 orbit X instead: the pass flags and witnesses of every record at that X,
 whose IdentityReports are built only when the block is iterated, and whose
 JSON lines are written from one template per block with each varying
-param's values encoded once per sweep.  Both write the same bytes.
+param's values encoded once per sweep.  Both write the same bytes, every
+JSON text coming from one shared encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product, starmap
-from json.encoder import encode_basestring_ascii
 from math import prod
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -35,43 +35,6 @@ def _encode(obj: Any) -> Any:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=_encode)
 
 
-@lru_cache(maxsize=4096)
-def _orbit_json(rep: OrbitRep) -> str:
-    # keyed by equality, which holds for the int entries every constructor in symchar makes
-    return _ENCODER.encode(_encode(rep))
-
-
-def _value_json(value: Any) -> str:
-    """value as the encoder writes it: an int through int.__repr__, which the
-    encoder calls too, an orbit from the memo, true, false and null as
-    literals, and anything else through the encoder itself."""
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is OrbitRep:
-        return _orbit_json(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    return _ENCODER.encode(value)
-
-
-def _fields_json(fields: Any) -> str:
-    """JSON of a params, witness or info dict, built key by key in sorted order."""
-    if type(fields) is not dict:
-        return _ENCODER.encode(fields)
-    parts = []
-    for key in sorted(fields):
-        if type(key) is str:  # the encoder writes a str key as it writes a str value
-            text = encode_basestring_ascii(key)
-        else:  # int, float, bool and None keys become strings the encoder's way
-            text = _ENCODER.encode({key: None})[1:-6]  # '{"1":null}' -> '"1"'
-        parts.append(text + ":" + _value_json(fields[key]))
-    return "{" + ",".join(parts) + "}"
-
-
 class _ReportFields(NamedTuple):
     name: str
     params: dict
@@ -86,11 +49,8 @@ class IdentityReport(_ReportFields):
 
     exact=True means the comparison was integer/counts-level; False means
     it used a numeric tolerance.  witness carries the failing instance
-    when passed is False.  params defaults to a new empty dict.
-
-    An immutable named tuple: a sweep builds one per check, and a frozen
-    dataclass costs about three times as much to build, through one
-    object.__setattr__ per field.
+    when passed is False.  params defaults to a new empty dict.  An
+    immutable named tuple.
     """
 
     __slots__ = ()
@@ -112,21 +72,14 @@ class IdentityReport(_ReportFields):
             json.dumps(record, separators=(",", ":"), sort_keys=True, default=_encode)
 
         of the dict {"check", "exact", "info", "params", "passed",
-        "witness"} (info and witness only when not None).  The record is
-        written key by key in that sorted order, and params, witness and
-        info one level down the same way: each key as the encoder writes it,
-        an int through int.__repr__ (what the encoder calls), an orbit from
-        a memo of its encoded form, and every other value through the same
-        encoder.  Within one dict json sorts items by key, as sorted() does.
+        "witness"} (info and witness only when not None).
         """
-        parts = ['{"check":', _value_json(self.name), ',"exact":', _value_json(self.exact)]
+        record = {"check": self.name, "exact": self.exact, "params": self.params, "passed": self.passed}
         if self.info is not None:
-            parts += [',"info":', _fields_json(self.info)]
-        parts += [',"params":', _fields_json(self.params), ',"passed":', _value_json(self.passed)]
+            record["info"] = self.info
         if self.witness is not None:
-            parts += [',"witness":', _fields_json(self.witness)]
-        parts.append("}")
-        return "".join(parts)
+            record["witness"] = self.witness
+        return _ENCODER.encode(record)
 
 
 class ParamValues(tuple):
@@ -136,7 +89,7 @@ class ParamValues(tuple):
 
     @cached_property
     def json(self) -> list[str]:
-        return [_value_json(value) for value in self]
+        return [_ENCODER.encode(value) for value in self]
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 from itertools import permutations, product
 
@@ -161,6 +162,14 @@ def test_dot_counts_entries_beyond_int64(n, y):
     assert dot_counts(rep, y).reshape(-1, n).tolist() == want
     values = np.ravel(supercharacter(rep, y))
     assert [repr(complex(z)) for z in values] == [repr(complex(reference_value(c))) for c in want]
+
+
+@pytest.mark.parametrize("y", [[1.5, 2], [math.nan, 1], [math.inf, 1], np.array([[1.0, 2.0], [0.0, 1.0]])])
+def test_point_entries_must_be_integers(y):
+    rep = canonicalize((0, 1), 3)
+    for evaluator in (dot_counts, supercharacter, permanent_oracle):
+        with pytest.raises(ValueError, match="must be integers"):
+            evaluator(rep, y)
 
 
 def test_supercharacter_at_zero_is_orbit_size():

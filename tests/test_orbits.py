@@ -32,6 +32,16 @@ def test_canonicalize_reduces_and_sorts():
     assert canonicalize((0,), 1).entries == (0,)
 
 
+def test_canonicalize_makes_python_int_entries():
+    rep = canonicalize(np.array([3, 1]), np.int64(5))
+    assert rep == OrbitRep(5, (1, 3))
+    assert all(type(v) is int for v in (rep.n, *rep.entries))
+    with pytest.raises(TypeError):
+        canonicalize([1.5], 3)
+    with pytest.raises(TypeError):
+        canonicalize([1], 3.0)
+
+
 def test_rep_validation():
     with pytest.raises(ValueError):
         OrbitRep(5, (3, 1))  # not sorted

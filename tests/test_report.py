@@ -6,9 +6,10 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from symchar.orbits import canonicalize
+from symchar.orbits import OrbitRep, canonicalize
 from symchar.report import IdentityReport, ReportBlock, _encode
 
 
@@ -21,7 +22,7 @@ def reference_json(report: IdentityReport) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=True, default=_encode)
 
 
-# small moduli, so orbits recur across examples and are read back from the memo
+# small moduli, so the same orbits recur across examples
 orbits = st.builds(
     canonicalize,
     st.lists(st.integers(-20, 20), min_size=1, max_size=4),
@@ -94,3 +95,15 @@ def test_block_slots_avoid_private_use_text_in_the_record():
         np.array([[True], [False]]), {1: {"w": "{0}"}},
     )
     assert "".join(block.json_chunks()) == "".join(r.to_json() + "\n" for r in block)
+
+
+def test_encoding_does_not_depend_on_what_was_encoded_before():
+    # an orbit holding numpy integers is not JSON; encoding an equal orbit of
+    # Python ints in between must not change that
+    numpy_orbit = IdentityReport("c", {"x": OrbitRep(5, (np.int64(1), np.int64(2)))})
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        numpy_orbit.to_json()
+    int_orbit = IdentityReport("c", {"x": OrbitRep(5, (1, 2))})
+    assert int_orbit.to_json() == reference_json(int_orbit)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        numpy_orbit.to_json()
