@@ -258,9 +258,25 @@ def test_verify_permanent_needs_a_sample(samples, capsys):
 
 
 def test_usage_exit_code(capsys):
-    code, _, err = run_cli(["image", "0", "1"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
+    code, out, err = run_cli(["image", "0", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == '{"error": "usage", "detail": "modulus must be positive, got 0"}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "0", "1", "--range", "1", "--unit-res", "1", "-o", "x.png"],
+        ["reduce", "-2", "1"],
+        ["eval", "0", "1", "--", "1"],
+    ],
+)
+def test_nonpositive_modulus_is_one_usage_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f'{{"error": "usage", "detail": "modulus must be positive, got {argv[1]}"}}\n'
+    assert not any(tmp_path.iterdir())
 
 
 def test_hypocycloid_rejects_small_d_before_the_image(monkeypatch, capsys):

@@ -134,6 +134,27 @@ EXPORT_GOLDEN = [
 ]
 
 
+# reduce's whole output, stderr line and exit code where elimination stalls
+# after some pivots (exit 1, the partial certificate on stdout) and at d = 4
+# with a zero row and a sampled torus map.  A list of its own, so the ids of
+# GOLDEN cases do not change.
+REDUCE_GOLDEN = [
+    (
+        ["reduce", "10", "1", "2", "5"],
+        1,
+        "a5883479cc47e9f6526ad40cac2188defde294cc034eb282507be1d7ba6d4513",
+        '{"error": "no_unit_pivot", "detail": "no unit pivot for rows [2] of the orbit matrix of (1, 2, 5) mod 10"}\n',
+    ),
+    (
+        ["reduce", "12", "1", "2", "3", "4"],
+        1,
+        "b96172584dbd0a751ccd42411c3973a8627e220b24b13780b3b4c6467c8de69f",
+        '{"error": "no_unit_pivot", "detail": "no unit pivot for rows [3] of the orbit matrix of (1, 2, 3, 4) mod 12"}\n',
+    ),
+    (["reduce", "17", "0", "1", "1", "15", "--grid", "5"], 0, "0ee5a6a541807831e6b419fe793dc8388ec7a48ae4f273171b14195dc41a9dd8", ""),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -168,3 +189,10 @@ def test_hypocycloid_golden_digest(argv, stdout_digest, capsys):
 @pytest.mark.parametrize("argv, stdout_digest, file_digest", EXPORT_GOLDEN, ids=["-".join(g[0][:2] + g[0][-3:]) for g in EXPORT_GOLDEN])
 def test_export_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys):
     test_golden_digest(argv, stdout_digest, file_digest, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv, code, stdout_digest, stderr", REDUCE_GOLDEN, ids=["-".join(g[0][1:]) for g in REDUCE_GOLDEN])
+def test_reduce_golden(argv, code, stdout_digest, stderr, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (sha256(out.encode()), err) == (stdout_digest, stderr)
