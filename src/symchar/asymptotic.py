@@ -177,51 +177,43 @@ def row_reduce_mod_n(matrix: OrbitMatrix) -> ReductionCertificate:
 
     Row operations only (columns are orbit elements and stay put): swap
     and subtract-multiple, both of determinant +-1, so det(R) is a unit
-    for any n without row scaling.  Pivots are chosen among entries
-    coprime to n, preferring the smallest symmetric-lift absolute value
-    (ties: leftmost column, then topmost row), and the pivot column is
-    cleared in every other row.  Rows that never pivot are moved to the
-    bottom; if any of them is nonzero the reduction has stalled, which
+    for any n without row scaling.  They act on the augmented matrix
+    [A | I], whose last d columns end as the reducer R and first r as
+    B = R*A.  Pivots are chosen among entries of A's columns coprime to
+    n, preferring the smallest symmetric-lift absolute value (ties:
+    leftmost column, then topmost row), and the pivot column is cleared
+    in every other row.  Rows that never pivot are moved to the bottom;
+    if any of them is nonzero in B the reduction has stalled, which
     raises NoUnitPivot carrying the partial certificate.
     """
     n, d, r = matrix.n, matrix.d, matrix.r
-    work = [list(row) for row in matrix.rows]
-    reducer = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(matrix.rows)]
     remaining = set(range(d))
     pivots: list[tuple[int, int]] = []  # (column, row), in pivot order
     while remaining:
-        best = None
-        for i in sorted(remaining):
-            for c in range(r):
-                v = work[i][c]
-                if v and gcd(v, n) == 1:
-                    key = (abs(_symmetric_lift(v, n)), c, i)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+        units = [
+            (abs(_symmetric_lift(v, n)), c, i)
+            for i in remaining
+            for c, v in enumerate(aug[i][:r])
+            if v and gcd(v, n) == 1
+        ]
+        if not units:
             break
-        _, col, row = best
-        inv = mod_inverse(work[row][col], n)
+        _, col, row = min(units)
+        inv = mod_inverse(aug[row][col], n)
         for i in range(d):
-            if i != row and work[i][col]:
-                f = (work[i][col] * inv) % n
-                work[i] = [(a - f * b) % n for a, b in zip(work[i], work[row])]
-                reducer[i] = [(a - f * b) % n for a, b in zip(reducer[i], reducer[row])]
+            if i != row and aug[i][col]:
+                f = (aug[i][col] * inv) % n
+                aug[i] = [(a - f * b) % n for a, b in zip(aug[i], aug[row])]
         pivots.append((col, row))
         remaining.discard(row)
-    zero = sorted(i for i in remaining if not any(work[i]))
-    stalled = sorted(i for i in remaining if any(work[i]))
+    zero = sorted(i for i in remaining if not any(aug[i][:r]))
+    stalled = sorted(i for i in remaining if any(aug[i][:r]))
     # final row order: pivot rows by pivot column, stalled rows, zero rows
     order = [row for _, row in sorted(pivots)] + stalled + zero
-    reduced = tuple(tuple(work[i]) for i in order)
-    reducer_rows = tuple(tuple(reducer[i]) for i in order)
+    reducer = tuple(tuple(aug[i][r:]) for i in order)
     cert = ReductionCertificate(
-        matrix,
-        reducer_rows,
-        reduced,
-        _det_int(reducer_rows) % n,
-        len(zero),
-        complete=not stalled,
+        matrix, reducer, tuple(tuple(aug[i][:r]) for i in order), _det_int(reducer) % n, len(zero), complete=not stalled
     )
     if stalled:
         err = NoUnitPivot(
@@ -257,16 +249,6 @@ def torus_map(cert: ReductionCertificate) -> ExponentMatrix:
         tuple(_symmetric_lift(v, n) for v in row) for row in cert.reduced if any(row)
     )
     return ExponentMatrix(n, rows)
-
-
-def hypocycloid_exponents(d: int) -> ExponentMatrix:
-    """Exponents of z_1 + ... + z_{d-1} + 1/(z_1 ... z_{d-1})."""
-    if d < 2:
-        raise ValueError("needs d >= 2")
-    rows = tuple(
-        tuple((1 if c == j else 0) for c in range(d - 1)) + (-1,) for j in range(d - 1)
-    )
-    return ExponentMatrix(2 * d, rows)
 
 
 def sample_torus_map(

@@ -42,7 +42,7 @@ from .orbits import OrbitRep, canonicalize, enumerate_orbits, orbit_count, orbit
 from .report import ReportBlock, _encode
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -68,11 +68,8 @@ def _output_path(path: str | None) -> str | None:
 
 
 def _jobspec(args, entries) -> OrbitRep:
-    """Validate the modulus and entries; the canonical orbit of entries."""
-    if args.n <= 0:
-        raise UsageError(f"modulus must be positive, got {args.n}")
-    if not entries:
-        raise UsageError("orbit entries required")
+    """The canonical orbit of entries mod args.n, with a notice on stderr if
+    that changed them; canonicalize refuses a modulus that is not positive."""
     rep = canonicalize(entries, args.n)
     if rep.entries != tuple(entries):
         print(
@@ -151,10 +148,7 @@ def cmd_image(args) -> int:
 def cmd_render(args) -> int:
     rep = _jobspec(args, args.entries)
     out = _output_path(args.out)
-    try:
-        spec = render.BitmapSpec(args.range, args.unit_res)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = render.BitmapSpec(args.range, args.unit_res)
     values = image(rep, budget=args.budget)
     render.write_png(render.render_bitmap(values, spec), out)
     print(f"wrote {out} ({spec.side}x{spec.side}, {len(values)} points)")
@@ -436,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(
             json.dumps({"error": "budget_exceeded", "required": exc.required, "budget": exc.budget}),

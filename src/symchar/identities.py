@@ -2,10 +2,11 @@
 
 The count identities are exact.  dot_counts gives one integer counts row
 c[t] = #{x in X : x.y = t mod n} per point y of a block, and each identity
-compares whole count matrices, so a sweep and the per-pair check share one
-code path (the per-pair check is the one-row case).  That path gives a
-report.ReportBlock of every record at one X: a sweep yields one block per X,
-and the per-pair check takes the one record of its block.  The identities:
+compares whole count matrices, so a sweep and the per-pair translation check
+share one code path (the per-pair check is the one-row case).  That path
+gives a report.ReportBlock of every record at one X: a sweep yields one
+block per X, and the per-pair check takes the one record of its block.  The
+identities:
 
 * conjugation      sigma_X(-y) = conj(sigma_X(y)) = sigma_{-X}(y)
   is an index reversal t -> -t of the counts;
@@ -22,9 +23,7 @@ evaluate.TOL, a Euclidean distance in the complex plane:
 * rotational closure of an image or of the union of all images
   (sweep_dihedral, full_union_symmetry);
 * equality of the two walk images as point sets (walk_reduction_check);
-* ray membership of spike values (spike_identity);
-* the factored form of the spike orbit's values and the bounds of its
-  real factor (spike_factor_check).
+* ray membership of spike values (spike_identity).
 """
 
 from __future__ import annotations
@@ -45,9 +44,7 @@ from .evaluate import (
     dot_counts,
     image,
     orbit_array,
-    roots_of_unity,
     rotation_witness,
-    supercharacter,
     union_image,
 )
 from .modring import solve_bilinear_congruence
@@ -94,15 +91,6 @@ def _conjugate_block(x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray
         for i in np.flatnonzero(~passed).tolist()
     }
     return ReportBlock("conjugate", True, {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
-
-
-def conjugate_identity(x_rep: OrbitRep, y_rep: OrbitRep) -> IdentityReport:
-    """Check the conjugation identity at (X, Y), exactly.
-
-    dot_counts(X, -y) must equal the index reversal of dot_counts(X, y),
-    and dot_counts(-X, y) must equal the same reversal.
-    """
-    return next(iter(_conjugate_block(x_rep, [y_rep], _entries([y_rep]))))
 
 
 def _translation_block(
@@ -242,11 +230,6 @@ def spike_shifts(x_rep: OrbitRep) -> list[int]:
     ]
 
 
-def ray_count(x_rep: OrbitRep, r: int) -> int:
-    """Number of rays 2n/gcd(r,n) the image of sigma_X is confined to."""
-    return 2 * x_rep.n // gcd(r, x_rep.n)
-
-
 def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X over every superclass Y.
 
@@ -263,7 +246,8 @@ def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> Ide
     """
     n, d = x_rep.n, x_rep.d
     BudgetExceeded.check(orbit_count(n, d), budget)
-    if canonicalize([r - v for v in x_rep.entries], n) != x_rep:
+    all_r = spike_shifts(x_rep)
+    if r % n not in all_r:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
     g = gcd(r, n)
     rays = 2 * n // g
@@ -292,53 +276,11 @@ def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> Ide
         witness = {"x": x_rep, "y": OrbitRep(n, tuple(ys[i].tolist())), "value": complex(z[i]), "failure": "ray"}
     return IdentityReport(
         "spike",
-        {"x": x_rep, "r": r, "rays": rays, "all_r": spike_shifts(x_rep)},
+        {"x": x_rep, "r": r, "rays": rays, "all_r": all_r},
         False,
         witness is None,
         witness,
         info={"ray_max_modulus": ray_max.tolist()},
-    )
-
-
-def spike_factor_check(n: int, d: int) -> IdentityReport:
-    """For X = orbit of (0, 1, ..., 1, 2), check the factored form.
-
-    sigma_X(y) = e([y]/n) * (|W(y)|^2 - d) where W(y) = sum e(y_i/n) is
-    the d-step walk sum; the real factor lies in [-d, d^2 - d].  Both
-    hold within TOL, over every superclass y.
-    """
-    if d < 2:
-        raise HypothesisFailed("needs d >= 2")
-    if n < 3:
-        # mod 1 or 2 the entries 0, 1, 2 are not distinct residues, so X is another orbit
-        raise HypothesisFailed("needs n >= 3")
-    x_rep = canonicalize((0,) + (1,) * (d - 2) + (2,), n)
-    table = roots_of_unity(n)
-    ys = superclass_array(n, d).astype(np.int64)
-    z = supercharacter(x_rep, ys)
-    walk = np.zeros(len(ys), dtype=complex)
-    for col in ys.T:
-        walk += table[col]
-    factor = np.hypot(walk.real, walk.imag) ** 2 - d
-    predicted = table[ys.sum(axis=1) % n] * factor
-    error = z - predicted
-    bad = np.flatnonzero(np.hypot(error.real, error.imag) > TOL)
-    good = factor[: bad[0] if len(bad) else len(ys)]
-    lo = float(good.min()) if len(good) else float("inf")
-    hi = float(good.max()) if len(good) else float("-inf")
-    witness = None
-    if len(bad):
-        i = bad[0]
-        y_rep = OrbitRep(n, tuple(ys[i].tolist()))
-        witness = {"x": x_rep, "y": y_rep, "value": complex(z[i]), "predicted": complex(predicted[i])}
-    passed = witness is None and lo >= -d - TOL and hi <= d * d - d + TOL
-    return IdentityReport(
-        "spike-factor",
-        {"x": x_rep, "n": n, "d": d},
-        False,
-        passed,
-        witness,
-        info={"factor_min": lo, "factor_max": hi, "bounds": [-d, d * d - d]},
     )
 
 

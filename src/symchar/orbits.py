@@ -25,13 +25,16 @@ import numpy as np
 class OrbitRep:
     """Canonical representative of an S_d-orbit in (Z/nZ)^d.
 
-    entries is weakly increasing with every residue in [0, n).
+    entries is weakly increasing with every residue in [0, n).  n and the
+    entries are integers (numpy ones too); anything else raises TypeError.
     """
 
     n: int
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        for v in (self.n, *self.entries):
+            index(v)  # the integer rule of canonicalize: a float or a Fraction raises TypeError
         if self.n <= 0:
             raise ValueError(f"modulus must be positive, got {self.n}")
         if not self.entries:

@@ -13,20 +13,17 @@ import numpy as np
 
 from symchar.asymptotic import (
     certificate_from_rows,
-    hypocycloid_exponents,
     hypocycloid_orbit_check,
     orbit_matrix,
     row_reduce_mod_n,
     sample_torus_map,
     torus_map,
 )
-from symchar.evaluate import cloud_difference, image, permanent_oracle, rotation_witness, supercharacter
+from symchar.evaluate import TOL, cloud_difference, image, permanent_oracle, roots_of_unity, rotation_witness, supercharacter
 from symchar.identities import (
     dihedral_order,
     full_union_symmetry,
-    ray_count,
     spike_detect,
-    spike_factor_check,
     spike_identity,
     sweep_conjugate,
     sweep_constancy,
@@ -34,7 +31,7 @@ from symchar.identities import (
     walk_reduction_check,
 )
 from symchar.modring import solve_bilinear_brute, solve_bilinear_congruence
-from symchar.orbits import canonicalize, enumerate_orbits
+from symchar.orbits import canonicalize, enumerate_orbits, superclass_array
 from symchar.render import BitmapSpec, encode_png, render_bitmap
 from symchar.table import build_table, build_unitary
 
@@ -108,20 +105,23 @@ def test_criterion_05_full_union_symmetry():
 def test_criterion_06_spikes():
     X = canonicalize((1, 2, 3), 17)
     assert spike_detect(X) == 4
-    assert ray_count(X, 4) == 34
     rep = spike_identity(X, 4)
-    assert rep.passed, rep.to_json()
+    assert rep.passed and rep.params["rays"] == 34, rep.to_json()
 
     Y = canonicalize((1, 1, 10, 10), 16)
     assert spike_detect(Y) == 11
-    assert ray_count(Y, 11) == 32
     rep = spike_identity(Y, 11)
-    assert rep.passed, rep.to_json()
+    assert rep.passed and rep.params["rays"] == 32, rep.to_json()
 
-    factored = spike_factor_check(11, 4)
-    assert factored.passed, factored.to_json()
-    lo, hi = factored.info["factor_min"], factored.info["factor_max"]
-    assert lo >= -4 - 1e-9 and hi <= 12 + 1e-9
+    # X = orbit of (0, 1, 1, 2) mod 11: sigma_X(y) = e([y]/11)(|W(y)|^2 - 4)
+    # with the walk sum W(y) = sum e(y_i/11), whose real factor lies in [-4, 12]
+    table = roots_of_unity(11)
+    ys = superclass_array(11, 4).astype(np.int64)
+    factor = np.abs(table[ys].sum(axis=1)) ** 2 - 4
+    values = supercharacter(canonicalize((0, 1, 1, 2), 11), ys)
+    assert np.abs(values - table[ys.sum(axis=1) % 11] * factor).max() <= TOL
+    lo, hi = factor.min(), factor.max()
+    assert lo >= -4 - TOL and hi <= 12 + TOL
     emit(6, True, f"rays 34 and 32 detected; real factor range [{lo:.3f}, {hi:.3f}] in [-4, 12]")
 
 
@@ -152,8 +152,12 @@ def test_criterion_08_reduction_certificates():
 
 
 def test_criterion_09_image_equals_torus_sample():
+    # the map reduce derives, g(z) = z_1 + z_2^-3 + z_1^-1 z_2^3; on the 7th roots
+    # of unity w = z_2^-3 runs over them too, so it samples z_1 + w + 1/(z_1 w)
+    exponents = torus_map(row_reduce_mod_n(orbit_matrix(canonicalize((1, 1, 5), 7))))
+    assert exponents.rows == ((1, 0, -1), (0, -3, 3))
     direct = image(canonicalize((1, 1, 5), 7))
-    sampled = sample_torus_map(hypocycloid_exponents(3), 7)
+    sampled = sample_torus_map(exponents, 7)
     ok = cloud_difference(sampled, direct) == ([], [])
     emit(9, ok, f"{len(direct)} image points equal the grid-7 monomial sample")
 

@@ -10,7 +10,6 @@ from symchar.asymptotic import (
     ReductionCertificate,
     certificate_from_rows,
     hypocycloid_contains_many,
-    hypocycloid_exponents,
     hypocycloid_orbit_check,
     orbit_matrix,
     row_reduce_mod_n,
@@ -20,6 +19,11 @@ from symchar.asymptotic import (
 from symchar.errors import HypothesisFailed, NoUnitPivot, VerificationFailed
 from symchar.evaluate import TOL, cloud_difference, dedupe_values, image, roots_of_unity
 from symchar.orbits import canonicalize
+
+# z_1 + ... + z_{d-1} + 1/(z_1 ... z_{d-1}), the map whose image fills the
+# d-cusp hypocycloid, at d = 3 and 4
+HYPOCYCLOID_3 = ExponentMatrix(6, ((1, 0, -1), (0, 1, -1)))
+HYPOCYCLOID_4 = ExponentMatrix(8, ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)))
 
 
 def test_orbit_matrix_columns_are_orbit_elements():
@@ -103,11 +107,6 @@ def test_torus_map_requires_complete():
         torus_map(info.value.certificate)
 
 
-def test_hypocycloid_exponents_shape():
-    em = hypocycloid_exponents(4)
-    assert em.rows == ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
-
-
 def test_sample_torus_map_matches_direct_image():
     # the orbit (1, 1, 5) mod 7 reduces to the full d = 3 monomial map,
     # so sampling that map on the 7-grid recovers the sigma image exactly
@@ -126,7 +125,7 @@ def test_orbit_matrix_trivial_cases():
 
 def test_sample_grid_one():
     # every z_j = 1, so g collapses to the number of monomials
-    values = sample_torus_map(hypocycloid_exponents(4), 1)
+    values = sample_torus_map(HYPOCYCLOID_4, 1)
     assert len(values) == 1
     assert abs(values[0] - 4) < 1e-12
 
@@ -153,9 +152,9 @@ def reference_torus_values(rows, grid):
     "rows, grid",
     [
         (((5, 0, 7, 3, -8, -7), (0, 5, 3, 7, -7, -8)), 47),  # the hummingbird's torus map
-        (hypocycloid_exponents(4).rows, 47),  # 103,823 points x 4 terms: many kernel blocks
-        (hypocycloid_exponents(4).rows, 1),
-        (hypocycloid_exponents(3).rows, 2),
+        (HYPOCYCLOID_4.rows, 47),  # 103,823 points x 4 terms: many kernel blocks
+        (HYPOCYCLOID_4.rows, 1),
+        (HYPOCYCLOID_3.rows, 2),
         (((3, -5, 0), (-1, 4, 2)), 2),
         (((5,), (-7,)), 9),  # one term
         (((1, -1, 3), (0, 2, -5)), 200),  # top = 2 * 199^2 takes the mod-n branch
@@ -181,7 +180,7 @@ def test_sample_budget():
     from symchar.errors import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        sample_torus_map(hypocycloid_exponents(6), 100, budget=1000)
+        sample_torus_map(HYPOCYCLOID_4, 100, budget=1000)  # 100^3 grid points
 
 
 def test_boundary_point_on_curve():

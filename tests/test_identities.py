@@ -9,14 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from symchar import evaluate, identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
-from symchar.evaluate import TOL, dot_counts, supercharacter
+from symchar.evaluate import TOL, dot_counts, roots_of_unity, supercharacter
 from symchar.identities import (
-    conjugate_identity,
     dihedral_order,
     full_union_symmetry,
-    ray_count,
     spike_detect,
-    spike_factor_check,
     spike_identity,
     spike_shifts,
     sweep_conjugate,
@@ -35,6 +32,7 @@ from symchar.orbits import (
     orbit_count,
     orbit_sum,
     shift_orbit,
+    superclass_array,
 )
 
 
@@ -45,6 +43,23 @@ def reference_counts(rep, y):
     for x in distinct_permutations(rep):
         counts[sum(a * b for a, b in zip(x, y)) % n] += 1
     return counts
+
+
+def conjugate_record(X, Y):
+    """The conjugation record at (X, Y): the one record of a one-row block."""
+    return next(iter(identities._conjugate_block(X, [Y], np.array([Y.entries]))))
+
+
+def spike_factor_form(n, d):
+    """For X = orbit of (0, 1, ..., 1, 2), sigma_X at every superclass y, its
+    factored form e([y]/n)(|W(y)|^2 - d) with the walk sum W(y) = sum e(y_i/n),
+    and the real factor |W(y)|^2 - d."""
+    X = canonicalize((0,) + (1,) * (d - 2) + (2,), n)
+    assert X.entries == (0,) + (1,) * (d - 2) + (2,)  # three distinct residues
+    table = roots_of_unity(n)
+    ys = superclass_array(n, d).astype(np.int64)
+    factor = np.abs(table[ys].sum(axis=1)) ** 2 - d
+    return supercharacter(X, ys), table[ys.sum(axis=1) % n] * factor, factor
 
 
 def real_valued_check(x_rep):
@@ -85,7 +100,7 @@ def test_conjugate_means_reversed_counts():
     counts = dot_counts(X, Y.entries)
     neg = dot_counts(X, [(-v) % 9 for v in Y.entries])
     assert neg.tolist() == counts[-np.arange(9) % 9].tolist()
-    assert conjugate_identity(X, Y).passed
+    assert conjugate_record(X, Y).passed
 
 
 def test_real_valued_iff_palindromic_counts():
@@ -184,10 +199,10 @@ def test_spike_detect_examples():
     X = canonicalize((1, 2, 3), 17)
     assert spike_detect(X) == 4
     assert 4 in spike_shifts(X)
-    assert ray_count(X, 4) == 34
+    assert spike_identity(X, 4).params["rays"] == 34
     Y = canonicalize((1, 1, 10, 10), 16)
     assert spike_detect(Y) == 11
-    assert ray_count(Y, 11) == 32
+    assert spike_identity(Y, 11).params["rays"] == 32
 
 
 def test_spike_detect_none():
@@ -206,6 +221,13 @@ def test_spike_identity_rejects_non_spike():
     X = canonicalize((0, 1, 3), 7)
     with pytest.raises(HypothesisFailed):
         spike_identity(X, 2)
+
+
+def test_spike_identity_reads_r_mod_n():
+    X = canonicalize((1, 2, 3), 17)
+    assert spike_identity(X, 4 - 17).passed and spike_identity(X, 4 + 17).params["all_r"] == [4]
+    with pytest.raises(HypothesisFailed):
+        spike_identity(X, 5 + 17)
 
 
 def test_spike_identity_budget(monkeypatch):
@@ -267,7 +289,7 @@ def test_conjugate_witness_carries_reference_counts(monkeypatch):
                 "counts_at_minus_y": reference_counts(X, [-v for v in y]),
                 "counts_of_minus_x": reference_counts(wrong, y),
             }
-            assert report.to_json() == conjugate_identity(X, Y).to_json()
+            assert report.to_json() == conjugate_record(X, Y).to_json()
     assert not all(r.passed for r in reports)
 
 
@@ -427,23 +449,16 @@ def test_spike_sweep_small():
 
 
 def test_spike_factor_small():
-    report = spike_factor_check(7, 3)
-    assert report.passed, report.to_json()
-    assert report.info["factor_min"] >= -3 - 1e-9
-    assert report.info["factor_max"] <= 6 + 1e-9
-
-
-@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (2, 4)])
-def test_spike_factor_needs_three_residues(n, d):
-    # mod 1 or 2 the orbit of (0, 1, ..., 1, 2) is some other orbit
-    with pytest.raises(HypothesisFailed):
-        spike_factor_check(n, d)
+    values, factored, factor = spike_factor_form(7, 3)
+    assert np.abs(values - factored).max() <= TOL
+    assert factor.min() >= -3 - TOL and factor.max() <= 6 + TOL
 
 
 def test_spike_factor_smallest_modulus():
     for d in (2, 3, 4):
-        report = spike_factor_check(3, d)
-        assert report.passed, report.to_json()
+        values, factored, factor = spike_factor_form(3, d)
+        assert np.abs(values - factored).max() <= TOL
+        assert factor.min() >= -d - TOL and factor.max() <= d * d - d + TOL
 
 
 def test_walk_reduction():
@@ -494,5 +509,5 @@ def test_translation_and_conjugate_hold_everywhere(n, d, data):
     Y = canonicalize(draw(), n)
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert conjugate_identity(X, Y).passed
+    assert conjugate_record(X, Y).passed
     assert translation_identity(X, Y, j, k).passed

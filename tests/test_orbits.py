@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement, islice, product
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -51,6 +52,22 @@ def test_rep_validation():
         OrbitRep(0, (0,))
     with pytest.raises(ValueError):
         OrbitRep(5, ())
+
+
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        (3, (0.5, 1.5)),  # int64 casts would truncate these to (0, 1)
+        (3, (0, 1.0)),
+        (3, (float("nan"),)),
+        (3, (Fraction(1, 2),)),
+        (3, (Fraction(1, 1),)),
+        (3.0, (0, 1)),
+    ],
+)
+def test_rep_refuses_non_integers(n, entries):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        OrbitRep(n, entries)
 
 
 def test_counting():
