@@ -32,6 +32,7 @@ from .orbits import (
     stabilizer_order,
     superclass_array,
     superclass_chunks,
+    unit_class_firsts,
 )
 
 DEFAULT_BUDGET = 5_000_000
@@ -439,9 +440,11 @@ def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
     return block[keep]
 
 
-def values_on_block(rep: OrbitRep, block: np.ndarray) -> np.ndarray:
-    """sigma_X at each row of `block`, whose entries lie in [0, n)."""
-    return root_sums(rep.n, orbit_array(rep), block)
+def values_on_block(rep: OrbitRep, block: np.ndarray, elems: np.ndarray | None = None) -> np.ndarray:
+    """sigma_X at each row of `block`, whose entries lie in [0, n).  elems,
+    the orbit's rows in the order of orbit_array(rep), is that array unless
+    the caller has them (table.build_table)."""
+    return root_sums(rep.n, orbit_array(rep) if elems is None else elems, block)
 
 
 def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]) -> tuple[complex, ...]:
@@ -532,6 +535,15 @@ def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, 
     values concatenated in enumeration order.  The N images of N superclasses
     count N^2 against the budget before any work, so an orbit's at most N
     values go through _dedupe_chunks as one block.
+
+    Only the orbits first in their class {uX : u a unit mod n} are swept
+    (orbits.unit_class_firsts).  sigma_{uX}(Y) = sigma_X(uY), Y -> uY
+    permutes the superclasses, and uX has X's rotation order, so uX has
+    X's image as a set; X comes first in enumeration order, so the values
+    kept are those of the sweep over every orbit, order included, except
+    where two floats of one value straddle a rounding boundary of
+    dedupe_values, as in image().
     """
     BudgetExceeded.check(orbit_count(n, d) ** 2, budget)
-    return _dedupe_chunks(orbit_sweeps(n, d), lambda sweep: values_on_block(*sweep))
+    sweeps = (sweep for sweep, first in zip(orbit_sweeps(n, d), unit_class_firsts(n, d)) if first)
+    return _dedupe_chunks(sweeps, lambda sweep: values_on_block(*sweep))

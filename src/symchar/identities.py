@@ -43,7 +43,6 @@ from .evaluate import (
     counts_value,
     dot_counts,
     image,
-    orbit_array,
     rotation_witness,
     union_image,
 )
@@ -53,6 +52,7 @@ from .orbits import (
     canonicalize,
     enumerate_orbits,
     negate_orbit,
+    orbit_arrays,
     orbit_count,
     orbit_sum,
     rotation_order,
@@ -176,6 +176,42 @@ def dihedral_order(x_rep: OrbitRep) -> int:
     return rotation_order(x_rep)
 
 
+def _translation_pairs(
+    x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray, js: Sequence[int], ks: Sequence[int]
+) -> dict | None:
+    """The witness of the first pair i failing the translation identity at
+    (X, y_reps[i], js[i], ks[i]), as translation_identity gives it, or None
+    when every pair passes; ys holds the entries of y_reps.
+
+    One count matrix for the base rows dot_counts(X, y) of every pair, then
+    one per distinct j whose rows are dot_counts(X + j1, y + k1) for the
+    pairs of that j, as in _translation_block.
+    """
+    n, d = x_rep.n, x_rep.d
+    jr = np.array(js, dtype=np.int64) % n
+    kr = np.array(ks, dtype=np.int64) % n
+    shifts = (ys.sum(axis=1) % n * jr + orbit_sum(x_rep) * kr + d * jr * kr) % n
+    base = dot_counts(x_rep, ys)
+    rhs = base[np.arange(len(ys))[:, None], (np.arange(n) - shifts[:, None]) % n]
+    lhs = np.empty_like(base)
+    for j in dict.fromkeys(js):
+        rows = [i for i, other in enumerate(js) if other == j]
+        lhs[rows] = dot_counts(shift_orbit(x_rep, j), ys[rows] + kr[rows, None])
+    failed = np.flatnonzero(~(lhs == rhs).all(axis=1))
+    if not len(failed):
+        return None
+    i = int(failed[0])
+    return {
+        "x": x_rep,
+        "y": y_reps[i],
+        "j": js[i],
+        "k": ks[i],
+        "shift": int(shifts[i]),
+        "lhs": lhs[i].tolist(),
+        "rhs": rhs[i].tolist(),
+    }
+
+
 def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Rotational symmetry order n/gcd(n,d) of the union of all images.
 
@@ -186,6 +222,11 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     another supercharacter value.  X and Y each run over a sample of
     _UNION_WITNESS_ORBITS orbits.  An unclosed union raises with the first
     value whose rotation has no match and that rotated value as witness.
+    The pairs of one X are solved in Y order up to the first whose shift
+    t0 is not gcd(n, d); the translations of the pairs before it are
+    checked in one count matrix per distinct j (_translation_pairs), and
+    only then does that shift raise, so the first failing (X, Y) raises,
+    with translation_identity's witness for a failed translation.
     """
     g = gcd(n, d)
     order = n // g
@@ -196,18 +237,25 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
             "union cloud not rotation-closed",
             witness={"n": n, "d": d, "order": order, "value": value, "rotated": rotated},
         )
-    for x_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
-        for y_rep in _sample_orbits(n, d, _UNION_WITNESS_ORBITS):
+    samples = _sample_orbits(n, d, _UNION_WITNESS_ORBITS)
+    ys = _entries(samples)
+    for x_rep in samples:
+        sols, wrong = [], None
+        for y_rep in samples:
             sol = solve_bilinear_congruence(orbit_sum(y_rep), orbit_sum(x_rep), d, n)
             t0 = (orbit_sum(y_rep) * sol.j + orbit_sum(x_rep) * sol.k + d * sol.j * sol.k) % n
             if t0 != g % n:
-                raise VerificationFailed(
-                    "witness shift is not gcd(n,d)",
-                    witness={"x": x_rep, "y": y_rep, "j": sol.j, "k": sol.k, "t0": t0},
-                )
-            report = translation_identity(x_rep, y_rep, sol.j, sol.k)
-            if not report.passed:
-                raise VerificationFailed("witness translation failed", witness=report.witness)
+                wrong = {"x": x_rep, "y": y_rep, "j": sol.j, "k": sol.k, "t0": t0}
+                break
+            sols.append(sol)
+        if sols:
+            witness = _translation_pairs(
+                x_rep, samples[: len(sols)], ys[: len(sols)], [sol.j for sol in sols], [sol.k for sol in sols]
+            )
+            if witness is not None:
+                raise VerificationFailed("witness translation failed", witness=witness)
+        if wrong is not None:
+            raise VerificationFailed("witness shift is not gcd(n,d)", witness=wrong)
     return order
 
 
@@ -222,15 +270,32 @@ def spike_detect(x_rep: OrbitRep) -> int | None:
 
 
 def spike_shifts(x_rep: OrbitRep) -> list[int]:
-    """All r with r*1 - X = X, in increasing order."""
-    return [
-        r
-        for r in range(x_rep.n)
-        if canonicalize([r - v for v in x_rep.entries], x_rep.n) == x_rep
-    ]
+    """All r with r*1 - X = X, in increasing order, from one array pass
+    over every r (_reflection_shifts)."""
+    return np.flatnonzero(_reflection_shifts(_entries([x_rep]), x_rep.n)[0]).tolist()
 
 
-def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
+def _reflection_shifts(reps: np.ndarray, n: int) -> np.ndarray:
+    """Whether r*1 - X = X, as a (rows, n) bool array: entry [i, r] for the
+    orbit X whose sorted entries are row i of the int64 array reps.
+
+    r*1 - X re-sorted is the sort of (r - X[::-1]) mod n, taken for every r
+    at once, about evaluate._BLOCK_CELLS cells at a time.
+    """
+    d = reps.shape[1]
+    r = np.arange(n)[:, None]
+    fixed = np.empty((len(reps), n), dtype=bool)
+    step = max(1, evaluate._BLOCK_CELLS // (n * d))
+    for lo in range(0, len(reps), step):
+        x = reps[lo : lo + step]
+        mirrored = np.sort((r - x[:, None, ::-1]) % n, axis=2)
+        fixed[lo : lo + step] = (mirrored == x[:, None]).all(axis=2)
+    return fixed
+
+
+def spike_identity(
+    x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET, all_r: list[int] | None = None
+) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X over every superclass Y.
 
     Counts level (exact): dot_counts(X, y) must equal its index reversal
@@ -242,11 +307,14 @@ def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> Ide
     those C(n+d-1, d) superclasses count against the budget before any
     work.  The witness names the first counts failure, else the first ray
     failure; info["ray_max_modulus"] holds the largest modulus on each ray
-    over the points before the first ray failure.
+    over the points before the first ray failure.  all_r, the list
+    spike_shifts(x_rep), is computed unless the caller passes it, as
+    sweep_spikes does; an r mod n not in it raises HypothesisFailed.
     """
     n, d = x_rep.n, x_rep.d
     BudgetExceeded.check(orbit_count(n, d), budget)
-    all_r = spike_shifts(x_rep)
+    if all_r is None:
+        all_r = spike_shifts(x_rep)
     if r % n not in all_r:
         raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
     g = gcd(r, n)
@@ -352,11 +420,9 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Re
     """
     BudgetExceeded.check(orbit_count(n, d) * n**d, budget)
     y_reps = ParamValues(enumerate_orbits(n, d))
-    orbits = [orbit_array(y_rep) for y_rep in y_reps]
-    sizes = [len(orbit) for orbit in orbits]
-    starts = np.cumsum([0] + sizes[:-1])
+    points, sizes = orbit_arrays(n, d)
+    starts = np.cumsum(sizes) - sizes
     first_row = np.repeat(starts, sizes)
-    points = np.concatenate(orbits)
     for x_rep in y_reps:
         counts = dot_counts(x_rep, points)
         same = (counts == counts[first_row]).all(axis=1)
@@ -395,8 +461,14 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Ide
 
 
 def sweep_spikes(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
+    """spike_identity at its least r of each orbit X with r*1 - X = X, in
+    enumeration order, given every orbit's shifts from one
+    _reflection_shifts pass over the superclass rows.  The at most N
+    records of N superclasses each count N^2 against the budget before any
+    work."""
     BudgetExceeded.check(orbit_count(n, d) ** 2, budget)
-    for x_rep in enumerate_orbits(n, d):
-        r = spike_detect(x_rep)
-        if r is not None:
-            yield spike_identity(x_rep, r, budget=budget)
+    fixed = _reflection_shifts(superclass_array(n, d).astype(np.int64), n)
+    for x_rep, shifts in zip(enumerate_orbits(n, d), fixed):
+        all_r = np.flatnonzero(shifts).tolist()
+        if all_r:
+            yield spike_identity(x_rep, all_r[0], budget=budget, all_r=all_r)

@@ -7,7 +7,10 @@ which matches itertools.combinations_with_replacement(range(n), d); a
 position in that order can be unranked.  Whole sweeps take all
 representatives at once as one array instead, or in blocks of rows, or
 only the candidates for least among their translates by multiples of a
-divisor of n.
+divisor of n.  Every orbit's elements come grouped from one pass over the
+points (orbit_arrays), and the orbits first in their class under the unit
+multipliers are flagged in one pass over the representatives
+(unit_class_firsts).
 """
 
 from __future__ import annotations
@@ -281,3 +284,43 @@ def point_array(n: int, d: int) -> np.ndarray:
     use the smallest unsigned dtype that holds n - 1.
     """
     return np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T
+
+
+def orbit_arrays(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every orbit's elements, from one array pass over point_array(n, d).
+
+    Returns the n^d points as one (n^d, d) int64 array grouped by orbit, the
+    orbits in enumeration order, and the (N,) int64 orbit sizes: orbit i is
+    the sizes[i] rows from sizes[:i].sum() on.  A point's orbit is keyed by
+    its sorted entries read as a base-n number, which orders orbits as
+    enumerate_orbits does.  The points come in odometer order, which is
+    lexicographic, and the grouping sort is stable, so each orbit's rows
+    are in the lexicographic order of distinct_permutations, its first row
+    the representative.
+    """
+    points = point_array(n, d)
+    keys = np.sort(points, axis=1).astype(np.int64) @ n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return points[order].astype(np.int64), np.diff(starts, append=len(keys))
+
+
+def unit_class_firsts(n: int, d: int) -> np.ndarray:
+    """For each orbit X in enumeration order, whether it is first in its
+    class {uX : u a unit mod n}, as an (N,) bool array.
+
+    uX is re-sorted, and enumeration order is lexicographic, so X is first
+    exactly when its representative is at most sort(u * X mod n) for every
+    unit u.  One pass per unit over the rows of superclass_array(n, d),
+    each compared at its first differing column.
+    """
+    reps = superclass_array(n, d).astype(np.int64)
+    first = np.ones(len(reps), dtype=bool)
+    rows = np.arange(len(reps))
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            other = np.sort(u * reps % n, axis=1)
+            col = np.argmax(reps != other, axis=1)  # 0 where the rows are equal
+            first &= reps[rows, col] <= other[rows, col]
+    return first

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .evaluate import _BLOCK_CELLS, DEFAULT_BUDGET, values_on_block
-from .orbits import OrbitRep, enumerate_orbits, orbit_count, orbit_size
+from .orbits import OrbitRep, enumerate_orbits, orbit_arrays, orbit_count
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,20 @@ class UnitaryTable:
 def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     """Evaluate S[i][j] = sigma_{X_i}(X_j) for all orbit pairs.
 
-    The N^2 evaluations count against budget before any work.
+    The N^2 evaluations count against budget before any work.  Every
+    orbit's elements and size come from one orbits.orbit_arrays pass, its
+    rows in the order of evaluate.orbit_array, which values_on_block takes
+    in place of building that array.
     """
     count = orbit_count(n, d)
     BudgetExceeded.check(count * count, budget)
     orbits = tuple(enumerate_orbits(n, d))
-    reps = np.array([rep.entries for rep in orbits], dtype=np.int64)
-    sizes = np.array([orbit_size(rep) for rep in orbits], dtype=np.int64)
+    points, sizes = orbit_arrays(n, d)
+    starts = np.cumsum(sizes) - sizes
+    reps = points[starts]  # an orbit's first row is its representative
     values = np.empty((count, count), dtype=complex)
-    for i, rep in enumerate(orbits):
-        values[i] = values_on_block(rep, reps)
+    for i, (rep, lo, hi) in enumerate(zip(orbits, starts.tolist(), (starts + sizes).tolist())):
+        values[i] = values_on_block(rep, reps, points[lo:hi])
     return SuperTable(n, d, orbits, sizes, values)
 
 
@@ -76,9 +80,13 @@ def build_unitary(table: SuperTable) -> UnitaryTable:
     """U[i][j] = S[i][j] sqrt(|X_j|) / (sqrt(|X_i|) sqrt(n^d)).
 
     The residuals max|U - U^T| and max|U U^H - I| are taken in column
-    blocks of about _BLOCK_CELLS cells, each Gram block by the same product
-    as the whole-array formula u @ u.conj().T restricted to its columns, so
-    U, built in place, is the only N x N array held.
+    blocks of about _BLOCK_CELLS cells.  Both matrices have entries of
+    equal modulus across the diagonal (U - U^T is antisymmetric, the Gram
+    matrix Hermitian), so each block lo:hi takes only its rows from lo on:
+    u[lo:, lo:hi] - u[lo:hi, lo:].T, and the Gram block by the same product
+    as the whole-array formula u @ u.conj().T restricted to those rows and
+    columns.  So U, built in place, is the only N x N array held, and the
+    Gram products cost about half the whole one.
     """
     root = np.sqrt(table.sizes.astype(float))
     norm = float(table.n) ** (table.d / 2.0)
@@ -86,16 +94,16 @@ def build_unitary(table: SuperTable) -> UnitaryTable:
     u /= root[:, None]
     u /= norm
     # blocks start on multiples of 16 columns, so that the BLAS kernel tiles
-    # each one as it tiles those columns of the whole product
+    # each one as it tiles those rows and columns of the whole product
     step = max(16, _BLOCK_CELLS // len(u) // 16 * 16)
     edges = list(range(step, len(u), step))
     if edges and edges[-1] == len(u) - 1:
         edges.pop()  # a one-column block would be a matrix-vector product
     symmetry, unitary = [], []
     for lo, hi in zip([0] + edges, edges + [len(u)]):
-        symmetry.append(np.abs(u[:, lo:hi] - u[lo:hi].T).max())
-        gram = u @ np.conj(u[lo:hi]).T  # columns lo:hi of u @ u.conj().T
-        gram[lo:hi].reshape(-1)[:: hi - lo + 1] -= 1  # their slice of the diagonal
+        symmetry.append(np.abs(u[lo:, lo:hi] - u[lo:hi, lo:].T).max())
+        gram = u[lo:] @ np.conj(u[lo:hi]).T  # rows lo: of columns lo:hi of u @ u.conj().T
+        gram[: hi - lo].reshape(-1)[:: hi - lo + 1] -= 1  # their slice of the diagonal
         unitary.append(np.abs(gram).max())
     return UnitaryTable(table, u, float(np.max(symmetry)), float(np.max(unitary)))
 

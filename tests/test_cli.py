@@ -9,7 +9,7 @@ import pytest
 from symchar import cli, identities
 from symchar.cli import main
 from symchar.report import IdentityReport
-from symchar.orbits import canonicalize
+from symchar.orbits import canonicalize, enumerate_orbits
 
 
 def run_cli(args, capsys):
@@ -314,9 +314,15 @@ def _break_translation(monkeypatch, d):
 
 
 def _break_constancy(monkeypatch, d):
-    real = identities.orbit_array
-    # every orbit gains the point (0, ..., 0, 1), which lies in another orbit
-    monkeypatch.setattr(identities, "orbit_array", lambda rep: np.vstack([real(rep), [[0] * (d - 1) + [1]]]))
+    real = identities.orbit_arrays
+
+    def orbit_arrays(n, d):
+        # every orbit gains the point (0, ..., 0, 1), which lies in another orbit
+        points, sizes = real(n, d)
+        groups = np.split(points, np.cumsum(sizes)[:-1])
+        return np.vstack([np.vstack([g, [[0] * (d - 1) + [1]]]) for g in groups]), sizes + 1
+
+    monkeypatch.setattr(identities, "orbit_arrays", orbit_arrays)
 
 
 BREAKS = {"conjugate": _break_conjugate, "translation": _break_translation, "constancy": _break_constancy}
@@ -348,6 +354,25 @@ def test_block_sweep_prints_its_records(check, n, d, broken, monkeypatch, capsys
         assert all(r.passed for r in records)
     elif n > 1:  # mod 1 every orbit is its own shift and negation
         assert not all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (8, 2)])
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
+def test_spike_sweep_prints_the_per_orbit_records(n, d, broken, monkeypatch, capsys):
+    # the sweep's shifts come from one array pass; its records, witnesses
+    # included, are those of spike_identity at each spike orbit's least r
+    if broken:
+        real = identities.dot_counts
+        monkeypatch.setattr(identities, "dot_counts", lambda rep, ys: np.roll(real(rep, ys), 1, axis=-1))
+    records = []
+    for rep in enumerate_orbits(n, d):
+        shifts = [r for r in range(n) if canonicalize([r - v for v in rep.entries], n) == rep]
+        if shifts:
+            records.append(identities.spike_identity(rep, shifts[0]))
+    code, out, err = run_cli(["verify", "spikes", "--n", str(n), "--d", str(d)], capsys)
+    assert out == "".join(r.to_json() + "\n" for r in records) and err == ""
+    assert code == (0 if all(r.passed for r in records) else 1)
+    assert all(r.passed for r in records) != broken
 
 
 def test_verify_permanent(capsys, monkeypatch):

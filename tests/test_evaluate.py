@@ -433,6 +433,16 @@ def test_multi_chunk_union_image_matches_reference(n, d, rows, monkeypatch):
     assert repr(union_image(n, d)) == expected
 
 
+def test_union_image_of_unit_class_firsts_is_the_every_orbit_union():
+    # uX has X's image, so sweeping one orbit per unit class keeps the
+    # values, and their order, of sweeping every orbit
+    for n in range(1, 13):
+        for d in range(1, 5):
+            if orbit_count(n, d) ** 2 <= DEFAULT_BUDGET:
+                every = dedupe_values(np.concatenate([values_on_block(*sweep) for sweep in orbit_sweeps(n, d)]))
+                assert repr(union_image(n, d)) == repr(every), (n, d)
+
+
 @pytest.mark.parametrize(
     "sweep", [union_image, lambda n, d: list(sweep_dihedral(n, d))], ids=["union_image", "sweep_dihedral"]
 )

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from symchar import evaluate, identities
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from symchar.evaluate import TOL, dot_counts, roots_of_unity, supercharacter
+from symchar.modring import CongruenceSolution, solve_bilinear_congruence
 from symchar.identities import (
     dihedral_order,
     full_union_symmetry,
@@ -195,6 +196,104 @@ def test_full_union_witness_shows_the_unmatched_rotation(monkeypatch):
     assert abs(witness["rotated"] - dropped[0]) <= TOL
 
 
+def union_witness_reference(n, d):
+    """The first failure of full_union_symmetry's sampled (X, Y) pairs, one
+    translation_identity call per pair in X-then-Y order: (message, witness),
+    or None when every pair passes."""
+    g = gcd(n, d)
+    samples = identities._sample_orbits(n, d, identities._UNION_WITNESS_ORBITS)
+    for x in samples:
+        for y in samples:
+            sol = identities.solve_bilinear_congruence(orbit_sum(y), orbit_sum(x), d, n)
+            t0 = (orbit_sum(y) * sol.j + orbit_sum(x) * sol.k + d * sol.j * sol.k) % n
+            if t0 != g % n:
+                return "witness shift is not gcd(n,d)", {"x": x, "y": y, "j": sol.j, "k": sol.k, "t0": t0}
+            report = translation_identity(x, y, sol.j, sol.k)
+            if not report.passed:
+                return "witness translation failed", report.witness
+    return None
+
+
+def _solver_wrong_at(call):
+    """The bilinear solver, answering (0, 0) at its call number `call`."""
+    calls = []
+
+    def solve(a, b, d, n):
+        calls.append((a, b))
+        return CongruenceSolution(0, 0, "crt") if len(calls) - 1 == call else solve_bilinear_congruence(a, b, d, n)
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "broken_j, wrong_call",
+    [
+        ("all", None),  # every translation fails, the first at the first pair
+        (6, None),  # X0's j are 1, 3, 3, 3, 3, 3, 6, 2: the first failure is (X0, Y6)
+        (6, 7),  # that translation fails before (X0, Y7)'s shift is wrong
+        (6, 4),  # (X0, Y4)'s shift is wrong before (X0, Y6)'s translation fails
+        (None, 10),  # X0 passes and (X1, Y2)'s shift is wrong
+    ],
+)
+def test_full_union_witness_is_the_first_failing_pair(broken_j, wrong_call, monkeypatch):
+    n, d = 9, 3
+    real_shift = identities.shift_orbit
+    if broken_j is not None:
+        monkeypatch.setattr(
+            identities, "shift_orbit", lambda rep, j: rep if broken_j in ("all", j % n) else real_shift(rep, j)
+        )
+    if wrong_call is not None:
+        monkeypatch.setattr(identities, "solve_bilinear_congruence", _solver_wrong_at(wrong_call))
+    expected = union_witness_reference(n, d)
+    if wrong_call is not None:  # a fresh call count
+        monkeypatch.setattr(identities, "solve_bilinear_congruence", _solver_wrong_at(wrong_call))
+    with pytest.raises(VerificationFailed) as info:
+        full_union_symmetry(n, d)
+    assert expected is not None and (str(info.value), info.value.witness) == expected
+
+
+def test_full_union_wrong_shift_raises_before_any_counts(monkeypatch):
+    monkeypatch.setattr(identities, "solve_bilinear_congruence", _solver_wrong_at(0))
+    monkeypatch.setattr(identities, "dot_counts", None)  # a count matrix would raise TypeError
+    with pytest.raises(VerificationFailed) as info:
+        full_union_symmetry(9, 3)
+    X = identities._sample_orbits(9, 3, identities._UNION_WITNESS_ORBITS)[0]
+    assert str(info.value) == "witness shift is not gcd(n,d)"
+    assert info.value.witness == {"x": X, "y": X, "j": 0, "k": 0, "t0": 0}
+
+
+@pytest.mark.parametrize("n, d", [(9, 3), (7, 4), (12, 2)])
+def test_full_union_makes_one_count_matrix_per_x_and_distinct_j(n, d, monkeypatch):
+    samples = identities._sample_orbits(n, d, identities._UNION_WITNESS_ORBITS)
+    expected = 0
+    for x in samples:
+        js = {identities.solve_bilinear_congruence(orbit_sum(y), orbit_sum(x), d, n).j for y in samples}
+        expected += 1 + len(js)
+    calls = []
+    monkeypatch.setattr(identities, "dot_counts", lambda rep, ys: calls.append(len(ys)) or dot_counts(rep, ys))
+    assert full_union_symmetry(n, d) == n // gcd(n, d)
+    assert len(calls) == expected and sum(calls) == 2 * len(samples) ** 2
+
+
+def reference_spike_shifts(rep):
+    return [r for r in range(rep.n) if canonicalize([r - v for v in rep.entries], rep.n) == rep]
+
+
+def test_spike_shifts_match_canonicalize_reference():
+    for n in range(1, 13):
+        for d in range(1, 5):
+            for rep in enumerate_orbits(n, d):
+                assert spike_shifts(rep) == reference_spike_shifts(rep)
+
+
+@pytest.mark.parametrize("cells", [1, 40, 65_536])  # one orbit per block, a few, all
+def test_spike_sweep_shifts_in_blocks(cells, monkeypatch):
+    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", cells)
+    fixed = identities._reflection_shifts(superclass_array(7, 4).astype(np.int64), 7)
+    want = [[r in reference_spike_shifts(rep) for r in range(7)] for rep in enumerate_orbits(7, 4)]
+    assert fixed.tolist() == want
+
+
 def test_spike_detect_examples():
     X = canonicalize((1, 2, 3), 17)
     assert spike_detect(X) == 4
@@ -376,14 +475,16 @@ def test_dihedral_order_makes_one_block_call(n, d, monkeypatch):
 
 def test_constancy_witness_names_the_broken_orbit(monkeypatch):
     broken = canonicalize((0, 1, 2), 4)
-    real = identities.orbit_array
+    real = identities.orbit_arrays
 
-    def orbit_array(rep):
-        if rep != broken:
-            return real(rep)
-        return np.vstack([real(rep), [[0, 0, 3]]])  # a point of another orbit
+    def orbit_arrays(n, d):
+        points, sizes = real(n, d)
+        i = list(enumerate_orbits(n, d)).index(broken)
+        sizes = sizes.copy()
+        sizes[i] += 1
+        return np.insert(points, sizes[: i + 1].sum() - 1, [0, 0, 3], axis=0), sizes  # a point of another orbit
 
-    monkeypatch.setattr(identities, "orbit_array", orbit_array)
+    monkeypatch.setattr(identities, "orbit_arrays", orbit_arrays)
     failed = [(r.params["x"], r.params["y"], r.witness) for r in chain.from_iterable(sweep_constancy(4, 3)) if not r.passed]
     expected = [
         (X, broken, {"x": X, "y": broken})

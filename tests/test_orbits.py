@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement, islice, product
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from symchar.orbits import (
     distinct_permutations,
     enumerate_orbits,
     negate_orbit,
+    orbit_arrays,
     orbit_count,
     orbit_size,
     orbit_sum,
@@ -23,6 +24,7 @@ from symchar.orbits import (
     stabilizer_order,
     superclass_array,
     superclass_chunks,
+    unit_class_firsts,
     unrank_orbit,
 )
 
@@ -134,6 +136,31 @@ def test_point_array_is_the_odometer():
         arr = point_array(n, d)
         assert arr.dtype == np.min_scalar_type(n - 1) and arr.shape == (n**d, d)
         assert arr.tolist() == [list(p) for p in product(range(n), repeat=d)]
+
+
+def test_orbit_arrays_match_each_orbit():
+    # one grouping pass gives every orbit's distinct_permutations, row for
+    # row, and its orbit_size
+    for n in range(1, 13):
+        for d in range(1, 6):
+            points, sizes = orbit_arrays(n, d)
+            reps = list(enumerate_orbits(n, d))
+            assert points.dtype == np.int64 and sizes.dtype == np.int64
+            assert sizes.tolist() == [orbit_size(rep) for rep in reps]
+            want = [np.array(list(distinct_permutations(rep)), dtype=np.int64) for rep in reps]
+            assert np.array_equal(points, np.concatenate(want))
+
+
+def test_unit_class_firsts_match_canonicalize_oracle():
+    # X is first when no earlier orbit of the enumeration is some uX
+    for n in range(1, 13):
+        units = [u for u in range(n) if gcd(u, n) == 1]
+        for d in range(1, 6):
+            seen, want = set(), []
+            for rep in enumerate_orbits(n, d):
+                want.append(rep not in seen)
+                seen.update(canonicalize([u * v for v in rep.entries], n) for u in units)
+            assert unit_class_firsts(n, d).tolist() == want
 
 
 def test_superclass_array_matches_combinations():

@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symchar
 from symchar.errors import BudgetExceeded
-from symchar.evaluate import DEFAULT_BUDGET
-from symchar.orbits import negate_orbit
+from symchar.evaluate import DEFAULT_BUDGET, values_on_block
+from symchar.orbits import enumerate_orbits, negate_orbit, orbit_size
 from symchar.table import build_table, build_unitary
 
 
@@ -50,13 +55,40 @@ def reference_residuals(tab):
     return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(len(u))).max()), u
 
 
-@pytest.mark.parametrize("n, d", [(3, 2), (6, 3), (10, 4)])
-def test_unitary_residuals_match_whole_array_formula(n, d):
+@pytest.mark.parametrize("n, d", [(7, 4), (10, 4)])
+def test_table_is_each_orbit_on_the_representatives(n, d):
+    # the one-pass orbit arrays give each row bitwise as the orbit's own array does
+    tab = build_table(n, d)
+    reps = np.array([rep.entries for rep in enumerate_orbits(n, d)], dtype=np.int64)
+    assert tab.orbits == tuple(enumerate_orbits(n, d))
+    assert tab.sizes.tolist() == [orbit_size(rep) for rep in tab.orbits]
+    want = np.array([values_on_block(rep, reps) for rep in tab.orbits])
+    assert np.array_equal(tab.values.view(float), want.view(float))
+
+
+def assert_residuals_match_whole_array_formula(n, d):
     tab = build_table(n, d)
     uni = build_unitary(tab)
     symmetry, unitary, u = reference_residuals(tab)
     assert (uni.residual_symmetry, uni.residual_unitary) == (symmetry, unitary)
     assert np.array_equal(uni.matrix, u)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (6, 3), (7, 4), (10, 4)])
+def test_unitary_residuals_match_whole_array_formula(n, d):
+    assert_residuals_match_whole_array_formula(n, d)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unitary_residuals_match_whole_array_formula_per_blas_thread_count(threads):
+    # at (7, 4) the whole-array residual_unitary differs between 1 and 2
+    # OpenBLAS threads; the half Gram product must equal it under each, so
+    # each subprocess compares with the formula computed in that process
+    paths = [str(Path(__file__).parent), str(Path(symchar.__file__).parents[1])]
+    script = "from test_table import assert_residuals_match_whole_array_formula as check; check(7, 4)"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_build_unitary_peak_memory():
