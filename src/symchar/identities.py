@@ -2,11 +2,13 @@
 
 The count identities are exact.  dot_counts gives one integer counts row
 c[t] = #{x in X : x.y = t mod n} per point y of a block, and each identity
-compares whole count matrices, so a sweep and the per-pair translation check
-share one code path (the per-pair check is the one-row case).  That path
-gives a report.ReportBlock of every record at one X: a sweep yields one
-block per X, and the per-pair check takes the one record of its block.  The
-identities:
+compares whole count matrices, so a sweep and a per-pair check share one
+code path.  _translation_block gives a report.ReportBlock of every
+translation record at one X: sweep_translation yields one block per X,
+translation_identity takes the one record of a one-row block, and
+full_union_symmetry reads its (Y, j, k) pairs off one block per sampled X.
+spike_identity and sweep_spikes build their records with _spike_record, the
+sweep from one superclass build for every orbit.  The identities:
 
 * conjugation      sigma_X(-y) = conj(sigma_X(y)) = sigma_{-X}(y)
   is an index reversal t -> -t of the counts;
@@ -157,7 +159,9 @@ def dihedral_order(x_rep: OrbitRep) -> int:
     The identity behind it, sigma_X(y + l*1) = e([x]l/n) sigma_X(y), is
     verified exactly (as a counts shift) for every l on a deterministic
     sample of superclasses Y, all in one count matrix.  The witness is the
-    first failing (Y, l), Y in sample order and l fastest.
+    first failing (Y, l), Y in sample order and l fastest.  The shift does
+    not depend on y, so one (n, n) index table serves every sample, which
+    _translation_block's per-Y shifts would not.
     """
     n = x_rep.n
     samples = _sample_orbits(n, x_rep.d)
@@ -176,42 +180,6 @@ def dihedral_order(x_rep: OrbitRep) -> int:
     return rotation_order(x_rep)
 
 
-def _translation_pairs(
-    x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray, js: Sequence[int], ks: Sequence[int]
-) -> dict | None:
-    """The witness of the first pair i failing the translation identity at
-    (X, y_reps[i], js[i], ks[i]), as translation_identity gives it, or None
-    when every pair passes; ys holds the entries of y_reps.
-
-    One count matrix for the base rows dot_counts(X, y) of every pair, then
-    one per distinct j whose rows are dot_counts(X + j1, y + k1) for the
-    pairs of that j, as in _translation_block.
-    """
-    n, d = x_rep.n, x_rep.d
-    jr = np.array(js, dtype=np.int64) % n
-    kr = np.array(ks, dtype=np.int64) % n
-    shifts = (ys.sum(axis=1) % n * jr + orbit_sum(x_rep) * kr + d * jr * kr) % n
-    base = dot_counts(x_rep, ys)
-    rhs = base[np.arange(len(ys))[:, None], (np.arange(n) - shifts[:, None]) % n]
-    lhs = np.empty_like(base)
-    for j in dict.fromkeys(js):
-        rows = [i for i, other in enumerate(js) if other == j]
-        lhs[rows] = dot_counts(shift_orbit(x_rep, j), ys[rows] + kr[rows, None])
-    failed = np.flatnonzero(~(lhs == rhs).all(axis=1))
-    if not len(failed):
-        return None
-    i = int(failed[0])
-    return {
-        "x": x_rep,
-        "y": y_reps[i],
-        "j": js[i],
-        "k": ks[i],
-        "shift": int(shifts[i]),
-        "lhs": lhs[i].tolist(),
-        "rhs": rhs[i].tolist(),
-    }
-
-
 def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Rotational symmetry order n/gcd(n,d) of the union of all images.
 
@@ -223,8 +191,8 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     _UNION_WITNESS_ORBITS orbits.  An unclosed union raises with the first
     value whose rotation has no match and that rotated value as witness.
     The pairs of one X are solved in Y order up to the first whose shift
-    t0 is not gcd(n, d); the translations of the pairs before it are
-    checked in one count matrix per distinct j (_translation_pairs), and
+    t0 is not gcd(n, d).  The translations of the pairs before it are read
+    off one _translation_block over their Y and the distinct j and k, and
     only then does that shift raise, so the first failing (X, Y) raises,
     with translation_identity's witness for a failed translation.
     """
@@ -249,11 +217,13 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
                 break
             sols.append(sol)
         if sols:
-            witness = _translation_pairs(
-                x_rep, samples[: len(sols)], ys[: len(sols)], [sol.j for sol in sols], [sol.k for sol in sols]
-            )
-            if witness is not None:
-                raise VerificationFailed("witness translation failed", witness=witness)
+            js = list(dict.fromkeys(sol.j for sol in sols))
+            ks = list(dict.fromkeys(sol.k for sol in sols))
+            block = _translation_block(x_rep, samples[: len(sols)], ys[: len(sols)], js, ks)
+            for i, sol in enumerate(sols):
+                flat = (i * len(js) + js.index(sol.j)) * len(ks) + ks.index(sol.k)
+                if flat in block.witnesses:
+                    raise VerificationFailed("witness translation failed", witness=block.witnesses[flat])
         if wrong is not None:
             raise VerificationFailed("witness shift is not gcd(n,d)", witness=wrong)
     return order
@@ -261,12 +231,6 @@ def full_union_symmetry(n: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
 
 # ---------------------------------------------------------------------------
 # reflection ("spike") structure
-
-
-def spike_detect(x_rep: OrbitRep) -> int | None:
-    """Smallest r with r*1 - X = X as orbits, or None if there is none."""
-    shifts = spike_shifts(x_rep)
-    return shifts[0] if shifts else None
 
 
 def spike_shifts(x_rep: OrbitRep) -> list[int]:
@@ -293,33 +257,37 @@ def _reflection_shifts(reps: np.ndarray, n: int) -> np.ndarray:
     return fixed
 
 
-def spike_identity(
-    x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET, all_r: list[int] | None = None
-) -> IdentityReport:
+def spike_identity(x_rep: OrbitRep, r: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check the reflection identity for X = r*1 - X over every superclass Y.
+
+    The C(n+d-1, d) superclasses count against the budget before any work,
+    and an r mod n not in spike_shifts(x_rep) raises HypothesisFailed.  The
+    record is _spike_record's over every superclass row.
+    """
+    n, d = x_rep.n, x_rep.d
+    BudgetExceeded.check(orbit_count(n, d), budget)
+    all_r = spike_shifts(x_rep)
+    if r % n not in all_r:
+        raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
+    return _spike_record(x_rep, r, all_r, superclass_array(n, d).astype(np.int64))
+
+
+def _spike_record(x_rep: OrbitRep, r: int, all_r: list[int], ys: np.ndarray) -> IdentityReport:
+    """The reflection record of X at r, whose shifts r*1 - X = X are all_r,
+    over ys, the int64 rows of every superclass in enumeration order.
 
     Counts level (exact): dot_counts(X, y) must equal its index reversal
     shifted by r*[y].  Value level (numeric): sigma_X(y) must lie within
     TOL of one of the 2n/gcd(r,n) lines through the origin at angles
     pi*m*gcd(r,n)/n (Euclidean distance, which avoids amplifying float
-    noise in the argument of small-modulus values).
-    Both checks run over every superclass Y in enumeration order, and
-    those C(n+d-1, d) superclasses count against the budget before any
-    work.  The witness names the first counts failure, else the first ray
-    failure; info["ray_max_modulus"] holds the largest modulus on each ray
-    over the points before the first ray failure.  all_r, the list
-    spike_shifts(x_rep), is computed unless the caller passes it, as
-    sweep_spikes does; an r mod n not in it raises HypothesisFailed.
+    noise in the argument of small-modulus values).  The witness names the
+    first counts failure, else the first ray failure; info["ray_max_modulus"]
+    holds the largest modulus on each ray over the points before the first
+    ray failure.
     """
-    n, d = x_rep.n, x_rep.d
-    BudgetExceeded.check(orbit_count(n, d), budget)
-    if all_r is None:
-        all_r = spike_shifts(x_rep)
-    if r % n not in all_r:
-        raise HypothesisFailed(f"orbit {x_rep.entries} is not fixed by x -> {r}-x mod {n}")
+    n = x_rep.n
     g = gcd(r, n)
     rays = 2 * n // g
-    ys = superclass_array(n, d).astype(np.int64)
     counts = dot_counts(x_rep, ys)
     mirror = (r * (ys.sum(axis=1) % n)[:, None] - np.arange(n)) % n
     bad_counts = np.flatnonzero(~(counts == np.take_along_axis(counts, mirror, axis=1)).all(axis=1))
@@ -461,14 +429,14 @@ def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Ide
 
 
 def sweep_spikes(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:
-    """spike_identity at its least r of each orbit X with r*1 - X = X, in
-    enumeration order, given every orbit's shifts from one
-    _reflection_shifts pass over the superclass rows.  The at most N
-    records of N superclasses each count N^2 against the budget before any
-    work."""
+    """spike_identity's record at its least r of each orbit X with
+    r*1 - X = X, in enumeration order.  The superclass rows are built once:
+    one _reflection_shifts pass over them gives every orbit's shifts, and
+    each record is _spike_record's over them.  The at most N records of N
+    superclasses each count N^2 against the budget before any work."""
     BudgetExceeded.check(orbit_count(n, d) ** 2, budget)
-    fixed = _reflection_shifts(superclass_array(n, d).astype(np.int64), n)
-    for x_rep, shifts in zip(enumerate_orbits(n, d), fixed):
+    ys = superclass_array(n, d).astype(np.int64)
+    for x_rep, shifts in zip(enumerate_orbits(n, d), _reflection_shifts(ys, n)):
         all_r = np.flatnonzero(shifts).tolist()
         if all_r:
-            yield spike_identity(x_rep, all_r[0], budget=budget, all_r=all_r)
+            yield _spike_record(x_rep, all_r[0], all_r, ys)

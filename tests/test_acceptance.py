@@ -23,8 +23,8 @@ from symchar.evaluate import TOL, cloud_difference, image, permanent_oracle, roo
 from symchar.identities import (
     dihedral_order,
     full_union_symmetry,
-    spike_detect,
     spike_identity,
+    spike_shifts,
     sweep_conjugate,
     sweep_constancy,
     sweep_translation,
@@ -104,12 +104,12 @@ def test_criterion_05_full_union_symmetry():
 
 def test_criterion_06_spikes():
     X = canonicalize((1, 2, 3), 17)
-    assert spike_detect(X) == 4
+    assert spike_shifts(X)[0] == 4
     rep = spike_identity(X, 4)
     assert rep.passed and rep.params["rays"] == 34, rep.to_json()
 
     Y = canonicalize((1, 1, 10, 10), 16)
-    assert spike_detect(Y) == 11
+    assert spike_shifts(Y)[0] == 11
     rep = spike_identity(Y, 11)
     assert rep.passed and rep.params["rays"] == 32, rep.to_json()
 

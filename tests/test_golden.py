@@ -74,8 +74,10 @@ GOLDEN = [
 # composite n = 12, whose orbits have six rotation orders.  The block
 # writers of the exact sweeps are pinned at other shapes: constancy at
 # d = 2 and d = 4, conjugate with two-digit n and entries, and translation
-# at n = 1, where each (X, Y) has one j and one k.  A list of its own, so
-# the ids of GOLDEN cases do not change.
+# at n = 1, where each (X, Y) has one j and one k.  The spike records, which
+# share one superclass build per sweep, are pinned at (10, 4) and (12, 3),
+# and full-union's witness pairs, read off one translation block per X, at
+# (9, 3).  A list of its own, so the ids of GOLDEN cases do not change.
 SWEEP_GOLDEN = [
     (["verify", "translation", "--n", "5", "--d", "2"], "22ce38bbf0ed53af521df028ad150751b1517160922230fc26100e025ad6527f"),
     (["verify", "translation", "--n", "3", "--d", "4"], "dd014bac95a17181c5933a974ca050914a9fc998b5b1a202600443bcad0f08da"),
@@ -88,6 +90,9 @@ SWEEP_GOLDEN = [
     (["verify", "constancy", "--n", "3", "--d", "4"], "00719958347bc8765c753bfb4e4a20de512841f2167ff8cc8983a28e418a8461"),
     (["verify", "conjugate", "--n", "12", "--d", "2"], "fafe7851154fe6dd2c8fc48868a0e0d0d624278b0e496e4201d3072794ec560b"),
     (["verify", "translation", "--n", "1", "--d", "2"], "36f9e33516c098586ea268e4328a9efb5b6703b4f2f71dd34208f163c1ef8c17"),
+    (["verify", "spikes", "--n", "10", "--d", "4"], "2a4f605305ab4772a3a962689e987b539fb0d60040275a3d604af3dead133618"),
+    (["verify", "spikes", "--n", "12", "--d", "3"], "3e28de06c89d529f70a4aa25154e06505ae438f2ea8abbeffd0dd15dec59cdc9"),
+    (["verify", "full-union", "--n", "9", "--d", "3"], "a654b789eb10d68aefbd0a4925c9c1f50aafdbff549813bf1d9d6aaddc9cda13"),
 ]
 
 

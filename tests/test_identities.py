@@ -14,7 +14,6 @@ from symchar.modring import CongruenceSolution, solve_bilinear_congruence
 from symchar.identities import (
     dihedral_order,
     full_union_symmetry,
-    spike_detect,
     spike_identity,
     spike_shifts,
     sweep_conjugate,
@@ -265,14 +264,17 @@ def test_full_union_wrong_shift_raises_before_any_counts(monkeypatch):
 @pytest.mark.parametrize("n, d", [(9, 3), (7, 4), (12, 2)])
 def test_full_union_makes_one_count_matrix_per_x_and_distinct_j(n, d, monkeypatch):
     samples = identities._sample_orbits(n, d, identities._UNION_WITNESS_ORBITS)
-    expected = 0
+    m = len(samples)
+    expected = rows = 0
     for x in samples:
-        js = {identities.solve_bilinear_congruence(orbit_sum(y), orbit_sum(x), d, n).j for y in samples}
+        sols = [identities.solve_bilinear_congruence(orbit_sum(y), orbit_sum(x), d, n) for y in samples]
+        js, ks = {sol.j for sol in sols}, {sol.k for sol in sols}
         expected += 1 + len(js)
+        rows += m + len(js) * m * len(ks)  # the base rows, then every (Y, k) of each j
     calls = []
     monkeypatch.setattr(identities, "dot_counts", lambda rep, ys: calls.append(len(ys)) or dot_counts(rep, ys))
     assert full_union_symmetry(n, d) == n // gcd(n, d)
-    assert len(calls) == expected and sum(calls) == 2 * len(samples) ** 2
+    assert len(calls) == expected and sum(calls) == rows
 
 
 def reference_spike_shifts(rep):
@@ -294,23 +296,22 @@ def test_spike_sweep_shifts_in_blocks(cells, monkeypatch):
     assert fixed.tolist() == want
 
 
-def test_spike_detect_examples():
+def test_spike_shifts_examples():
     X = canonicalize((1, 2, 3), 17)
-    assert spike_detect(X) == 4
-    assert 4 in spike_shifts(X)
+    assert spike_shifts(X)[0] == 4
     assert spike_identity(X, 4).params["rays"] == 34
     Y = canonicalize((1, 1, 10, 10), 16)
-    assert spike_detect(Y) == 11
+    assert spike_shifts(Y)[0] == 11
     assert spike_identity(Y, 11).params["rays"] == 32
 
 
-def test_spike_detect_none():
-    assert spike_detect(canonicalize((0, 1, 3), 7)) is None
+def test_spike_shifts_none():
+    assert spike_shifts(canonicalize((0, 1, 3), 7)) == []
 
 
 def test_spike_identity_small():
     X = canonicalize((1, 4), 5)  # 0*1 - X = X, real line spike
-    r = spike_detect(X)
+    r = spike_shifts(X)[0]
     assert r == 0
     report = spike_identity(X, r)
     assert report.passed, report.to_json()
@@ -341,12 +342,13 @@ def test_spike_identity_budget(monkeypatch):
     assert (info.value.required, info.value.budget) == (total, total - 1)
 
 
-def test_sweep_spikes_passes_its_budget(monkeypatch):
-    seen = []
-    real = identities.spike_identity
-    monkeypatch.setattr(identities, "spike_identity", lambda *a, **kw: seen.append(kw["budget"]) or real(*a, **kw))
-    assert all(rep.passed for rep in sweep_spikes(5, 2, budget=300))
-    assert seen and set(seen) == {300}
+def test_sweep_spikes_builds_the_superclasses_once(monkeypatch):
+    built = []
+    real = identities.superclass_array
+    monkeypatch.setattr(identities, "superclass_array", lambda *a: built.append(a) or real(*a))
+    reports = list(sweep_spikes(6, 4))
+    assert reports and all(r.passed for r in reports)
+    assert built == [(6, 4)]
 
 
 def test_spike_rays_17():
