@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, HypothesisFailed, NoUnitPivot, VerificationFailed
 from . import evaluate
-from .evaluate import DEFAULT_BUDGET, TOL, image, orbit_array, root_sums
+from .evaluate import DEFAULT_BUDGET, TOL, image, root_sums
 from .modring import mod_inverse
-from .orbits import OrbitRep, canonicalize, orbit_count, point_array
+from .orbits import OrbitRep, canonicalize, orbit_array, orbit_count, point_array
 from .report import IdentityReport
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,11 @@ def cmd_eval(args) -> int:
     if len(ys) != len(xs):
         raise UsageError(f"y has {len(ys)} entries, expected {len(xs)}")
     counts = dot_counts(rep, ys)
+    oracle = permanent_oracle(rep, ys) if args.oracle else None  # a refused permanent prints nothing
     print(f"orbit {' '.join(map(str, rep.entries))}  counts {json.dumps(counts.tolist(), separators=(',', ':'))}")
     print(f"value {fmt_complex(counts_value(counts))}")
-    if args.oracle:
-        print(f"permanent-oracle {fmt_complex(permanent_oracle(rep, ys))}")
+    if oracle is not None:
+        print(f"permanent-oracle {fmt_complex(oracle)}")
     return 0
 
 

@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from .orbits import (
+    _BLOCK_CELLS,
     OrbitRep,
-    distinct_permutations,
     enumerate_orbits,
+    orbit_array,
     orbit_count,
     point_array,
     rotation_order,
@@ -40,9 +41,6 @@ PERMANENT_MAX_D = 10
 DEDUPE_DECIMALS = 9
 # Euclidean distance within which two computed values count as one point
 TOL = 1e-9
-# evaluation blocks are capped at this many (orbit element, point) pairs,
-# so that their scratch arrays (about 2 MB in root_sums) stay in cache
-_BLOCK_CELLS = 65_536
 # image sweeps go through _dedupe_chunks in blocks of at most this many rows
 _CHUNK_ROWS = 1 << 18
 # A value shares its rounded key only with values within 1e-9 in both
@@ -68,14 +66,6 @@ def _periodic_roots(n: int, top: int) -> np.ndarray:
     table = np.resize(roots_of_unity(n), top + 1)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=1024)
-def orbit_array(rep: OrbitRep) -> np.ndarray:
-    """The orbit as an (orbit_size, d) int64 array, rows in lexicographic order."""
-    arr = np.array(list(distinct_permutations(rep)), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
 
 
 def _point_block(y: Sequence[int] | np.ndarray, n: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -368,78 +358,6 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _translate_key_weights(n: int, d: int) -> np.ndarray:
-    """Weights that pack the sort keys of a row's translates into limbs.
-
-    For a sorted row y with cyclic gaps g_j = y_(j+1) - y_j and
-    g_(d-1) = n + y_0 - y_(d-1), key k is (y_k mod L, g_k, ..., g_(k+d-2)),
-    gap indices mod d.  Its digits lie in [0, n] and are packed in base
-    n + 1, as many to a limb as keep the limb below 2^51.  The gaps are
-    linear in y, so with z = (y mod L, y, 1) the product z @ W holds limb l
-    of key k in column l*d + k (row l*d + k of W.T @ z when z holds one
-    row y per column).  The terms of each entry are integers whose moduli
-    add up to less than 4 * 2^51 = 2^53, so a float64 matmul computes
-    every entry exactly, in any order of summation.
-    """
-    base = n + 1
-    per = 1
-    while base ** (per + 1) <= 2**51:
-        per += 1
-    limbs = -(-d // per)
-    first = np.zeros((d, limbs * d))
-    gaps = np.zeros((d, limbs * d))  # weight of g_j in each limb of each key
-    for k in range(d):
-        for i in range(d):  # digit i of key k
-            limb = i // per
-            weight = base ** (min((limb + 1) * per, d) - 1 - i)
-            if i == 0:
-                first[k, k] = weight
-            else:
-                gaps[(k + i - 1) % d, limb * d + k] = weight
-    # g_(j-1) adds y_j and g_j subtracts it; g_(d-1) adds n
-    w = np.vstack([first, np.roll(gaps, 1, axis=0) - gaps, n * gaps[-1:]])
-    w.setflags(write=False)
-    return w
-
-
-def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
-    """The rows of `block` that are lexicographically least among their
-    translates y + c*step*1 mod n, re-sorted, for c = 0 .. n/step - 1.
-
-    Rows must be sorted, with entries in [0, n) and first entry < step, and
-    step must divide n.  Sweeps pass the candidates of
-    orbits.superclass_array(n, d, step), built by two rules on the first
-    two digits of "key 0 <= key k"; only this filter sees the wrap-around
-    gap and the later digits.  Key k of _translate_key_weights is at least the
-    re-sorted translate that brings y_k to y_k mod step (equal to it unless
-    that translate puts another entry first), and every re-sorted translate
-    is at least the key of the entry it puts first.  So a row, whose own key
-    is key 0, is least exactly when key 0 is at most every key k, compared
-    limb by limb, and each class of translates keeps one row.  Rows go
-    through about _BLOCK_CELLS cells at a time.
-    """
-    d = block.shape[1]
-    w = _translate_key_weights(n, d)
-    size = max(1, _BLOCK_CELLS // max(w.shape))
-    keep = np.empty(len(block), dtype=bool)
-    for lo in range(0, len(block), size):
-        y = block[lo : lo + size].T
-        # z and the keys transposed: each limb of each key is a contiguous row
-        z = np.empty((2 * d + 1, y.shape[1]))
-        z[:d] = y % step
-        z[d:-1] = y
-        z[-1] = 1
-        keys = w.T @ z
-        *high, low = range(0, w.shape[1], d)
-        least = keys[low : low + d] >= keys[low]  # key 0 <= key k in the limbs from here on
-        for col in reversed(high):
-            own, other = keys[col], keys[col : col + d]
-            least = (other > own) | ((other == own) & least)
-        least.all(axis=0, out=keep[lo : lo + y.shape[1]])
-    return block[keep]
-
-
 def values_on_block(rep: OrbitRep, block: np.ndarray, elems: np.ndarray | None = None) -> np.ndarray:
     """sigma_X at each row of `block`, whose entries lie in [0, n).  elems,
     the orbit's rows in the order of orbit_array(rep), is that array unless
@@ -473,33 +391,24 @@ def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]
     return dedupe_values(held.pop())
 
 
-def image(
-    rep: OrbitRep,
-    budget: int = DEFAULT_BUDGET,
-    full_group: bool = False,
-) -> tuple[complex, ...]:
+def image(rep: OrbitRep, budget: int = DEFAULT_BUDGET, full_group: bool = False) -> tuple[complex, ...]:
     """All values of sigma_X, deduplicated by dedupe_values.
 
     By default y runs over the canonical superclass representatives (the
     value is constant on superclasses), and of those only over the ones
     least among their translates Y + cL*1 mod n, re-sorted, with
-    L = rotation_order(rep) (_least_translates; at L = n that is every
-    one).  Since L*[x] = 0 mod n, a translate has Y's dot products mod n,
-    so the value of Y.  One that does not wrap mod n keeps their order, so
-    its value is bitwise the same; one that wraps sums the same terms in
-    another order, so its value can differ in the last bits.  The least
-    translate comes first in the enumeration, so the values kept are those
-    of the full sweep, order included, except where a wrapped translate's
-    float and the least one's straddle a rounding boundary of
-    dedupe_values: the full sweep keeps both, this sweep only the first.
-    The budget still counts all C(n+d-1, d) superclasses.  Only the
-    candidates for least translate are built (superclass_array(n, d, L):
-    first entry < L, and each entry passing two rules of the translate
-    keys), in blocks of at most _CHUNK_ROWS rows (superclass_chunks), each
-    filtered and evaluated in turn through _dedupe_chunks, so memory
-    follows the values kept, not the rows swept; when the rows with first
-    entry < L fit in one block, the sweep is one superclass_array call and
-    one dedupe.
+    L = rotation_order(rep) (every one at L = n).  Since L*[x] = 0 mod n,
+    a translate has Y's dot products mod n, so the value of Y.  One that
+    does not wrap mod n keeps their order, so its value is bitwise the
+    same; one that wraps sums the same terms in another order, so its
+    value can differ in the last bits.  The least translate comes first in
+    the enumeration, so the values kept are those of the full sweep, order
+    included, except where a wrapped translate's float and the least one's
+    straddle a rounding boundary of dedupe_values: the full sweep keeps
+    both, this sweep only the first.  The budget still counts all
+    C(n+d-1, d) superclasses.  The rows come from orbits.superclass_chunks
+    in blocks of at most _CHUNK_ROWS, each evaluated in turn through
+    _dedupe_chunks, so memory follows the values kept, not the rows swept.
     full_group=True instead sweeps all n^d points as an oracle for the
     constancy, in the odometer order of point_array, evaluated in one call.
     """
@@ -507,26 +416,20 @@ def image(
     BudgetExceeded.check(n**d if full_group else orbit_count(n, d), budget)
     if full_group:
         return dedupe_values(values_on_block(rep, point_array(n, d)))
-    step = rotation_order(rep)
-    blocks = superclass_chunks(n, d, step, _CHUNK_ROWS)
-    if step < n:
-        blocks = map(partial(_least_translates, n=n, step=step), blocks)  # holds no unfiltered block
-    return _dedupe_chunks(blocks, partial(values_on_block, rep))
+    return _dedupe_chunks(superclass_chunks(n, d, rotation_order(rep), _CHUNK_ROWS), partial(values_on_block, rep))
 
 
 def orbit_sweeps(n: int, d: int) -> Iterator[tuple[OrbitRep, np.ndarray]]:
     """Each orbit at (n, d) in enumeration order, with the rows image() sweeps
-    for it.  The rows of each rotation order L are built and filtered once,
-    as in image(): superclass_array(n, d, L), filtered by _least_translates
-    when L < n; orbits of one L share that array.  Each caller charges its
-    own budget before the first row is built.
+    for it: the least translates superclass_array(n, d, L) of its rotation
+    order L, built once per L and shared by the orbits of that L.  Each
+    caller charges its own budget before the first row is built.
     """
     swept = {}  # by rotation order
     for rep in enumerate_orbits(n, d):
         step = rotation_order(rep)
         if step not in swept:
-            rows = superclass_array(n, d, step)
-            swept[step] = _least_translates(rows, n, step) if step < n else rows
+            swept[step] = superclass_array(n, d, step)
         yield rep, swept[step]
 
 

@@ -50,6 +50,7 @@ from .evaluate import (
 )
 from .modring import solve_bilinear_congruence
 from .orbits import (
+    _BLOCK_CELLS,
     OrbitRep,
     canonicalize,
     enumerate_orbits,
@@ -244,12 +245,12 @@ def _reflection_shifts(reps: np.ndarray, n: int) -> np.ndarray:
     orbit X whose sorted entries are row i of the int64 array reps.
 
     r*1 - X re-sorted is the sort of (r - X[::-1]) mod n, taken for every r
-    at once, about evaluate._BLOCK_CELLS cells at a time.
+    at once, about _BLOCK_CELLS cells at a time.
     """
     d = reps.shape[1]
     r = np.arange(n)[:, None]
     fixed = np.empty((len(reps), n), dtype=bool)
-    step = max(1, evaluate._BLOCK_CELLS // (n * d))
+    step = max(1, _BLOCK_CELLS // (n * d))
     for lo in range(0, len(reps), step):
         x = reps[lo : lo + step]
         mirrored = np.sort((r - x[:, None, ::-1]) % n, axis=2)

@@ -4,24 +4,29 @@ A superclass is the orbit of a tuple under permutation of its entries, so
 it is represented canonically by the weakly increasing tuple of residues.
 Orbits are enumerated in lexicographic order of those canonical tuples,
 which matches itertools.combinations_with_replacement(range(n), d); a
-position in that order can be unranked.  Whole sweeps take all
-representatives at once as one array instead, or in blocks of rows, or
-only the candidates for least among their translates by multiples of a
-divisor of n.  Every orbit's elements come grouped from one pass over the
-points (orbit_arrays), and the orbits first in their class under the unit
-multipliers are flagged in one pass over the representatives
-(unit_class_firsts).
+position in that order can be unranked.  Sweeps take the representatives
+least among their translates by multiples of a divisor of n (all of them
+at n) as one array or in blocks of rows; only this module chooses them.
+Every orbit's elements come as one array (orbit_array) or grouped from one
+pass over the points (orbit_arrays), in lexicographic order, and the
+orbits first in their class under the unit multipliers are flagged in one
+pass over the representatives (unit_class_firsts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
+
+# evaluation blocks are capped at this many (orbit element, point) pairs,
+# so that their scratch arrays (about 2 MB in evaluate.root_sums) stay in cache
+_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,14 @@ def distinct_permutations(rep: OrbitRep) -> Iterator[tuple[int, ...]]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
+@lru_cache(maxsize=1024)
+def orbit_array(rep: OrbitRep) -> np.ndarray:
+    """The orbit as an (orbit_size, d) int64 array, rows in lexicographic order."""
+    arr = np.array(list(distinct_permutations(rep)), dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 def unrank_orbit(n: int, d: int, index: int) -> OrbitRep:
     """The index-th orbit (0-based) in lexicographic enumeration order.
 
@@ -166,15 +179,87 @@ def enumerate_orbits(n: int, d: int) -> Iterator[OrbitRep]:
     return (OrbitRep(n, t) for t in combinations_with_replacement(range(n), d))
 
 
+@lru_cache(maxsize=64)
+def _translate_key_weights(n: int, d: int) -> np.ndarray:
+    """Weights that pack the sort keys of a row's translates into limbs.
+
+    For a sorted row y with cyclic gaps g_j = y_(j+1) - y_j and
+    g_(d-1) = n + y_0 - y_(d-1), key k is (y_k mod L, g_k, ..., g_(k+d-2)),
+    gap indices mod d.  Its digits lie in [0, n] and are packed in base
+    n + 1, as many to a limb as keep the limb below 2^51.  The gaps are
+    linear in y, so with z = (y mod L, y, 1) the product z @ W holds limb l
+    of key k in column l*d + k (row l*d + k of W.T @ z when z holds one
+    row y per column).  The terms of each entry are integers whose moduli
+    add up to less than 4 * 2^51 = 2^53, so a float64 matmul computes
+    every entry exactly, in any order of summation.
+    """
+    base = n + 1
+    per = 1
+    while base ** (per + 1) <= 2**51:
+        per += 1
+    limbs = -(-d // per)
+    first = np.zeros((d, limbs * d))
+    gaps = np.zeros((d, limbs * d))  # weight of g_j in each limb of each key
+    for k in range(d):
+        for i in range(d):  # digit i of key k
+            limb = i // per
+            weight = base ** (min((limb + 1) * per, d) - 1 - i)
+            if i == 0:
+                first[k, k] = weight
+            else:
+                gaps[(k + i - 1) % d, limb * d + k] = weight
+    # g_(j-1) adds y_j and g_j subtracts it; g_(d-1) adds n
+    w = np.vstack([first, np.roll(gaps, 1, axis=0) - gaps, n * gaps[-1:]])
+    w.setflags(write=False)
+    return w
+
+
+def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
+    """The rows of `block` that are lexicographically least among their
+    translates y + c*step*1 mod n, re-sorted, for c = 0 .. n/step - 1.
+
+    Rows must be sorted, with entries in [0, n) and first entry < step, and
+    step must divide n.  At step = n a row is its only translate, so the
+    block is returned as it is.  Key k of _translate_key_weights is at
+    least the re-sorted translate that brings y_k to y_k mod step (equal to
+    it unless that translate puts another entry first), and every re-sorted
+    translate is at least the key of the entry it puts first.  So a row,
+    whose own key is key 0, is least exactly when key 0 is at most every
+    key k, compared limb by limb, and each class of translates keeps one
+    row.  Rows go through about _BLOCK_CELLS cells at a time.
+    """
+    if step == n:
+        return block
+    d = block.shape[1]
+    w = _translate_key_weights(n, d)
+    size = max(1, _BLOCK_CELLS // max(w.shape))
+    keep = np.empty(len(block), dtype=bool)
+    for lo in range(0, len(block), size):
+        y = block[lo : lo + size].T
+        # z and the keys transposed: each limb of each key is a contiguous row
+        z = np.empty((2 * d + 1, y.shape[1]))
+        z[:d] = y % step
+        z[d:-1] = y
+        z[-1] = 1
+        keys = w.T @ z
+        *high, low = range(0, w.shape[1], d)
+        least = keys[low : low + d] >= keys[low]  # key 0 <= key k in the limbs from here on
+        for col in reversed(high):
+            own, other = keys[col], keys[col : col + d]
+            least = (other > own) | ((other == own) & least)
+        least.all(axis=0, out=keep[lo : lo + y.shape[1]])
+    return block[keep]
+
+
 def _next_entries(rows: np.ndarray, n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Where the candidate next entries of each row start, and how many there are.
 
     A sorted row y = (y_0, ..., y_(t-1)) with y_0 < step, step a divisor of
     n, is extended only by the entries v >= y_(t-1) that can keep it least
     among its translates y + c*step*1 mod n, re-sorted: by the keys of
-    evaluate._translate_key_weights, key 0 <= key t needs v mod step >= y_0
-    in the first digit, and when t >= 2 and y_(t-1) = y_0 mod step, so that
-    keys 0 and t - 1 tie there, key 0 <= key t - 1 needs
+    _translate_key_weights, key 0 <= key t needs v mod step >= y_0 in the
+    first digit, and when t >= 2 and y_(t-1) = y_0 mod step, so that keys
+    0 and t - 1 tie there, key 0 <= key t - 1 needs
     v - y_(t-1) >= y_1 - y_0 in the second.  The entries with
     v mod step >= y_0 are numbered j = 0, 1, ... in increasing order, as
     v = j + y_0 * (1 + j // (step - y_0)); a row's candidates are `count`
@@ -212,18 +297,25 @@ def _extend(rows: np.ndarray, n: int, step: int) -> np.ndarray:
     return out
 
 
-def superclass_array(n: int, d: int, translate_step: int | None = None) -> np.ndarray:
-    """All C(n+d-1, d) canonical representatives as one (rows, d) array.
+def _candidates(n: int, d: int, step: int) -> np.ndarray:
+    """The candidates for least among their translates by multiples of
+    step, in order: the sorted rows with first entry < step whose every
+    entry passes the rules of _next_entries, built by _extend.  They hold
+    every row that _least_translates keeps of all rows with first entry
+    < step, so its filter of them is its filter of that whole prefix."""
+    rows = np.arange(step, dtype=np.min_scalar_type(n - 1))[:, None]
+    for _ in range(d - 1):
+        rows = _extend(rows, n, step)
+    return rows
 
-    Rows are in the lexicographic order of enumerate_orbits.  Built by
-    prefix extension (_extend) from the one-entry rows.  Entries use the
-    smallest unsigned dtype that holds n - 1.  With translate_step = L, a
-    divisor of n, only the candidates for least among their translates by
-    multiples of L are built: the rows with first entry < L whose every
-    entry passes the two rules of _next_entries.  At L = n that is every
-    row.  Every row that evaluate._least_translates keeps of the rows with
-    first entry < L is a candidate, so its filter of the candidates is its
-    filter of that whole prefix, in the same order.
+
+def superclass_array(n: int, d: int, translate_step: int | None = None) -> np.ndarray:
+    """The canonical representatives least among their translates
+    Y + cL*1 mod n, re-sorted, for L = translate_step a divisor of n, as
+    one (rows, d) array: _least_translates of _candidates, so each class of
+    translates keeps its first row; all C(n+d-1, d) at L = n, the default.
+    Rows are in the lexicographic order of enumerate_orbits; entries use
+    the smallest unsigned dtype that holds n - 1.
     """
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -232,44 +324,47 @@ def superclass_array(n: int, d: int, translate_step: int | None = None) -> np.nd
     step = n if translate_step is None else translate_step
     if step < 1 or n % step:
         raise ValueError(f"translate_step must be a positive divisor of {n}, got {step}")
-    rows = np.arange(step, dtype=np.min_scalar_type(n - 1))[:, None]
-    for _ in range(d - 1):
-        rows = _extend(rows, n, step)
-    return rows
+    return _least_translates(_candidates(n, d, step), n, step)
 
 
 def superclass_chunks(n: int, d: int, translate_step: int, rows: int) -> Iterator[np.ndarray]:
     """The rows of superclass_array(n, d, translate_step), in order, as
-    consecutive blocks of 1 to `rows` rows, without building them all.
+    consecutive blocks of 1 to `rows` rows, without building them all: each
+    block of _candidate_chunks filtered by _least_translates in turn, less
+    the blocks it empties.  When the rows with first entry < translate_step
+    are at most `rows`, the one block is superclass_array(n, d,
+    translate_step)."""
+    if min(n, d, rows, translate_step) < 1 or n % translate_step:
+        raise ValueError(f"need n, d, rows >= 1 and translate_step dividing n, got {n}, {d}, {rows}, {translate_step}")
+    blocks = _candidate_chunks(n, d, translate_step, rows)
+    yield from filter(len, map(partial(_least_translates, n=n, step=translate_step), blocks))  # holds no candidates
 
-    The d-entry rows are the extensions (_extend) of the (d-1)-entry rows,
-    which come in blocks from this function at d - 1.  Each of those blocks
-    is cut into runs that extend to at most `rows` rows, counted by
-    _next_entries; a single row that extends to more (only when rows < n)
-    is extended alone and sliced, and a run that extends to none is
-    skipped.  When the rows with first entry < translate_step, of which
-    the candidates are some, are at most `rows`, the one block is
-    superclass_array(n, d, translate_step).
-    """
-    if rows < 1 or translate_step < 1 or n % translate_step:
-        raise ValueError(f"need rows >= 1 and translate_step dividing {n}, got {rows} and {translate_step}")
-    if orbit_count(n, d) - orbit_count(n - translate_step, d) <= rows:
-        yield superclass_array(n, d, translate_step)
+
+def _candidate_chunks(n: int, d: int, step: int, rows: int) -> Iterator[np.ndarray]:
+    """_candidates(n, d, step) in consecutive blocks of 1 to `rows` rows,
+    one block when the rows with first entry < step fit.  Otherwise they are
+    the extensions (_extend) of the (d-1)-entry candidates, which come in
+    blocks from this function at d - 1, each cut into runs that extend to
+    at most `rows` rows, counted by _next_entries; a single row that
+    extends to more (only when rows < n) is extended alone and sliced, and
+    a run that extends to none is skipped."""
+    if orbit_count(n, d) - orbit_count(n - step, d) <= rows:
+        yield _candidates(n, d, step)
         return
     if d == 1:
-        yield from _slices(superclass_array(n, 1, translate_step), rows)
+        yield from _slices(_candidates(n, 1, step), rows)
         return
-    for block in superclass_chunks(n, d - 1, translate_step, rows):
-        ends = np.cumsum(_next_entries(block, n, translate_step)[1])
+    for block in _candidate_chunks(n, d - 1, step, rows):
+        ends = np.cumsum(_next_entries(block, n, step)[1])
         i = 0
         while i < len(block):
             done = ends[i - 1] if i else 0
             j = int(np.searchsorted(ends, done + rows, side="right"))
             if j == i:
                 j = i + 1
-                yield from _slices(_extend(block[i:j], n, translate_step), rows)
+                yield from _slices(_extend(block[i:j], n, step), rows)
             elif ends[j - 1] > done:
-                yield _extend(block[i:j], n, translate_step)
+                yield _extend(block[i:j], n, step)
             i = j
 
 

@@ -18,8 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .evaluate import _BLOCK_CELLS, DEFAULT_BUDGET, values_on_block
-from .orbits import OrbitRep, enumerate_orbits, orbit_arrays, orbit_count
+from .evaluate import DEFAULT_BUDGET, values_on_block
+from .orbits import _BLOCK_CELLS, OrbitRep, enumerate_orbits, orbit_arrays, orbit_count
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
 
     The N^2 evaluations count against budget before any work.  Every
     orbit's elements and size come from one orbits.orbit_arrays pass, its
-    rows in the order of evaluate.orbit_array, which values_on_block takes
+    rows in the order of orbits.orbit_array, which values_on_block takes
     in place of building that array.
     """
     count = orbit_count(n, d)

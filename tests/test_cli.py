@@ -118,6 +118,13 @@ def test_eval_separator_before_n_ends_options(capsys):
     assert run_cli(["eval", "--oracle", "--", "3", "0", "1", "--", "1", "2"], capsys)[1].startswith(expected[1])
 
 
+def test_eval_oracle_above_the_permanent_cutoff_prints_nothing(capsys):
+    # d = 11 is refused before the counts and value lines are printed
+    code, out, err = run_cli(["eval", "3", *"0" * 10, "1", "--oracle", "--", *"1" * 11], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "DimensionTooLarge"
+
+
 def test_eval_without_n(capsys):
     code, _, err = run_cli(["eval"], capsys)
     assert code == 2
@@ -459,15 +466,20 @@ def test_walk_rejects_nonpositive_n_and_d(argv, capsys):
         (["reduce", "1", "0", "--grid", "3"], []),
         (["reduce", "5", "1", "2", "--grid", "0"], [[1, 0], [0, 2]]),
         (["reduce", "5", "1", "2", "--grid", "-1"], [[1, 0], [0, 2]]),
+        # 47^2 = 2,209 samples over a budget of 10: exit 3, after the same two lines
+        (
+            ["reduce", "47", "1", "2", "44", "--grid", "47", "--budget", "10"],
+            [[1, -18, 0, 13, -14, 18], [0, -5, -3, -7, 7, 8]],
+        ),
     ],
 )
 def test_reduce_rejects_unsampleable_grid(argv, exponent_rows, capsys):
     code, out, err = run_cli(argv, capsys)
-    assert code == 2
+    assert (code, json.loads(err)["error"]) == ((3, "budget_exceeded") if "--budget" in argv else (2, "usage"))
     lines = out.splitlines()
     assert len(lines) == 2 and json.loads(lines[0])["complete"] is True
     assert json.loads(lines[1])["rows"] == exponent_rows
-    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+    assert len(err.splitlines()) == 1
 
 
 def test_reduce_command(capsys):

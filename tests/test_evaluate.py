@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symchar import evaluate
+from symchar import evaluate, orbits
 from symchar.errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from symchar.evaluate import (
     DEDUPE_DECIMALS,
@@ -17,7 +17,6 @@ from symchar.evaluate import (
     dedupe_values,
     dot_counts,
     image,
-    orbit_array,
     orbit_sweeps,
     permanent_oracle,
     roots_of_unity,
@@ -31,6 +30,7 @@ from symchar.orbits import (
     canonicalize,
     distinct_permutations,
     enumerate_orbits,
+    orbit_array,
     orbit_count,
     orbit_size,
     rotation_order,
@@ -38,6 +38,7 @@ from symchar.orbits import (
     superclass_array,
     superclass_chunks,
 )
+from test_orbits import divisors, least_translates_reference, prefix_rows
 
 
 def e(t):
@@ -398,7 +399,8 @@ def _orbits(draw):
 @example(canonicalize((4,), 8), 7)  # d = 1, L = 2
 def test_image_matches_full_sweep(rep, cells):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the prefix into blocks
+        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the kernel's blocks
+        mp.setattr(orbits, "_BLOCK_CELLS", cells)  # and the least-translate filter's slices
         values = image(rep)
     assert repr(values) == repr(full_sweep_image(rep))
 
@@ -486,27 +488,6 @@ def test_multi_chunk_image_peak_memory():
     assert peak < rows * np.dtype(complex).itemsize / 2
 
 
-def least_translates_reference(rows, n, step):
-    """The rows that equal the least of their translates y + c*step*1 mod n,
-    re-sorted, one translate at a time: a row is dropped when a translate
-    is smaller at the first entry where the two differ.  Returned as an
-    int64 array."""
-    y = np.asarray(rows, dtype=np.int64)
-    least = np.ones(len(y), dtype=bool)
-    for c in range(1, n // step):
-        t = np.sort((y + c * step) % n, axis=1)
-        differ = t != y
-        at = differ.argmax(axis=1)[:, None]
-        least &= ~differ.any(axis=1) | (np.take_along_axis(y, at, 1) < np.take_along_axis(t, at, 1))[:, 0]
-    return y[least]
-
-
-def prefix_rows(n, d, step):
-    """Every superclass row with first entry < step, unpruned."""
-    full = superclass_array(n, d)
-    return full[full[:, 0] < step]
-
-
 def test_image_sweeps_only_least_translates(monkeypatch):
     seen = []
     real = evaluate.values_on_block
@@ -525,48 +506,44 @@ def test_image_sweeps_only_least_translates(monkeypatch):
     assert info.value.required == len(full)
 
 
-def divisors(n):
-    return [s for s in range(1, n + 1) if n % s == 0]
-
-
 def test_least_translates_matches_brute_force():
     for n in range(1, 13):
         for d in range(1, 6):
             for step in divisors(n):
                 rows = prefix_rows(n, d, step)
-                got = evaluate._least_translates(rows, n, step)
+                got = orbits._least_translates(rows, n, step)
                 assert got.dtype == rows.dtype
                 assert np.array_equal(got, least_translates_reference(rows, n, step)), (n, d, step)
 
 
 def test_least_translates_of_the_candidates_is_that_of_the_prefix():
-    # superclass_array(n, d, step) prunes by two necessary rules only; the
+    # orbits._candidates(n, d, step) prunes by two necessary rules only; the
     # filter must keep from it exactly the rows it keeps of the whole prefix
     for n in range(1, 31):
         for d in range(1, 6):
             for step in divisors(n):
-                got = evaluate._least_translates(superclass_array(n, d, step), n, step)
+                got = orbits._least_translates(orbits._candidates(n, d, step), n, step)
                 assert np.array_equal(got, least_translates_reference(prefix_rows(n, d, step), n, step)), (n, d, step)
 
 
 @pytest.mark.parametrize("d, step, every", [(2, 1, 1), (2, 4, 1), (2, 150, 1), (3, 1, 37), (3, 2, 97)])
 def test_least_translates_of_uint16_rows(d, step, every):
-    rows = superclass_array(300, d, step)[::every]
+    rows = orbits._candidates(300, d, step)[::every]
     assert rows.dtype == np.uint16
-    assert np.array_equal(evaluate._least_translates(rows, 300, step), least_translates_reference(rows, 300, step))
+    assert np.array_equal(orbits._least_translates(rows, 300, step), least_translates_reference(rows, 300, step))
     if every == 1:
         expected = least_translates_reference(prefix_rows(300, d, step), 300, step)
-        assert np.array_equal(evaluate._least_translates(rows, 300, step), expected)
+        assert np.array_equal(orbits._least_translates(rows, 300, step), expected)
 
 
 def test_least_translates_over_two_limbs():
     # base 4 digits at d = 30 and base 256 digits at d = 8 need two limbs
-    assert evaluate._translate_key_weights(3, 30).shape == (61, 60)
-    assert evaluate._translate_key_weights(255, 8).shape == (17, 16)
+    assert orbits._translate_key_weights(3, 30).shape == (61, 60)
+    assert orbits._translate_key_weights(255, 8).shape == (17, 16)
     for step in (1, 3):
         expected = least_translates_reference(prefix_rows(3, 30, step), 3, step)
-        assert np.array_equal(evaluate._least_translates(prefix_rows(3, 30, step), 3, step), expected)
-        assert np.array_equal(evaluate._least_translates(superclass_array(3, 30, step), 3, step), expected)
+        assert np.array_equal(orbits._least_translates(prefix_rows(3, 30, step), 3, step), expected)
+        assert np.array_equal(superclass_array(3, 30, step), expected)
     # cyclic gaps (a, a, a, a, a, a, b, c) with b, c > a, started at every
     # position: the keys of the translates that start a run of a's agree in
     # the first limb (the first entry and five gaps) and differ in the second
@@ -575,7 +552,7 @@ def test_least_translates_over_two_limbs():
     for step in (1, 5, 17):
         firsts = np.arange(len(starts)) % step
         rows = np.cumsum(np.column_stack([firsts, starts]), axis=1).astype(np.uint8)
-        assert np.array_equal(evaluate._least_translates(rows, 255, step), least_translates_reference(rows, 255, step))
+        assert np.array_equal(orbits._least_translates(rows, 255, step), least_translates_reference(rows, 255, step))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 40])
@@ -585,9 +562,10 @@ def test_least_translates_over_two_limbs():
 def test_least_translates_of_blocks_is_that_of_the_prefix(n, d, step, rows, monkeypatch):
     # the candidates in blocks; uint16 entries at n = 300, two-limb keys at d = 30
     expected = least_translates_reference(prefix_rows(n, d, step), n, step)
-    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 50)  # a few rows per slice
-    blocks = [evaluate._least_translates(b, n, step) for b in superclass_chunks(n, d, step, rows)]
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 50)  # a few rows per slice
+    blocks = [orbits._least_translates(b, n, step) for b in orbits._candidate_chunks(n, d, step, rows)]
     assert np.array_equal(np.concatenate(blocks), expected)
+    assert np.array_equal(np.concatenate(list(superclass_chunks(n, d, step, rows))), expected)
 
 
 def test_max_modulus_at_zero():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symchar import orbits
 from symchar.orbits import (
     OrbitRep,
     canonicalize,
@@ -203,14 +204,45 @@ def candidates_reference(n, d, step):
     ]
 
 
+def least_translates_reference(rows, n, step):
+    """The rows that equal the least of their translates y + c*step*1 mod n,
+    re-sorted, one translate at a time: a row is dropped when a translate
+    is smaller at the first entry where the two differ.  Returned as an
+    int64 array."""
+    y = np.asarray(rows, dtype=np.int64)
+    least = np.ones(len(y), dtype=bool)
+    for c in range(1, n // step):
+        t = np.sort((y + c * step) % n, axis=1)
+        differ = t != y
+        at = differ.argmax(axis=1)[:, None]
+        least &= ~differ.any(axis=1) | (np.take_along_axis(y, at, 1) < np.take_along_axis(t, at, 1))[:, 0]
+    return y[least]
+
+
+def prefix_rows(n, d, step):
+    """Every superclass row with first entry < step, unpruned."""
+    full = superclass_array(n, d)
+    return full[full[:, 0] < step]
+
+
+@lru_cache(maxsize=None)
+def least_reference(n, d, step):
+    """What superclass_array(n, d, step) must hold, as an int64 array."""
+    return least_translates_reference(prefix_rows(n, d, step), n, step)
+
+
 def test_superclass_array_translate_step_gives_the_candidates():
+    # the private builder makes the candidates; the public array keeps
+    # the least translates of the whole prefix
     for n in range(1, 13):
         for d in range(1, 7):
             full = superclass_array(n, d)
             for step in divisors(n):
+                candidates = orbits._candidates(n, d, step)
+                assert candidates.tolist() == candidates_reference(n, d, step), (n, d, step)
                 part = superclass_array(n, d, step)
-                assert part.dtype == full.dtype
-                assert part.tolist() == candidates_reference(n, d, step), (n, d, step)
+                assert part.dtype == candidates.dtype == full.dtype
+                assert np.array_equal(part, least_reference(n, d, step)), (n, d, step)
             assert np.array_equal(superclass_array(n, d, n), full)  # L = n: every row
     assert np.array_equal(superclass_array(5, 3, None), superclass_array(5, 3))
     for bad in (0, 6, -1, 2):
@@ -220,6 +252,11 @@ def test_superclass_array_translate_step_gives_the_candidates():
         superclass_array(12, 3, 5)
 
 
+def assert_blocks(chunks, rows, dtype, expected):
+    assert all(1 <= len(c) <= rows and c.dtype == dtype for c in chunks)
+    assert np.concatenate(chunks).tolist() == list(expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 5), st.data())
 def test_superclass_chunks_are_the_candidates_in_blocks(n, d, data):
@@ -227,10 +264,11 @@ def test_superclass_chunks_are_the_candidates_in_blocks(n, d, data):
     rows = data.draw(st.sampled_from([1, 2, 3, 7, 40]) | st.integers(1, 2000))
     part = superclass_array(n, d, step)
     chunks = list(superclass_chunks(n, d, step, rows))
-    assert all(1 <= len(c) <= rows and c.dtype == part.dtype for c in chunks)
-    assert np.concatenate(chunks).tolist() == candidates_reference(n, d, step)
+    assert_blocks(chunks, rows, part.dtype, least_reference(n, d, step).tolist())
+    candidates = list(orbits._candidate_chunks(n, d, step, rows))
+    assert_blocks(candidates, rows, part.dtype, candidates_reference(n, d, step))
     if orbit_count(n, d) - orbit_count(n - step, d) <= rows:  # the rows with first entry < step
-        assert len(chunks) == 1
+        assert len(chunks) == len(candidates) == 1
 
 
 def test_superclass_chunks_wide_entries_and_validation():
@@ -248,9 +286,9 @@ def test_superclass_chunks_wide_entries_and_validation():
 def test_superclass_chunks_narrower_than_one_row_extension(d, step, rows):
     # rows < n: a row ending in a small entry extends to more than `rows`
     # rows, which are sliced; entries are uint16
-    chunks = list(superclass_chunks(300, d, step, rows))
-    assert all(1 <= len(c) <= rows and c.dtype == np.uint16 for c in chunks)
-    assert np.concatenate(chunks).tolist() == candidates_reference(300, d, step)
+    assert_blocks(list(superclass_chunks(300, d, step, rows)), rows, np.uint16, least_reference(300, d, step).tolist())
+    candidates = list(orbits._candidate_chunks(300, d, step, rows))
+    assert_blocks(candidates, rows, np.uint16, candidates_reference(300, d, step))
 
 
 def test_superclass_chunks_of_one_entry():
