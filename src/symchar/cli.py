@@ -263,17 +263,27 @@ def _verify_permanent(args) -> int:
     total = orbit_count(n, d) * args.samples
     BudgetExceeded.check(total, args.budget)
     rng = random.Random(args.seed)
-    bad = 0
+    line = {"check": "permanent", "n": n, "d": d, "samples": total, "failures": 0}
     for rep in enumerate_orbits(n, d):
         ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
-        bad += int((abs(supercharacter(rep, ys) - permanent_oracle(rep, ys)) > TOL).sum())
-    print(json.dumps({"check": "permanent", "n": n, "d": d, "samples": total, "failures": bad}))
-    return 0 if bad == 0 else 1
+        values, oracle = supercharacter(rep, ys), permanent_oracle(rep, ys)
+        bad = (abs(values - oracle) > TOL).nonzero()[0].tolist()
+        if bad and "witness" not in line:  # the first failing orbit and its first failing y
+            i = bad[0]
+            line["witness"] = {
+                "orbit": rep,
+                "y": ys[i],
+                "supercharacter": complex(values[i]),
+                "oracle": complex(oracle[i]),
+            }
+        line["failures"] += len(bad)
+    print(json.dumps(line, default=_encode))
+    return 0 if line["failures"] == 0 else 1
 
 
 def _verify_unitary(args) -> int:
     uni = table.build_unitary(table.build_table(args.n, args.d, budget=args.budget))
-    ok = uni.residual_symmetry <= 1e-9 and uni.residual_unitary <= 1e-8
+    ok = uni.residual_symmetry <= table.RESIDUAL_SYMMETRY_MAX and uni.residual_unitary <= table.RESIDUAL_UNITARY_MAX
     print(
         json.dumps(
             {

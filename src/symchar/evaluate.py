@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from .orbits import (
-    _BLOCK_CELLS,
     OrbitRep,
+    block_rows,
     enumerate_orbits,
     orbit_array,
     orbit_count,
@@ -95,8 +95,8 @@ def dot_counts(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray:
     n = rep.n
     block, lead = _point_block(y, n, rep.d)
     elems = orbit_array(rep)
-    # every temporary below has at most _BLOCK_CELLS cells
-    step = max(1, _BLOCK_CELLS // max(len(elems), n))
+    # every temporary below fits in one block
+    step = block_rows(max(len(elems), n))
     counts = np.empty((len(block), n), dtype=np.int64)
     for lo in range(0, len(block), step):
         dots = block[lo : lo + step] @ elems.T
@@ -161,8 +161,8 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
     is a sum of |C|! unit terms, and so is every partial sum bounded, so
     the rounding error stays near d * d! ulp.  Ryser's formula instead adds
     row-sum products as large as d^d that cancel down to per(M), which at
-    d = 10 costs it three more digits.  Points go through in chunks of
-    about _BLOCK_CELLS products.
+    d = 10 costs it three more digits.  Points go through in blocks of
+    orbits.block_rows(C) points, C the products of the widest layer.
     """
     n, d = rep.n, rep.d
     if d > PERMANENT_MAX_D:
@@ -171,7 +171,7 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
     x = np.array(rep.entries, dtype=np.int64)
     layers = _column_set_layers(d)
     table = roots_of_unity(n)
-    step = max(1, _BLOCK_CELLS // max(cols.size for _, cols in layers))
+    step = block_rows(max(cols.size for _, cols in layers))
     per = np.empty(len(block), dtype=complex)
     for lo in range(0, len(block), step):
         mats = table[(x[:, None] * block[lo : lo + step, None, :]) % n]  # M of each point
@@ -323,21 +323,21 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     Every entry of `elems` and `block` must lie in [0, n), as in orbit,
     superclass and odometer rows, so that each dot product x.y is an
-    integer in [0, top] with top = d(n-1)^2.  When top < _BLOCK_CELLS the
+    integer in [0, top] with top = d(n-1)^2.  When top < block_rows(1) the
     dots come from a float64 matmul, exact since every partial sum is an
     integer below 2^53, and index the root table repeated out to length
     top + 1, so no mod is taken.  Otherwise they come from an int64 matmul
     reduced mod n.  Each row is then the sum of its roots over the rows of
     elems in order, so a value is bitwise the same in either branch and in
-    any block.  The rows go through _BLOCK_CELLS cells at a time, in
-    scratch arrays allocated once per call.
+    any block.  The rows go through in blocks of block_rows(r), in scratch
+    arrays allocated once per call.
     """
     r, d = elems.shape
     top = d * (n - 1) ** 2
-    periodic = top < _BLOCK_CELLS
+    periodic = top < block_rows(1)  # the table, top + 1 roots long, fits in one block
     kind = np.float64 if periodic else np.int64
     table = _periodic_roots(n, top) if periodic else roots_of_unity(n)
-    step = max(1, _BLOCK_CELLS // r)
+    step = block_rows(r)
     rows = min(step, len(block))
     xs = elems.T.astype(kind)
     ys = np.empty((rows, d), dtype=kind)

@@ -50,8 +50,8 @@ from .evaluate import (
 )
 from .modring import solve_bilinear_congruence
 from .orbits import (
-    _BLOCK_CELLS,
     OrbitRep,
+    block_rows,
     canonicalize,
     enumerate_orbits,
     negate_orbit,
@@ -245,12 +245,12 @@ def _reflection_shifts(reps: np.ndarray, n: int) -> np.ndarray:
     orbit X whose sorted entries are row i of the int64 array reps.
 
     r*1 - X re-sorted is the sort of (r - X[::-1]) mod n, taken for every r
-    at once, about _BLOCK_CELLS cells at a time.
+    at once, in blocks of block_rows(n * d).
     """
     d = reps.shape[1]
     r = np.arange(n)[:, None]
     fixed = np.empty((len(reps), n), dtype=bool)
-    step = max(1, _BLOCK_CELLS // (n * d))
+    step = block_rows(n * d)
     for lo in range(0, len(reps), step):
         x = reps[lo : lo + step]
         mirrored = np.sort((r - x[:, None, ::-1]) % n, axis=2)

@@ -10,7 +10,9 @@ at n) as one array or in blocks of rows; only this module chooses them.
 Every orbit's elements come as one array (orbit_array) or grouped from one
 pass over the points (orbit_arrays), in lexicographic order, and the
 orbits first in their class under the unit multipliers are flagged in one
-pass over the representatives (unit_class_firsts).
+pass over the representatives (unit_class_firsts).  This module also holds
+the one rule by which every array pass of the package sizes its blocks
+(block_rows).
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ import numpy as np
 # evaluation blocks are capped at this many (orbit element, point) pairs,
 # so that their scratch arrays (about 2 MB in evaluate.root_sums) stay in cache
 _BLOCK_CELLS = 65_536
+
+
+def block_rows(width: int) -> int:
+    """How many rows of `width` cells one block holds: _BLOCK_CELLS // width,
+    at least one, so block_rows(1) is the block's cell count.  _BLOCK_CELLS
+    is read at each call, so that setting it resizes every array pass."""
+    return max(1, _BLOCK_CELLS // width)
 
 
 @dataclass(frozen=True)
@@ -226,13 +235,13 @@ def _least_translates(block: np.ndarray, n: int, step: int) -> np.ndarray:
     translate is at least the key of the entry it puts first.  So a row,
     whose own key is key 0, is least exactly when key 0 is at most every
     key k, compared limb by limb, and each class of translates keeps one
-    row.  Rows go through about _BLOCK_CELLS cells at a time.
+    row.  Rows go through in blocks of block_rows(max(w.shape)).
     """
     if step == n:
         return block
     d = block.shape[1]
     w = _translate_key_weights(n, d)
-    size = max(1, _BLOCK_CELLS // max(w.shape))
+    size = block_rows(max(w.shape))
     keep = np.empty(len(block), dtype=bool)
     for lo in range(0, len(block), size):
         y = block[lo : lo + size].T

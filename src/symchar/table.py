@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .evaluate import DEFAULT_BUDGET, values_on_block
-from .orbits import _BLOCK_CELLS, OrbitRep, enumerate_orbits, orbit_arrays, orbit_count
+from .orbits import OrbitRep, block_rows, enumerate_orbits, orbit_arrays, orbit_count
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,19 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     return SuperTable(n, d, orbits, sizes, values)
 
 
+# the largest residuals max|U - U^T| and max|U U^H - I| that verify unitary passes
+RESIDUAL_SYMMETRY_MAX = 1e-9
+RESIDUAL_UNITARY_MAX = 1e-8
+
+
 def build_unitary(table: SuperTable) -> UnitaryTable:
     """U[i][j] = S[i][j] sqrt(|X_j|) / (sqrt(|X_i|) sqrt(n^d)).
 
-    The residuals max|U - U^T| and max|U U^H - I| are taken in column
-    blocks of about _BLOCK_CELLS cells.  Both matrices have entries of
-    equal modulus across the diagonal (U - U^T is antisymmetric, the Gram
-    matrix Hermitian), so each block lo:hi takes only its rows from lo on:
+    The residuals max|U - U^T| and max|U U^H - I| are taken in blocks of
+    orbits.block_rows(N) columns, rounded down to a multiple of 16 but at
+    least 16.  Both matrices have entries of equal modulus across the
+    diagonal (U - U^T is antisymmetric, the Gram matrix Hermitian), so each
+    block lo:hi takes only its rows from lo on:
     u[lo:, lo:hi] - u[lo:hi, lo:].T, and the Gram block by the same product
     as the whole-array formula u @ u.conj().T restricted to those rows and
     columns.  So U, built in place, is the only N x N array held, and the
@@ -95,7 +101,7 @@ def build_unitary(table: SuperTable) -> UnitaryTable:
     u /= norm
     # blocks start on multiples of 16 columns, so that the BLAS kernel tiles
     # each one as it tiles those rows and columns of the whole product
-    step = max(16, _BLOCK_CELLS // len(u) // 16 * 16)
+    step = max(16, block_rows(len(u)) // 16 * 16)
     edges = list(range(step, len(u), step))
     if edges and edges[-1] == len(u) - 1:
         edges.pop()  # a one-column block would be a matrix-vector product

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import random
 import subprocess
 import sys
 from itertools import chain
@@ -6,7 +9,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from symchar import cli, identities
+from symchar import cli, identities, table
 from symchar.cli import main
 from symchar.report import IdentityReport
 from symchar.orbits import canonicalize, enumerate_orbits
@@ -388,11 +391,17 @@ def test_verify_permanent(capsys, monkeypatch):
     monkeypatch.setattr(cli, "permanent_oracle", lambda rep, ys: blocks.append(len(ys)) or real(rep, ys))
     code, out, _ = run_cli(["verify", "permanent", "--n", "5", "--d", "2", "--samples", "3"], capsys)
     assert code == 0
-    assert json.loads(out)["failures"] == 0
+    assert json.loads(out) == {"check": "permanent", "n": 5, "d": 2, "samples": 45, "failures": 0}
     assert blocks == [3] * 15  # one call per orbit, with all its samples
     monkeypatch.setattr(cli, "permanent_oracle", lambda rep, ys: real(rep, ys) + 1e-8 * (np.arange(len(ys)) % 2))
     code, out, _ = run_cli(["verify", "permanent", "--n", "5", "--d", "2", "--samples", "3"], capsys)
-    assert code == 1 and json.loads(out)["failures"] == 15
+    rec = json.loads(out)
+    assert code == 1 and rec["failures"] == 15
+    # the first orbit, (0, 0), where sigma is 1, and its second sample, the first one broken
+    rng = random.Random(0)
+    y = [[rng.randrange(5) for _ in range(2)] for _ in range(3)][1]
+    orbit = {"n": 5, "entries": [0, 0]}
+    assert rec["witness"] == {"orbit": orbit, "y": y, "supercharacter": [1.0, 0.0], "oracle": [1.0 + 1e-8, 0.0]}
 
 
 def test_verify_unitary(capsys):
@@ -400,6 +409,16 @@ def test_verify_unitary(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["residual_symmetry"] <= 1e-9
+
+
+@pytest.mark.parametrize("field, bound", [("residual_symmetry", 1e-9), ("residual_unitary", 1e-8)])
+def test_verify_unitary_fails_just_above_a_bound(field, bound, capsys, monkeypatch):
+    real = table.build_unitary
+    for residual, code in [(bound, 0), (math.nextafter(bound, math.inf), 1)]:
+        monkeypatch.setattr(table, "build_unitary", lambda tab: dataclasses.replace(real(tab), **{field: residual}))
+        got, out, _ = run_cli(["verify", "unitary", "--n", "3", "--d", "2"], capsys)
+        rec = json.loads(out)
+        assert (got, rec["passed"], rec[field]) == (code, code == 0, residual)
 
 
 @pytest.mark.parametrize(

@@ -104,7 +104,7 @@ def test_dot_counts_matches_reference(n, d, rows, cells, data):
     ys = [[data.draw(entry) for _ in range(d)] for _ in range(rows)]
     expected = [reference_dot_counts(rep, y) for y in ys]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the block
+        mp.setattr(orbits, "_BLOCK_CELLS", cells)  # small caps split the block
         block = dot_counts(rep, np.array(ys, dtype=np.int64).reshape(rows, d))
         singles = [dot_counts(rep, y) for y in ys]
     assert block.shape == (rows, n) and block.dtype == np.int64
@@ -124,7 +124,7 @@ def test_dot_counts_temporaries_stay_under_the_cap(monkeypatch):
         seen.append((x.size, minlength))
         return bincount(x, minlength=minlength)
 
-    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 40)
     monkeypatch.setattr(np, "bincount", spy)
     rep = canonicalize((0, 1, 2), 11)  # 6 orbit elements, 11 residues
     ys = np.arange(3 * 50).reshape(50, 3)
@@ -244,7 +244,7 @@ def test_permanent_oracle_blocks_and_big_entries(monkeypatch):
     rep = canonicalize((0, 1, 1, 3, 5), 7)
     ys = np.random.default_rng(3).integers(0, 7, (40, 5))
     whole = permanent_oracle(rep, ys)
-    monkeypatch.setattr(evaluate, "_BLOCK_CELLS", 1)  # one point per chunk
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 1)  # one point per chunk
     assert np.abs(permanent_oracle(rep, ys) - whole).max() <= 1e-12
     big = [2**63, 2**70 + 1, -(2**64), 3, 4]
     assert abs(permanent_oracle(rep, big) - gray_code_permanent(rep, [v % 7 for v in big])) <= 1e-12
@@ -331,7 +331,7 @@ def test_values_on_block_matches_reference(n, d, rows, cells, dtype, data):
     block = np.array([[data.draw(entry) for _ in range(d)] for _ in range(rows)], dtype=dtype).reshape(rows, d)
     with pytest.MonkeyPatch.context() as mp:
         # top = d(n-1)^2 >= cells takes the mod-n branch; small caps split the rows into blocks
-        mp.setattr(evaluate, "_BLOCK_CELLS", cells)
+        mp.setattr(orbits, "_BLOCK_CELLS", cells)
         assert_kernel_bitwise(rep, block)
 
 
@@ -345,7 +345,7 @@ def test_values_on_block_full_group_and_superclasses(n, entries, cells):
     d = len(entries)
     full = np.array(list(product(range(n), repeat=d)), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "_BLOCK_CELLS", cells)
+        mp.setattr(orbits, "_BLOCK_CELLS", cells)
         assert_kernel_bitwise(rep, full)
         assert_kernel_bitwise(rep, superclass_array(n, d))
         assert_kernel_bitwise(rep, np.empty((0, d), dtype=np.int64))
@@ -399,8 +399,7 @@ def _orbits(draw):
 @example(canonicalize((4,), 8), 7)  # d = 1, L = 2
 def test_image_matches_full_sweep(rep, cells):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "_BLOCK_CELLS", cells)  # small caps split the kernel's blocks
-        mp.setattr(orbits, "_BLOCK_CELLS", cells)  # and the least-translate filter's slices
+        mp.setattr(orbits, "_BLOCK_CELLS", cells)  # small caps split the kernel's blocks and the filter's slices
         values = image(rep)
     assert repr(values) == repr(full_sweep_image(rep))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symchar import evaluate, identities
+from symchar import evaluate, identities, orbits
 from symchar.errors import BudgetExceeded, HypothesisFailed, VerificationFailed
 from symchar.evaluate import TOL, dot_counts, roots_of_unity, supercharacter
 from symchar.modring import CongruenceSolution, solve_bilinear_congruence
@@ -290,7 +290,7 @@ def test_spike_shifts_match_canonicalize_reference():
 
 @pytest.mark.parametrize("cells", [1, 40, 65_536])  # one orbit per block, a few, all
 def test_spike_sweep_shifts_in_blocks(cells, monkeypatch):
-    monkeypatch.setattr(identities, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", cells)
     fixed = identities._reflection_shifts(superclass_array(7, 4).astype(np.int64), 7)
     want = [[r in reference_spike_shifts(rep) for r in range(7)] for rep in enumerate_orbits(7, 4)]
     assert fixed.tolist() == want

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symchar import orbits
+from symchar import evaluate, identities, orbits, table
+from symchar.evaluate import dot_counts, permanent_oracle, values_on_block
 from symchar.orbits import (
     OrbitRep,
     canonicalize,
@@ -302,3 +303,135 @@ def test_rotation_order():
         order = rotation_order(rep)
         assert order * orbit_sum(rep) % 12 == 0
         assert all(k * orbit_sum(rep) % 12 for k in range(1, order))
+
+
+def test_block_rows_is_each_pass_formula_before_it():
+    cells = orbits._BLOCK_CELLS
+    for w in range(1, 2**17 + 1):
+        # each array pass's own formula before block_rows, at a block width w as that pass measured it
+        old = [
+            max(1, cells // max(w, 1)),  # dot_counts: max(len(elems), n)
+            max(1, cells // max([w])),  # permanent_oracle: max(cols.size for _, cols in layers)
+            max(1, cells // w),  # root_sums: r
+            max(1, cells // max((1, w))),  # _least_translates: max(w.shape)
+            max(1, cells // (w * 1)),  # _reflection_shifts: n * d
+        ]
+        assert old == [orbits.block_rows(w)] * 5, w
+    for N in range(1, 3001):  # build_unitary's columns per block
+        assert max(16, orbits.block_rows(N) // 16 * 16) == max(16, cells // N // 16 * 16), N
+
+
+@pytest.mark.parametrize("N", [1, 17, 300, 1001])
+def test_unitary_column_blocks_follow_block_rows(N, monkeypatch):
+    step = max(16, orbits._BLOCK_CELLS // N // 16 * 16)  # the column step before block_rows
+    edges = list(range(step, N, step))
+    if edges and edges[-1] == N - 1:
+        edges.pop()
+    widths = []
+    conj = np.conj
+    monkeypatch.setattr(np, "conj", lambda a: widths.append(len(a)) or conj(a))  # once per column block
+    uni = table.build_unitary(table.SuperTable(1, 1, (), np.ones(N, dtype=np.int64), np.eye(N, dtype=complex)))
+    monkeypatch.undo()
+    assert widths == np.diff([0] + edges + [N]).tolist()
+    assert (uni.residual_symmetry, uni.residual_unitary) == (0.0, 0.0)
+
+
+def test_only_orbits_binds_the_block_size():
+    for module in (evaluate, identities, table):
+        assert not hasattr(module, "_BLOCK_CELLS"), module.__name__
+
+
+def _blocks_seen(name, rows_of, call):
+    """call(), and the rows of each block it hands to np.<name>, read from
+    that call's arguments by rows_of (None skips the call)."""
+    seen = []
+    real = getattr(np, name)
+
+    def spy(*args, **kwargs):
+        rows = rows_of(*args, **kwargs)
+        if rows is not None:
+            seen.append(rows)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, name, spy)
+        out = call()
+    return out, seen
+
+
+def _block_sizes(total, width):
+    step = orbits.block_rows(width)
+    return [min(step, total - lo) for lo in range(0, total, step)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60])
+def test_patching_orbits_alone_splits_every_pass(cells):
+    rng = np.random.default_rng(5)
+    rep = canonicalize((0, 1, 2), 11)  # 6 orbit elements, 11 residues
+    ys = rng.integers(0, 11, (50, 3))
+    rep5 = canonicalize((0, 1, 1, 3, 5), 7)
+    ys5 = rng.integers(0, 7, (40, 5))
+    kernel_cases = [canonicalize(e, n) for n, e in [(1, (0, 0, 0)), (2, (0, 1, 1)), (3, (0, 1, 2)), (13, (0, 1, 3))]]
+    # each full group repeated out to 200 rows, enough for blocks of 60 cells to split
+    fulls = [np.resize(np.array(list(product(range(k.n), repeat=k.d))), (200, k.d)) for k in kernel_cases]
+    reps = superclass_array(7, 4).astype(np.int64)
+    passes = [  # call, the numpy function it calls once per block, rows of that block, rows in all, row width
+        (
+            lambda: dot_counts(rep, ys),
+            "bincount",
+            lambda x, minlength: minlength // 11,
+            len(ys),
+            max(orbit_size(rep), 11),
+        ),
+        (
+            lambda: permanent_oracle(rep5, ys5),
+            "ones",
+            lambda shape, dtype: shape[0],
+            len(ys5),
+            max(cols.size for _, cols in evaluate._column_set_layers(5)),
+        ),
+        (
+            lambda: superclass_array(12, 3, 4),
+            "empty",
+            lambda shape, **kw: None if kw or isinstance(shape, int) else shape[1],  # z = (y mod L, y, 1)
+            len(orbits._candidates(12, 3, 4)),
+            max(orbits._translate_key_weights(12, 3).shape),
+        ),
+        (
+            lambda: identities._reflection_shifts(reps, 7),
+            "sort",
+            lambda a, axis: len(a),
+            len(reps),
+            7 * 4,
+        ),
+    ]
+    branches = set()
+    for k, full in zip(kernel_cases, fulls):
+        periodic = k.d * (k.n - 1) ** 2 < cells  # the branch root_sums takes
+        branches.add(periodic)
+        dtype = np.float64 if periodic else np.int64
+        passes.append(
+            (
+                lambda k=k, full=full: values_on_block(k, full),
+                "matmul",
+                lambda a, b, out, dtype=dtype: len(a) if a.dtype == dtype else -1,
+                len(full),
+                orbit_size(k),
+            )
+        )
+    assert branches == {True, False}  # both root-sum branches
+    for call, name, rows_of, total, width in passes:
+        whole = call()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_BLOCK_CELLS", cells)
+            got, seen = _blocks_seen(name, rows_of, call)
+            want = _block_sizes(total, width)
+        assert len(want) > 1 and seen == want, name
+        if name == "ones":  # a one-point block reduces its products in another order: within an ulp or so
+            assert got.shape == whole.shape and np.abs(got - whole).max() <= 1e-12
+        else:
+            assert _same_bits(got, whole), name
