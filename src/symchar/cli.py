@@ -35,10 +35,10 @@ from .evaluate import (
     dot_counts,
     image,
     permanent_oracle,
-    supercharacter,
+    supercharacters,
 )
 from .modring import solve_bilinear_brute, solve_bilinear_congruence
-from .orbits import OrbitRep, canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
+from .orbits import OrbitRep, block_rows, canonicalize, enumerate_orbits, orbit_count, orbit_size, stabilizer_order
 from .report import ReportBlock, _encode
 
 
@@ -256,6 +256,21 @@ def _verify_hypocycloid(args) -> int:
     return _emit([asymptotic.hypocycloid_orbit_check(args.n, args.d, budget=args.budget)])
 
 
+def _sampled_blocks(n: int, d: int, samples: int, rng: random.Random) -> Iterable[list[tuple[OrbitRep, list]]]:
+    """Every orbit at (n, d) in enumeration order with `samples` points
+    drawn from rng, in blocks of consecutive orbits: one orbit, or as many
+    as hold at most block_rows(1) element-sample pairs or counts."""
+    block, cells = [], 0
+    for rep in enumerate_orbits(n, d):
+        width = samples * max(orbit_size(rep), n)
+        if block and cells + width > block_rows(1):
+            yield block
+            block, cells = [], 0
+        block.append((rep, [[rng.randrange(n) for _ in range(d)] for _ in range(samples)]))
+        cells += width
+    yield block
+
+
 def _verify_permanent(args) -> int:
     n, d = args.n, args.d
     if args.samples < 1:
@@ -264,19 +279,20 @@ def _verify_permanent(args) -> int:
     BudgetExceeded.check(total, args.budget)
     rng = random.Random(args.seed)
     line = {"check": "permanent", "n": n, "d": d, "samples": total, "failures": 0}
-    for rep in enumerate_orbits(n, d):
-        ys = [[rng.randrange(n) for _ in range(d)] for _ in range(args.samples)]
-        values, oracle = supercharacter(rep, ys), permanent_oracle(rep, ys)
-        bad = (abs(values - oracle) > TOL).nonzero()[0].tolist()
-        if bad and "witness" not in line:  # the first failing orbit and its first failing y
-            i = bad[0]
-            line["witness"] = {
-                "orbit": rep,
-                "y": ys[i],
-                "supercharacter": complex(values[i]),
-                "oracle": complex(oracle[i]),
-            }
-        line["failures"] += len(bad)
+    for block in _sampled_blocks(n, d, args.samples, rng):
+        reps, points = zip(*block)
+        for rep, ys, values in zip(reps, points, supercharacters(reps, points)):
+            oracle = permanent_oracle(rep, ys)
+            bad = (abs(values - oracle) > TOL).nonzero()[0].tolist()
+            if bad and "witness" not in line:  # the first failing orbit and its first failing y
+                i = bad[0]
+                line["witness"] = {
+                    "orbit": rep,
+                    "y": ys[i],
+                    "supercharacter": complex(values[i]),
+                    "oracle": complex(oracle[i]),
+                }
+            line["failures"] += len(bad)
     print(json.dumps(line, default=_encode))
     return 0 if line["failures"] == 0 else 1
 

@@ -15,7 +15,6 @@ identities become exact index shifts and reversals along the last axis.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import floor
 from numbers import Integral
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -43,6 +42,8 @@ DEDUPE_DECIMALS = 9
 TOL = 1e-9
 # image sweeps go through _dedupe_chunks in blocks of at most this many rows
 _CHUNK_ROWS = 1 << 18
+# complex terms in one block (128 float lanes) of numpy's pairwise sum
+_PAIRWISE_TERMS = 64
 # A value shares its rounded key only with values within 1e-9 in both
 # coordinates, so within (1 + _SLANT) * 1e-9 along p = re + _SLANT * im.
 # _NEAR covers that and the float error of p and of its gaps while every
@@ -123,6 +124,29 @@ def counts_value(counts: np.ndarray) -> np.ndarray | complex:
 def supercharacter(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray | complex:
     """sigma_X(y) for X the orbit of rep, at one point or at each row of a block."""
     return counts_value(dot_counts(rep, y))
+
+
+def supercharacters(reps: Sequence[OrbitRep], ys: Sequence | np.ndarray) -> np.ndarray:
+    """supercharacter(reps[i], ys[i]) for each of k orbits at one n, bitwise,
+    as a (k, samples) array; ys has shape (k, samples, d), integer entries
+    in [0, n).
+
+    The counts of all k orbits come from one bincount keyed by (orbit,
+    sample, t) over their elements, then go through one counts_value, so
+    the caller bounds the block by its element-sample pairs.  One orbit
+    goes through supercharacter, whose dot_counts blocks its points.
+    """
+    if len(reps) == 1:
+        return supercharacter(reps[0], ys[0])[None]
+    n = reps[0].n
+    ys = np.asarray(ys, dtype=np.int64)
+    k, samples, _ = ys.shape
+    elems = [orbit_array(rep) for rep in reps]
+    owner = np.repeat(np.arange(k), [len(e) for e in elems])  # the orbit of each element
+    dots = np.einsum("ed,esd->es", np.concatenate(elems), ys[owner]) % n
+    dots += (owner[:, None] * samples + np.arange(samples)) * n
+    counts = np.bincount(dots.ravel(), minlength=k * samples * n)
+    return counts_value(counts.reshape(k, samples, n))
 
 
 @lru_cache(maxsize=16)
@@ -273,25 +297,22 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
 def _unmatched(a: Iterable[complex], b: Iterable[complex]) -> list[complex]:
     """The points of a, in order, with no point of b within TOL.
 
-    b goes into buckets on a grid of width 2*TOL, so a point within TOL of
-    z lies in the 3x3 block of buckets around z's own.
+    A point within TOL of z has a real part within TOL of z's, so b is
+    sorted by real part, and z is compared only with the points of b whose
+    real parts lie in [re z - 2*TOL, re z + 2*TOL], found by searchsorted:
+    every such (z, w) pair is tested for |z - w| <= TOL in one array pass.
     """
-    tol = TOL
-    width = 2.0 * tol
-    buckets: dict[tuple[int, int], list[complex]] = {}
-    for w in b:
-        buckets.setdefault((floor(w.real / width + 0.5), floor(w.imag / width + 0.5)), []).append(w)
-
-    def matched(z: complex) -> bool:
-        kr, ki = floor(z.real / width + 0.5), floor(z.imag / width + 0.5)
-        for dr in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                for w in buckets.get((kr + dr, ki + di), ()):
-                    if abs(z - w) <= tol:
-                        return True
-        return False
-
-    return [z for z in a if not matched(z)]
+    a = list(a)
+    near = np.array(list(b), dtype=complex)
+    near = near[np.argsort(near.real, kind="stable")]
+    za = np.array(a, dtype=complex)
+    lo = np.searchsorted(near.real, za.real - 2.0 * TOL, side="left")
+    count = np.searchsorted(near.real, za.real + 2.0 * TOL, side="right") - lo
+    point = np.repeat(np.arange(len(a)), count)  # each candidate pair's point of a
+    pair = np.arange(len(point)) + np.repeat(lo - (np.cumsum(count) - count), count)  # and of near
+    matched = np.zeros(len(a), dtype=bool)
+    matched[point[np.abs(za[point] - near[pair]) <= TOL]] = True
+    return [z for z, hit in zip(a, matched.tolist()) if not hit]
 
 
 def cloud_difference(a: Iterable[complex], b: Iterable[complex]) -> tuple[list[complex], list[complex]]:
@@ -321,22 +342,33 @@ def rotation_witness(values: Sequence[complex], fold: int) -> tuple[complex, com
 def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     """sum over rows x of elems of e(x.y / n), at each row y of `block`.
 
+    elems is one orbit's rows, shape (r, d), giving (rows,) values, or a
+    stack of k orbits of r rows each, shape (k, r, d), giving (k, rows).
     Every entry of `elems` and `block` must lie in [0, n), as in orbit,
     superclass and odometer rows, so that each dot product x.y is an
     integer in [0, top] with top = d(n-1)^2.  When top < block_rows(1) the
     dots come from a float64 matmul, exact since every partial sum is an
     integer below 2^53, and index the root table repeated out to length
     top + 1, so no mod is taken.  Otherwise they come from an int64 matmul
-    reduced mod n.  Each row is then the sum of its roots over the rows of
-    elems in order, so a value is bitwise the same in either branch and in
-    any block.  The rows go through in blocks of block_rows(r), in scratch
-    arrays allocated once per call.
+    reduced mod n.  For one orbit each row is then the sum of its roots
+    over the rows of elems, by numpy's sum along the row, so a value is
+    bitwise the same in either branch and in any block.  The rows go
+    through in blocks of block_rows(r), in scratch arrays allocated once
+    per call.  A stack of k > r orbits with r <= _PAIRWISE_TERMS goes
+    through _stacked_sums, whose values are bitwise those of one call per
+    orbit.  Any other stack is summed orbit by orbit: its r passes would
+    outnumber k calls, or its rows span more than one block of numpy's
+    pairwise sum.
     """
-    r, d = elems.shape
+    r, d = elems.shape[-2:]
+    if elems.ndim == 3 and (len(elems) <= r or r > _PAIRWISE_TERMS):
+        return np.array([root_sums(n, e, block) for e in elems]).reshape(len(elems), len(block))
     top = d * (n - 1) ** 2
     periodic = top < block_rows(1)  # the table, top + 1 roots long, fits in one block
-    kind = np.float64 if periodic else np.int64
     table = _periodic_roots(n, top) if periodic else roots_of_unity(n)
+    if elems.ndim == 3:
+        return _stacked_sums(n, elems, block, table, periodic)
+    kind = np.float64 if periodic else np.int64
     step = block_rows(r)
     rows = min(step, len(block))
     xs = elems.T.astype(kind)
@@ -358,10 +390,90 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pairwise_add(r: int, term: Callable[[int, np.ndarray], None], acc: np.ndarray, out: np.ndarray) -> None:
+    """out = the sum of terms 0 .. r-1, r <= _PAIRWISE_TERMS, entry by entry,
+    in the order numpy's complex add.reduce adds the terms of one row.
+
+    term(p, a) writes term p into the array a; acc holds min(r, 4) + 1
+    scratch arrays of out's shape.  A row of at most 128 float lanes is one
+    block of numpy's pairwise sum: fewer than four terms are added in
+    order; otherwise terms 0-3 start four accumulators, term p goes into
+    accumulator p mod 4 while a full group of four remains, the
+    accumulators are added as (a0 + a1) + (a2 + a3) and the leftover terms
+    in order.  The reduction then adds the sum to its initial 0.0.
+    """
+    if r < 4:
+        total, spare = acc[0], acc[1]
+        term(0, total)
+        for p in range(1, r):
+            term(p, spare)
+            total += spare
+    else:
+        total, spare = acc[0], acc[4]
+        for p in range(4):
+            term(p, acc[p])
+        full = r - r % 4
+        for p in range(4, full):
+            term(p, spare)
+            acc[p % 4] += spare
+        total += acc[1]
+        acc[2] += acc[3]
+        total += acc[2]
+        for p in range(full, r):
+            term(p, spare)
+            total += spare
+    np.add(total, 0.0, out=out)
+
+
+def _stacked_sums(n: int, elems: np.ndarray, block: np.ndarray, table: np.ndarray, periodic: bool) -> np.ndarray:
+    """root_sums of a (k, r, d) stack of orbits, r <= _PAIRWISE_TERMS, as
+    (k, rows), in root_sums' branch (periodic or not) and its root table.
+
+    Each term position p is one (orbits, rows) block: the p-th rows of a
+    block of orbits times the block's points, by the same exact matmul as
+    root_sums, cast to indices (periodic) or reduced mod n, gathered from
+    `table` and added by _pairwise_add in the order of numpy's row sum, so
+    each value is bitwise root_sums of its own orbit.  Blocks hold up to
+    block_rows(1) points and block_rows(4 * points) orbits, so that the
+    four accumulators hold one block of values together, in scratch
+    arrays allocated once per call.
+    """
+    k, r, d = elems.shape
+    kind = np.float64 if periodic else np.int64
+    rows = max(1, min(len(block), block_rows(1)))
+    orbits = min(k, block_rows(4 * rows))
+    xs = np.ascontiguousarray(elems.transpose(1, 0, 2), dtype=kind)  # xs[p]: the p-th row of every orbit
+    ys = np.empty((d, rows), dtype=kind)
+    dots = np.empty(orbits * rows, dtype=kind)
+    idx = np.empty(orbits * rows, dtype=np.intp) if periodic else dots
+    acc = np.empty((min(r, 4) + 1, orbits * rows), dtype=complex)
+    out = np.empty((k, len(block)), dtype=complex)
+    for lo in range(0, len(block), rows):
+        m = min(rows, len(block) - lo)
+        np.copyto(ys[:, :m], block[lo : lo + m].T)
+        for first in range(0, k, orbits):
+            shape = (min(orbits, k - first), m)
+            size = shape[0] * m
+            dot, ind = dots[:size].reshape(shape), idx[:size].reshape(shape)
+
+            def term(p: int, into: np.ndarray) -> None:
+                np.matmul(xs[p, first : first + shape[0]], ys[:, :m], out=dot)
+                if periodic:
+                    np.copyto(ind, dot, casting="unsafe")
+                else:
+                    np.mod(dot, n, out=ind)
+                np.take(table, ind, out=into, mode="clip")
+
+            _pairwise_add(r, term, acc[:, :size].reshape((-1, *shape)), out[first : first + shape[0], lo : lo + m])
+    return out
+
+
 def values_on_block(rep: OrbitRep, block: np.ndarray, elems: np.ndarray | None = None) -> np.ndarray:
     """sigma_X at each row of `block`, whose entries lie in [0, n).  elems,
     the orbit's rows in the order of orbit_array(rep), is that array unless
-    the caller has them (table.build_table)."""
+    the caller has them.  table.build_table instead passes a (k, r, d)
+    stack of k orbits of r elements each, at rep's n, and gets their values
+    as (k, rows), each row bitwise that of its own orbit (root_sums)."""
     return root_sums(rep.n, orbit_array(rep) if elems is None else elems, block)
 
 

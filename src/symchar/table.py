@@ -61,8 +61,10 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
 
     The N^2 evaluations count against budget before any work.  Every
     orbit's elements and size come from one orbits.orbit_arrays pass, its
-    rows in the order of orbits.orbit_array, which values_on_block takes
-    in place of building that array.
+    rows in the order of orbits.orbit_array.  The orbits of one size go to
+    values_on_block as (orbits, size, d) stacks of up to block_rows(N)
+    orbits, so that each call's values fill at most one block; each row is
+    bitwise that of a call on its own orbit's array.
     """
     count = orbit_count(n, d)
     BudgetExceeded.check(count * count, budget)
@@ -71,8 +73,13 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     starts = np.cumsum(sizes) - sizes
     reps = points[starts]  # an orbit's first row is its representative
     values = np.empty((count, count), dtype=complex)
-    for i, (rep, lo, hi) in enumerate(zip(orbits, starts.tolist(), (starts + sizes).tolist())):
-        values[i] = values_on_block(rep, reps, points[lo:hi])
+    step = block_rows(count)  # orbits per call, whose values fill one block
+    for size in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == size)
+        for lo in range(0, len(group), step):
+            which = group[lo : lo + step]
+            elems = points[starts[which, None] + np.arange(size)]  # (orbits, size, d)
+            values[which] = values_on_block(orbits[which[0]], reps, elems)
     return SuperTable(n, d, orbits, sizes, values)
 
 

@@ -9,10 +9,10 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from symchar import cli, identities, table
+from symchar import cli, identities, orbits, table
 from symchar.cli import main
 from symchar.report import IdentityReport
-from symchar.orbits import canonicalize, enumerate_orbits
+from symchar.orbits import canonicalize, enumerate_orbits, orbit_size
 
 
 def run_cli(args, capsys):
@@ -383,6 +383,23 @@ def test_spike_sweep_prints_the_per_orbit_records(n, d, broken, monkeypatch, cap
     assert out == "".join(r.to_json() + "\n" for r in records) and err == ""
     assert code == (0 if all(r.passed for r in records) else 1)
     assert all(r.passed for r in records) != broken
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+def test_verify_permanent_blocks_of_orbits(cells, capsys, monkeypatch):
+    # blocks of one orbit, or of consecutive orbits up to `cells` pairs, print the bytes of one block
+    argv = ["verify", "permanent", "--n", "4", "--d", "3", "--samples", "4", "--seed", "2"]
+    whole = run_cli(argv, capsys)
+    blocks = []
+    real = cli.supercharacters
+    monkeypatch.setattr(cli, "supercharacters", lambda reps, ys: blocks.append([rep.entries for rep in reps]) or real(reps, ys))
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", cells)
+    assert run_cli(argv, capsys) == whole and whole[0] == 0
+    assert list(chain(*blocks)) == [rep.entries for rep in enumerate_orbits(4, 3)]
+    widths = [[4 * max(orbit_size(canonicalize(e, 4)), 4) for e in block] for block in blocks]
+    assert all(len(w) == 1 or sum(w) <= cells for w in widths) and len(blocks) > 1
+    if cells == 40:  # orbits of 1 or 3 elements (16 cells) pair up
+        assert max(map(len, blocks)) == 2
 
 
 def test_verify_permanent(capsys, monkeypatch):

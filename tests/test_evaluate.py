@@ -12,6 +12,7 @@ from symchar.errors import BudgetExceeded, DimensionMismatch, DimensionTooLarge
 from symchar.evaluate import (
     DEDUPE_DECIMALS,
     DEFAULT_BUDGET,
+    TOL,
     cloud_difference,
     counts_value,
     dedupe_values,
@@ -177,6 +178,17 @@ def test_supercharacter_at_zero_is_orbit_size():
     for n, d in [(3, 2), (5, 3), (4, 4)]:
         for rep in enumerate_orbits(n, d):
             assert abs(supercharacter(rep, (0,) * d) - orbit_size(rep)) < 1e-9
+
+
+@pytest.mark.parametrize("n, d, samples", [(7, 4, 10), (5, 2, 3), (3, 6, 2), (13, 3, 1)])
+def test_supercharacters_is_one_call_per_orbit(n, d, samples):
+    rng = np.random.default_rng(n * d)
+    reps = list(enumerate_orbits(n, d))
+    ys = rng.integers(0, n, (len(reps), samples, d))
+    want = np.array([supercharacter(rep, y) for rep, y in zip(reps, ys)])
+    for lo, hi in [(0, len(reps)), (3, 4), (1, 9)]:
+        got = evaluate.supercharacters(reps[lo:hi], ys[lo:hi].tolist())
+        assert got.shape == (hi - lo, samples) and got.tobytes() == want[lo:hi].tobytes()
 
 
 def test_permanent_oracle_two_by_two():
@@ -372,6 +384,41 @@ def test_values_on_block_scratch_stays_block_sized():
     # the result plus one block's scratch (about 2 MB), not 13.4M cells of it
     assert peak < out.nbytes + 4 * 2**20
     assert_kernel_bitwise(rep, ys[::37])
+
+
+@pytest.mark.parametrize("r", range(1, evaluate._PAIRWISE_TERMS + 1))
+def test_pairwise_add_is_numpy_row_sum(r):
+    # if numpy changes the order of its pairwise sum, this fails by name
+    rng = np.random.default_rng(r)
+    parts = rng.standard_normal((2, 60, r)) * 10.0 ** rng.integers(-12, 12, (2, 60, r))
+    parts[rng.random(parts.shape) < 0.15] = 0.0
+    parts[rng.random(parts.shape) < 0.15] = -0.0
+    terms = np.empty((60, r), dtype=complex)
+    terms.real, terms.imag = parts
+    acc = np.empty((min(r, 4) + 1, 60), dtype=complex)
+    out = np.empty(60, dtype=complex)
+    evaluate._pairwise_add(r, lambda p, into: np.copyto(into, terms[:, p]), acc, out)
+    assert out.tobytes() == terms.sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("cells, rows", [(60, 100), (400, 30)])  # blocks split the rows, or the stack
+@pytest.mark.parametrize("n, d", [(5, 3), (30, 2)])  # top = d(n-1)^2 below both caps, above both
+@pytest.mark.parametrize(
+    "k, r", [(k, r) for k in range(1, 6) for r in (1, 2, 3, 4, 7, 65)] + [(r + 1, r) for r in (5, 9, 24, 64)]
+)
+def test_stacked_root_sums_is_one_call_per_orbit(k, r, n, d, cells, rows, monkeypatch):
+    rng = np.random.default_rng(k * 1000 + r)
+    stack = rng.integers(0, n, (k, r, d))
+    block = rng.integers(0, n, (rows, d)).astype(np.uint8)
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", cells)
+    stacked = []
+    real = evaluate._stacked_sums
+    monkeypatch.setattr(evaluate, "_stacked_sums", lambda *args: stacked.append(args[1].shape) or real(*args))
+    got = evaluate.root_sums(n, stack, block)
+    want = np.array([evaluate.root_sums(n, elems, block) for elems in stack])
+    assert got.shape == (k, rows) and got.tobytes() == want.tobytes()
+    # only a stack of more orbits than terms, at most 64 of them, takes the term-by-term loop
+    assert stacked == ([(k, r, d)] if k > r <= evaluate._PAIRWISE_TERMS else [])
 
 
 def full_sweep_image(rep):
@@ -733,6 +780,21 @@ def test_cloud_difference_across_bucket_edges():
 def test_cloud_difference_keeps_input_order():
     a = [3 + 0j, 1j, 2 + 0j, 1 + 0j, -1j]
     assert cloud_difference(a, [1j, 1 + 1e-10j]) == ([3 + 0j, 2 + 0j, -1j], [])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cloud_difference_is_the_pairwise_definition(seed):
+    # clouds with clustered real parts (columns of a lattice) and pairs up
+    # to 1.2 * TOL apart in each coordinate, compared in both orders
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([0, 1, 3, 15, 60, 300]))
+    base = np.where(rng.random(m) < 0.5, rng.uniform(-5, 5, m), rng.integers(-3, 4, m) / 2)
+    base = base + 1j * np.where(rng.random(m) < 0.5, rng.uniform(-5, 5, m), rng.integers(-3, 4, m))
+    moved = base + TOL * (rng.uniform(-1.2, 1.2, m) + 1j * rng.uniform(-1.2, 1.2, m))
+    a = base.tolist()
+    b = rng.permutation(np.concatenate([moved[rng.random(m) < 0.8], rng.uniform(-5, 5, 4)])).tolist()
+    for p, q in ((a, b), (b, a)):
+        assert evaluate._unmatched(p, q) == [z for z in p if not any(abs(z - w) <= TOL for w in q)]
 
 
 def test_rotation_closed_within_tolerance():

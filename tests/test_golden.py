@@ -107,8 +107,11 @@ HYPOCYCLOID_GOLDEN = [
 
 
 # The supercharacter table's JSON, printed and written to a file, so that a
-# row-by-row writer must give the bytes of one json.dumps call.  A list of its
-# own, so the ids of GOLDEN cases do not change.
+# row-by-row writer must give the bytes of one json.dumps call.  (7, 4) sums
+# every orbit size (1, 4, 6, 12, 24) term by term in the stacked kernel's
+# pairwise order; (5, 5) sums its sizes 1 to 20 so and its sizes 30, 60 and
+# 120 (no more orbits than elements, or over 64 elements) along each row.  A
+# list of its own, so the ids of GOLDEN cases do not change.
 TABLE_GOLDEN = [
     (["table", "4", "3"], "d1f283f2b7733737ae509a99b3c79fb3772d09be6bd37b4cdc06e64cf7dfa662", None),
     (
@@ -116,6 +119,8 @@ TABLE_GOLDEN = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "4ea6afce58a239abb5e6b7dd8e840ea0c582caf050ab0b8011e952e3e57a545c",
     ),
+    (["table", "7", "4"], "e5a276b3b1bfdcc718d74d97bd77c871cfc9d7fe99e503c5922add3d32aa83ef", None),
+    (["table", "5", "5"], "951d870006cc9cd2b5ca1f3eb16c50347f366dab6e56ebdc9ce561d4e1494e31", None),
 ]
 
 

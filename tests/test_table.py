@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import symchar
+from symchar import orbits
 from symchar.errors import BudgetExceeded
 from symchar.evaluate import DEFAULT_BUDGET, values_on_block
 from symchar.orbits import enumerate_orbits, negate_orbit, orbit_size
@@ -55,15 +56,23 @@ def reference_residuals(tab):
     return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(len(u))).max()), u
 
 
-@pytest.mark.parametrize("n, d", [(7, 4), (10, 4)])
+@pytest.mark.parametrize("n, d", [(7, 4), (10, 4), (5, 5), (2, 9)])
 def test_table_is_each_orbit_on_the_representatives(n, d):
-    # the one-pass orbit arrays give each row bitwise as the orbit's own array does
+    # the one-pass orbit arrays and the stacked kernel give each row bitwise
+    # as one call on the orbit's own array does, with orbits of 1 to 126 elements
     tab = build_table(n, d)
     reps = np.array([rep.entries for rep in enumerate_orbits(n, d)], dtype=np.int64)
     assert tab.orbits == tuple(enumerate_orbits(n, d))
     assert tab.sizes.tolist() == [orbit_size(rep) for rep in tab.orbits]
     want = np.array([values_on_block(rep, reps) for rep in tab.orbits])
     assert np.array_equal(tab.values.view(float), want.view(float))
+
+
+@pytest.mark.parametrize("n, d", [(7, 4), (5, 5), (2, 9)])
+def test_table_is_each_orbit_in_small_blocks(n, d, monkeypatch):
+    # 60-cell blocks split every call's rows and stack, and take the mod-n branch
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 60)
+    test_table_is_each_orbit_on_the_representatives(n, d)
 
 
 def assert_residuals_match_whole_array_formula(n, d):
