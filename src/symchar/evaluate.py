@@ -186,7 +186,8 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
     the rounding error stays near d * d! ulp.  Ryser's formula instead adds
     row-sum products as large as d^d that cancel down to per(M), which at
     d = 10 costs it three more digits.  Points go through in blocks of
-    orbits.block_rows(C) points, C the products of the widest layer.
+    orbits.block_rows(C) points, C the products of the widest layer, and a
+    point's value has the same bits in any block.
     """
     n, d = rep.n, rep.d
     if d > PERMANENT_MAX_D:
@@ -200,9 +201,14 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
     for lo in range(0, len(block), step):
         mats = table[(x[:, None] * block[lo : lo + step, None, :]) % n]  # M of each point
         sets = np.ones((len(mats), 1), dtype=complex)  # P(empty set) = 1
-        for j, (sources, cols) in enumerate(layers):
+        for j, (sources, cols) in enumerate(layers[:-1]):
             sets = (sets[:, sources] * mats[:, j, cols]).sum(axis=1)
-        per[lo : lo + step] = sets[:, 0]
+        sources, cols = layers[-1]
+        # the last layer's d terms added in order from 0.0 in any block, as
+        # sum(axis=1) adds several points'; one point's lie contiguous, and
+        # sum would add them pairwise
+        running = np.add.accumulate(sets[:, sources[:, 0]] * mats[:, d - 1, cols[:, 0]], axis=1)
+        np.add(running[:, -1], 0.0, out=per[lo : lo + step])
     per /= stabilizer_order(rep)
     return per if lead else complex(per[0])
 
@@ -522,13 +528,15 @@ def image(rep: OrbitRep, budget: int = DEFAULT_BUDGET, full_group: bool = False)
     in blocks of at most _CHUNK_ROWS, each evaluated in turn through
     _dedupe_chunks, so memory follows the values kept, not the rows swept.
     full_group=True instead sweeps all n^d points as an oracle for the
-    constancy, in the odometer order of point_array, evaluated in one call.
+    constancy, in the odometer order of point_array and in blocks alike.
     """
     n, d = rep.n, rep.d
     BudgetExceeded.check(n**d if full_group else orbit_count(n, d), budget)
     if full_group:
-        return dedupe_values(values_on_block(rep, point_array(n, d)))
-    return _dedupe_chunks(superclass_chunks(n, d, rotation_order(rep), _CHUNK_ROWS), partial(values_on_block, rep))
+        blocks = np.split(point_array(n, d), range(_CHUNK_ROWS, n**d, _CHUNK_ROWS))
+    else:
+        blocks = superclass_chunks(n, d, rotation_order(rep), _CHUNK_ROWS)
+    return _dedupe_chunks(blocks, partial(values_on_block, rep))
 
 
 def orbit_sweeps(n: int, d: int) -> Iterator[tuple[OrbitRep, np.ndarray]]:

@@ -93,7 +93,7 @@ def _conjugate_block(x_rep: OrbitRep, y_reps: Sequence[OrbitRep], ys: np.ndarray
         }
         for i in np.flatnonzero(~passed).tolist()
     }
-    return ReportBlock("conjugate", True, {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
+    return ReportBlock("conjugate", {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
 
 
 def _translation_block(
@@ -132,7 +132,7 @@ def _translation_block(
                 "lhs": lhs[yi, ki].tolist(),
                 "rhs": rhs[yi, ki].tolist(),
             }
-    return ReportBlock("translation", True, {"x": x_rep, "n": n}, ("y", "j", "k"), (y_reps, js, ks), passed, witnesses)
+    return ReportBlock("translation", {"x": x_rep, "n": n}, ("y", "j", "k"), (y_reps, js, ks), passed, witnesses)
 
 
 def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> IdentityReport:
@@ -146,10 +146,8 @@ def translation_identity(x_rep: OrbitRep, y_rep: OrbitRep, j: int, k: int) -> Id
 
 @lru_cache(maxsize=64)
 def _sample_orbits(n: int, d: int, limit: int = _LINE_SHIFT_SAMPLES) -> tuple[OrbitRep, ...]:
-    """Deterministic small sample of orbits spread across the enumeration."""
+    """Deterministic sample of orbits spread across the enumeration, every orbit when N <= limit."""
     total = orbit_count(n, d)
-    if total <= limit:
-        return tuple(enumerate_orbits(n, d))
     idx = sorted({(i * (total - 1)) // (limit - 1) for i in range(limit)})
     return tuple(unrank_orbit(n, d, i) for i in idx)
 
@@ -397,7 +395,7 @@ def sweep_constancy(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[Re
         same = (counts == counts[first_row]).all(axis=1)
         passed = np.logical_and.reduceat(same, starts)
         witnesses = {i: {"x": x_rep, "y": y_reps[i]} for i in np.flatnonzero(~passed).tolist()}
-        yield ReportBlock("constancy", True, {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
+        yield ReportBlock("constancy", {"x": x_rep, "n": n}, ("y",), (y_reps,), passed, witnesses)
 
 
 def sweep_dihedral(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Iterator[IdentityReport]:

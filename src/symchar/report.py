@@ -99,11 +99,10 @@ class ReportBlock:
     The records run over the product of `axes` in order, the last axis
     fastest; record i has params `shared` plus `keys` zipped with its axis
     values, passed flag `passed.flat[i]` and witness `witnesses.get(i)`.
-    Iterating the block builds its IdentityReports one at a time.
+    Iterating the block builds its exact IdentityReports one at a time.
     """
 
     name: str
-    exact: bool
     shared: dict
     keys: tuple[str, ...]
     axes: tuple[Sequence, ...]
@@ -119,7 +118,7 @@ class ReportBlock:
 
     def _report(self, i: int, values: Sequence, passed: bool) -> IdentityReport:
         params = {**self.shared, **dict(zip(self.keys, values))}
-        return IdentityReport(self.name, params, self.exact, passed, self.witnesses.get(i))
+        return IdentityReport(self.name, params, True, passed, self.witnesses.get(i))
 
     def json_chunks(self) -> Iterator[str]:
         """The records' JSON lines, each ending in a newline, as
@@ -133,10 +132,10 @@ class ReportBlock:
         """
         # stand-ins for the varying values: private-use characters whose
         # escaped form appears nowhere else in the line
-        probe = IdentityReport(self.name, {**self.shared, **dict.fromkeys(self.keys)}, self.exact, True).to_json()
+        probe = IdentityReport(self.name, {**self.shared, **dict.fromkeys(self.keys)}, True, True).to_json()
         free = (c for c in map(chr, range(0xE000, 0xF900)) if _ENCODER.encode(c)[1:-1] not in probe)
         slots = dict(zip(self.keys, free))
-        template = IdentityReport(self.name, {**self.shared, **slots}, self.exact, True).to_json()
+        template = IdentityReport(self.name, {**self.shared, **slots}, True, True).to_json()
         template = template.replace("{", "{{").replace("}", "}}")
         for i, slot in enumerate(slots.values()):
             template = template.replace(_ENCODER.encode(slot), f"{{{i}}}")

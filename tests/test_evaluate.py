@@ -34,6 +34,7 @@ from symchar.orbits import (
     orbit_array,
     orbit_count,
     orbit_size,
+    point_array,
     rotation_order,
     stabilizer_order,
     superclass_array,
@@ -257,7 +258,7 @@ def test_permanent_oracle_blocks_and_big_entries(monkeypatch):
     ys = np.random.default_rng(3).integers(0, 7, (40, 5))
     whole = permanent_oracle(rep, ys)
     monkeypatch.setattr(orbits, "_BLOCK_CELLS", 1)  # one point per chunk
-    assert np.abs(permanent_oracle(rep, ys) - whole).max() <= 1e-12
+    assert permanent_oracle(rep, ys).tobytes() == whole.tobytes()
     big = [2**63, 2**70 + 1, -(2**64), 3, 4]
     assert abs(permanent_oracle(rep, big) - gray_code_permanent(rep, [v % 7 for v in big])) <= 1e-12
     with pytest.raises(DimensionMismatch):
@@ -301,6 +302,20 @@ def test_image_d1_is_root_circle():
 def test_image_full_group_agrees_with_reps():
     rep = canonicalize((1, 2), 3)
     assert cloud_difference(image(rep), image(rep, full_group=True)) == ([], [])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+@pytest.mark.parametrize("n, entries", [(5, (0, 1, 1, 3)), (7, (0, 0, 2)), (4, (1, 1, 1, 3))])
+def test_full_group_image_in_blocks_is_one_sweep(n, entries, rows):
+    # n^d points, above every block size, through _dedupe_chunks in
+    # consecutive blocks: same values, same order, same bits
+    rep = canonicalize(entries, n)
+    whole = image(rep, full_group=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_CHUNK_ROWS", rows)
+        blocked = image(rep, full_group=True)
+    assert np.array(blocked).tobytes() == np.array(whole).tobytes()
+    assert repr(whole) == repr(dedupe_values(values_on_block(rep, point_array(n, len(entries)))))
 
 
 def test_image_zero_orbit():

@@ -33,6 +33,7 @@ from symchar.orbits import (
     orbit_sum,
     shift_orbit,
     superclass_array,
+    unrank_orbit,
 )
 
 
@@ -193,6 +194,20 @@ def test_full_union_witness_shows_the_unmatched_rotation(monkeypatch):
     assert (witness["n"], witness["d"], witness["order"]) == (9, 3, 3)
     assert witness["rotated"] == witness["value"] * _rotation(3)
     assert abs(witness["rotated"] - dropped[0]) <= TOL
+
+
+@pytest.mark.parametrize("limit", [8, 12])
+@pytest.mark.parametrize("n, d", [(7, 1), (8, 1), (9, 1), (11, 1), (12, 1), (13, 1), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_sample_orbits_spread_over_the_enumeration(n, d, limit):
+    # N = 4 ... 13 orbits, on both sides of N = limit: the sample positions
+    # are every orbit when N <= limit, else limit distinct positions
+    total = orbit_count(n, d)
+    positions = sorted({i * (total - 1) // (limit - 1) for i in range(limit)})
+    samples = identities._sample_orbits(n, d, limit)
+    assert samples == tuple(unrank_orbit(n, d, i) for i in positions)
+    assert len(samples) == min(total, limit)
+    if total <= limit:
+        assert samples == tuple(enumerate_orbits(n, d))
 
 
 def union_witness_reference(n, d):

@@ -68,7 +68,7 @@ def blocks(draw):
     passed = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape))), dtype=bool)
     witnesses = {i: draw(fields) for i in np.flatnonzero(~passed).tolist()}
     shared = draw(st.dictionaries(st.text(max_size=6), values, max_size=4))
-    return ReportBlock(draw(st.text()), draw(st.booleans()), shared, tuple(keys), tuple(axes), passed.reshape(shape), witnesses)
+    return ReportBlock(draw(st.text()), shared, tuple(keys), tuple(axes), passed.reshape(shape), witnesses)
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,7 +80,7 @@ def test_block_lines_are_its_records_lines(block):
     assert [r.params for r in records] == [{**block.shared, **dict(zip(block.keys, values))} for values in combos]
     assert [r.passed for r in records] == block.passed.ravel().tolist()
     assert [r.witness for r in records] == [block.witnesses.get(i) for i in range(len(combos))]
-    assert all(r.name == block.name and r.exact == block.exact and r.info is None for r in records)
+    assert all(r.name == block.name and r.exact is True and r.info is None for r in records)
     chunks = list(block.json_chunks())
     assert "".join(chunks) == "".join(r.to_json() + "\n" for r in records)
     # one chunk per combination of every varying param but the last two
@@ -91,7 +91,7 @@ def test_block_slots_avoid_private_use_text_in_the_record():
     # the shared params hold the first private-use characters, escaped as the
     # stand-ins for the varying values would be
     block = ReportBlock(
-        "\ue000", True, {"a": "\ue001", "\ue002": ["\\ue003"]}, ("y", "\ue004"), ([1, "\ue000"], [{}]),
+        "\ue000", {"a": "\ue001", "\ue002": ["\\ue003"]}, ("y", "\ue004"), ([1, "\ue000"], [{}]),
         np.array([[True], [False]]), {1: {"w": "{0}"}},
     )
     assert "".join(block.json_chunks()) == "".join(r.to_json() + "\n" for r in block)
