@@ -255,8 +255,8 @@ def sample_torus_map(
     exponents: ExponentMatrix,
     grid: int,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[complex, ...]:
-    """Evaluate the monomial map at all grid-th roots of unity, deduplicated.
+) -> np.ndarray:
+    """Values of the monomial map at all grid-th roots of unity, as dedupe_values' array.
 
     z_j = e(m_j / grid) over every tuple m in [0, grid)^variables, in
     odometer order; each term l contributes e((sum_j e[j][l] m_j) / grid).
@@ -312,7 +312,7 @@ def _radial_accept(r: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:
     return (s <= d - 2) | ((s <= d) & (phi <= t + np.angle((d - 1) + np.exp(-1j * d * t))))
 
 
-def hypocycloid_contains_many(values: Sequence[complex], d: int) -> np.ndarray:
+def hypocycloid_contains_many(values: Sequence[complex] | np.ndarray, d: int) -> np.ndarray:
     """Which values lie in the filled d-cusp hypocycloid, up to TOL.
 
     TOL is a Euclidean distance: a value passes exactly when its distance
@@ -395,7 +395,7 @@ def hypocycloid_orbit_check(n: int, d: int, budget: int = DEFAULT_BUDGET) -> Ide
     passed = bool(ok.all())
     witness = None
     if not passed:
-        witness = {"x": rep, "outside": [values[i] for i in np.flatnonzero(~ok)]}
+        witness = {"x": rep, "outside": values[~ok].tolist()}
     superclasses = orbit_count(n, d)
     return IdentityReport(
         "hypocycloid",

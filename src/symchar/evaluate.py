@@ -214,7 +214,7 @@ def permanent_oracle(rep: OrbitRep, y: Sequence[int] | np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# value sets: deduplicated tuples of complex values
+# value sets: deduplicated 1-D complex128 arrays, in first-seen order
 
 
 def _round_coord(v: float) -> float:
@@ -253,7 +253,7 @@ def _round_coords(v: np.ndarray) -> np.ndarray:
     return keys
 
 
-def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
+def dedupe_values(values: Iterable[complex] | np.ndarray) -> np.ndarray:
     """Deduplicate complex values, keyed on coordinates rounded to 1e-9.
 
     The first value seen in iteration order represents its bucket, so the
@@ -271,13 +271,13 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     keys never merge and infinite ones do, as they would in a dict of
     round() results.
 
-    So the result is the first value of each class of equal keys, and
-    deduplicating the concatenation of deduplicated pieces gives the
-    result of the whole input, order included.
+    So the result, a new 1-D complex128 array, holds the first value of
+    each class of equal keys, and deduplicating the concatenation of
+    deduplicated pieces gives the result of the whole input, order included.
     """
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=complex)
     if not len(arr):
-        return ()
+        return arr.copy()
     re, im = arr.real, arr.imag
     with np.errstate(invalid="ignore"):  # inf - inf; such values are keyed anyway
         p = re + _SLANT * im
@@ -297,48 +297,45 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> tuple[complex, ...]
     keys = _round_coords(arr[crowd].view(np.float64)).view(complex)  # both parts in one call
     _, first = np.unique(keys, return_index=True, equal_nan=False)  # stable: first occurrences
     keep[crowd[first]] = True
-    return tuple(arr[keep].tolist())
+    return arr[keep]
 
 
-def _unmatched(a: Iterable[complex], b: Iterable[complex]) -> list[complex]:
-    """The points of a, in order, with no point of b within TOL.
+def _unmatched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the points of the complex array a with no point of b within TOL.
 
     A point within TOL of z has a real part within TOL of z's, so b is
     sorted by real part, and z is compared only with the points of b whose
     real parts lie in [re z - 2*TOL, re z + 2*TOL], found by searchsorted:
     every such (z, w) pair is tested for |z - w| <= TOL in one array pass.
     """
-    a = list(a)
-    near = np.array(list(b), dtype=complex)
-    near = near[np.argsort(near.real, kind="stable")]
-    za = np.array(a, dtype=complex)
-    lo = np.searchsorted(near.real, za.real - 2.0 * TOL, side="left")
-    count = np.searchsorted(near.real, za.real + 2.0 * TOL, side="right") - lo
+    near = b[np.argsort(b.real, kind="stable")]
+    lo = np.searchsorted(near.real, a.real - 2.0 * TOL, side="left")
+    count = np.searchsorted(near.real, a.real + 2.0 * TOL, side="right") - lo
     point = np.repeat(np.arange(len(a)), count)  # each candidate pair's point of a
     pair = np.arange(len(point)) + np.repeat(lo - (np.cumsum(count) - count), count)  # and of near
-    matched = np.zeros(len(a), dtype=bool)
-    matched[point[np.abs(za[point] - near[pair]) <= TOL]] = True
-    return [z for z, hit in zip(a, matched.tolist()) if not hit]
+    unmatched = np.ones(len(a), dtype=bool)
+    unmatched[point[np.abs(a[point] - near[pair]) <= TOL]] = False
+    return unmatched
 
 
-def cloud_difference(a: Iterable[complex], b: Iterable[complex]) -> tuple[list[complex], list[complex]]:
+def cloud_difference(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) -> tuple[list, list]:
     """Points of a not within TOL of a point of b, and points of b not within
-    TOL of a point of a.  Both are empty exactly when the sets match."""
-    a, b = list(a), list(b)
-    return _unmatched(a, b), _unmatched(b, a)
+    TOL of a point of a, as lists.  Both are empty exactly when the sets match."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a[_unmatched(a, b)].tolist(), b[_unmatched(b, a)].tolist()
 
 
-def rotation_witness(values: Sequence[complex], fold: int) -> tuple[complex, complex] | None:
-    """The first value whose rotation by 2*pi/fold is not within TOL of a
-    value, with that rotated value; None when the set is rotation-closed."""
+def rotation_witness(values: Sequence[complex] | np.ndarray, fold: int) -> tuple[complex, complex] | None:
+    """The first value whose rotation by 2*pi/fold (one array product) is not
+    within TOL of a value, with that rotated value; None when the set is rotation-closed."""
     if fold <= 1:
         return None
-    rot = np.exp(2j * np.pi / fold)
-    rotated = [z * rot for z in values]
-    unmatched = _unmatched(rotated, values)
-    if not unmatched:
+    values = np.asarray(values, dtype=complex)
+    rotated = values * np.exp(2j * np.pi / fold)
+    unmatched = np.flatnonzero(_unmatched(rotated, values))
+    if not len(unmatched):
         return None
-    return values[rotated.index(unmatched[0])], unmatched[0]
+    return complex(values[unmatched[0]]), complex(rotated[unmatched[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +480,7 @@ def values_on_block(rep: OrbitRep, block: np.ndarray, elems: np.ndarray | None =
     return root_sums(rep.n, orbit_array(rep) if elems is None else elems, block)
 
 
-def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]) -> tuple[complex, ...]:
+def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]) -> np.ndarray:
     """dedupe_values of values_of(block) for each block, concatenated.
 
     Before a block's values are added, the values held are deduplicated if
@@ -500,7 +497,7 @@ def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]
     count = base = 0  # values held, and held after the last dedupe
     for block in blocks:
         if count > max(2 * base, _CHUNK_ROWS):
-            held = [np.array(dedupe_values(np.concatenate(held)), dtype=complex)]
+            held = [dedupe_values(np.concatenate(held))]
             count = base = len(held[0])
         held.append(values_of(block))
         count += len(held[-1])
@@ -509,8 +506,8 @@ def _dedupe_chunks(blocks: Iterable[Any], values_of: Callable[[Any], np.ndarray]
     return dedupe_values(held.pop())
 
 
-def image(rep: OrbitRep, budget: int = DEFAULT_BUDGET, full_group: bool = False) -> tuple[complex, ...]:
-    """All values of sigma_X, deduplicated by dedupe_values.
+def image(rep: OrbitRep, budget: int = DEFAULT_BUDGET, full_group: bool = False) -> np.ndarray:
+    """All values of sigma_X as one array, deduplicated by dedupe_values.
 
     By default y runs over the canonical superclass representatives (the
     value is constant on superclasses), and of those only over the ones
@@ -553,9 +550,9 @@ def orbit_sweeps(n: int, d: int) -> Iterator[tuple[OrbitRep, np.ndarray]]:
         yield rep, swept[step]
 
 
-def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> tuple[complex, ...]:
-    """Union of the images of every orbit at (n, d): dedupe_values of their
-    values concatenated in enumeration order.  The N images of N superclasses
+def union_image(n: int, d: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Union of the images of every orbit at (n, d): the dedupe_values array
+    of their values concatenated in enumeration order.  The N images of N superclasses
     count N^2 against the budget before any work, so an orbit's at most N
     values go through _dedupe_chunks as one block.
 

@@ -158,23 +158,23 @@ def dihedral_order(x_rep: OrbitRep) -> int:
     The identity behind it, sigma_X(y + l*1) = e([x]l/n) sigma_X(y), is
     verified exactly (as a counts shift) for every l on a deterministic
     sample of superclasses Y, all in one count matrix.  The witness is the
-    first failing (Y, l), Y in sample order and l fastest.  The shift does
-    not depend on y, so one (n, n) index table serves every sample, which
-    _translation_block's per-Y shifts would not.
+    first failing (Y, l), Y in sample order and l fastest.  Each shift l is
+    compared with shift l - 1 rolled by [x]: while every shift before l
+    matches, shift l - 1 is shift 0 rolled by [x](l - 1), so the first
+    failing (Y, l) is the first at which shift l is not shift 0 rolled by
+    [x]l.
     """
     n = x_rep.n
     samples = _sample_orbits(n, x_rep.d)
-    ells = np.arange(n)
     ys = np.array([y_rep.entries for y_rep in samples], dtype=np.int64)
     # lhs[s, l] holds the counts at y_s + l*1; lhs[s, 0] is y_s itself
-    lhs = dot_counts(x_rep, (ys[:, None, :] + ells[:, None]).reshape(-1, x_rep.d)).reshape(len(ys), n, n)
-    rhs = lhs[:, 0][:, (ells - (orbit_sum(x_rep) * ells % n)[:, None]) % n]
-    bad = np.argwhere(~(lhs == rhs).all(axis=2))
+    lhs = dot_counts(x_rep, (ys[:, None, :] + np.arange(n)[:, None]).reshape(-1, x_rep.d)).reshape(len(ys), n, n)
+    bad = np.argwhere(~(lhs[:, 1:] == np.roll(lhs[:, :-1], orbit_sum(x_rep), axis=2)).all(axis=2))
     if len(bad):
         s, ell = bad[0].tolist()
         raise VerificationFailed(
             "line-shift identity failed",
-            witness={"x": x_rep, "y": samples[s], "l": ell},
+            witness={"x": x_rep, "y": samples[s], "l": ell + 1},
         )
     return rotation_order(x_rep)
 

@@ -29,7 +29,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,13 +92,13 @@ class GrayImage:
             raise ValueError(f"expected {side}x{side} uint8 pixels, got {self.pixels.dtype} {self.pixels.shape}")
 
 
-def render_bitmap(values: Iterable[complex], spec: BitmapSpec) -> GrayImage:
-    """Stamp every point's kernel levels into one white byte raster,
-    keeping the darkest level at each pixel."""
+def render_bitmap(values: Sequence[complex] | np.ndarray, spec: BitmapSpec) -> GrayImage:
+    """Stamp the kernel levels of every point of a value set (a complex array
+    or sequence) into one white byte raster, keeping the darkest at each pixel."""
     res = spec.res
     side = spec.side
     unit = spec.unit_res
-    z = np.fromiter(values, dtype=complex)
+    z = np.asarray(values, dtype=complex)
     row = round_half_away(res - unit * z.imag)
     col = round_half_away(res + unit * z.real)
     interior = (1 < row) & (row < side) & (1 < col) & (col < side)
@@ -150,10 +150,10 @@ def round11(v: float) -> float:
     return 0.0 if r == 0 else r
 
 
-def export_points(values: Sequence[complex], fmt: str = "csv") -> Iterator[str]:
-    """Serialize a deduplicated point list, CSV rows or a JSON array, as
-    chunks of text of _EXPORT_POINTS points each, so that only one chunk's
-    text is held at once.
+def export_points(values: Sequence[complex] | np.ndarray, fmt: str = "csv") -> Iterator[str]:
+    """Serialize a value set (a complex array or sequence), CSV rows or a JSON
+    array, as chunks of text of _EXPORT_POINTS points each, so that only one
+    chunk's text, made from that chunk's Python complex values, is held at once.
 
     Floats are printed with 11 decimal places (12 significant digits at
     plot scale) so files diff cleanly across runs: round11 of each
@@ -162,13 +162,13 @@ def export_points(values: Sequence[complex], fmt: str = "csv") -> Iterator[str]:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    return _export_chunks(values, fmt)
+    return _export_chunks(np.asarray(values, dtype=complex), fmt)
 
 
-def _export_chunks(values: Sequence[complex], fmt: str) -> Iterator[str]:
+def _export_chunks(values: np.ndarray, fmt: str) -> Iterator[str]:
     yield "re,im\n" if fmt == "csv" else "["
     for lo in range(0, len(values), _EXPORT_POINTS):
-        chunk = values[lo : lo + _EXPORT_POINTS]
+        chunk = values[lo : lo + _EXPORT_POINTS].tolist()
         if fmt == "csv":
             text = "".join([f"{z.real:.11f},{z.imag:.11f}\n" for z in chunk])
             yield text.replace("-0.00000000000", "0.00000000000")

@@ -209,5 +209,5 @@ def test_criterion_13_renderer_determinism():
     # guard: a point that would stamp on the frame is dropped entirely
     on_frame = render_bitmap([complex(7.0, 7.0)], spec)
     assert np.all(on_frame.pixels == 255)
-    ok = first == second and png_a == png_b == png_c
+    ok = first.tolist() == second.tolist() and png_a == png_b == png_c
     emit(13, ok, f"{len(first)} points at range 7, unit_res 30: byte-identical ({len(png_a)} bytes)")

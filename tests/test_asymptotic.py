@@ -419,7 +419,7 @@ def test_orbit_witness_lists_every_outside_point(monkeypatch):
     pushed = (_curve(t, 6) + 1e-7 * _outward_normal(t, 6)).tolist()
 
     def image_with_outliers(rep, budget):
-        return real_image(rep, budget=budget) + tuple(pushed)
+        return np.concatenate([real_image(rep, budget=budget), pushed])
 
     monkeypatch.setattr(asymptotic, "image", image_with_outliers)
     report = hypocycloid_orbit_check(19, 6)

@@ -161,11 +161,12 @@ def _rotation(order):
 
 def test_dihedral_witness_shows_the_unmatched_rotation(monkeypatch):
     real_dedupe = evaluate.dedupe_values
-    dropped = []  # the first value of each image, one image per record
+    dropped, images = [], []  # the first value of each image, and the rest, one image per record
 
     def dedupe_without_first(values):
         kept = real_dedupe(values)
         dropped.append(kept[0])
+        images.append(kept[1:])
         return kept[1:]
 
     monkeypatch.setattr(evaluate, "dedupe_values", dedupe_without_first)
@@ -173,18 +174,21 @@ def test_dihedral_witness_shows_the_unmatched_rotation(monkeypatch):
     x, order = report.params["x"], report.params["order"]
     value, rotated = report.witness["value"], report.witness["rotated"]
     assert report.witness["x"] == x and report.witness["order"] == order
-    assert rotated == value * _rotation(order)
+    # the rotation is the image's array product with the root, bit for bit
+    at = images[i].tolist().index(value)
+    assert np.complex128(rotated).tobytes() == (images[i] * _rotation(order))[at].tobytes()
     assert abs(rotated - dropped[i]) <= TOL  # the dropped value was its match
     assert json.loads(report.to_json())["witness"]["rotated"] == [rotated.real, rotated.imag]
 
 
 def test_full_union_witness_shows_the_unmatched_rotation(monkeypatch):
     real_union = identities.union_image
-    dropped = []
+    dropped, kept = [], []
 
     def union_without_first(n, d, **kwargs):
         values = real_union(n, d, **kwargs)
         dropped.append(values[0])
+        kept.append(values[1:])
         return values[1:]
 
     monkeypatch.setattr(identities, "union_image", union_without_first)
@@ -192,7 +196,8 @@ def test_full_union_witness_shows_the_unmatched_rotation(monkeypatch):
         full_union_symmetry(9, 3)
     witness = info.value.witness
     assert (witness["n"], witness["d"], witness["order"]) == (9, 3, 3)
-    assert witness["rotated"] == witness["value"] * _rotation(3)
+    at = kept[0].tolist().index(witness["value"])
+    assert np.complex128(witness["rotated"]).tobytes() == (kept[0] * _rotation(3))[at].tobytes()
     assert abs(witness["rotated"] - dropped[0]) <= TOL
 
 
@@ -526,6 +531,24 @@ def test_dihedral_witness_names_the_first_bad_shift(monkeypatch):
     assert info.value.witness == {"x": X, "y": Y, "l": ell}
 
 
+@pytest.mark.parametrize("s, ell", [(0, 1), (2, 3), (5, 6), (11, 4)])
+def test_dihedral_witness_names_one_broken_shift(s, ell, monkeypatch):
+    # one shift's counts broken: the shifts after it still follow it, and
+    # only that (Y, l) fails
+    X = canonicalize((0, 1, 2), 7)
+    n = 7
+
+    def broken(rep, ys):
+        counts = dot_counts(rep, ys)
+        counts[s * n + ell] = np.roll(counts[s * n + ell], 1)
+        return counts
+
+    monkeypatch.setattr(identities, "dot_counts", broken)
+    with pytest.raises(VerificationFailed) as info:
+        dihedral_order(X)
+    assert info.value.witness == {"x": X, "y": identities._sample_orbits(n, 3)[s], "l": ell}
+
+
 def test_spike_counts_witness_is_the_first_asymmetric_superclass(monkeypatch):
     X = canonicalize((1, 2, 3), 17)
     other = canonicalize((0, 1, 3), 17)  # not a spike: its counts are not reflected
@@ -606,7 +629,7 @@ def test_walk_witness_names_the_mismatch(monkeypatch):
             return values
         moved["from"] = values[1]
         moved["to"] = values[1] + 1e-6
-        return values[:1] + (moved["to"],) + values[2:]
+        return np.concatenate([values[:1], [moved["to"]], values[2:]])
 
     monkeypatch.setattr(identities, "image", perturbed_image)
     report = walk_reduction_check(24, 3, 8)
