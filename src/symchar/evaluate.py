@@ -42,8 +42,6 @@ DEDUPE_DECIMALS = 9
 TOL = 1e-9
 # image sweeps go through _dedupe_chunks in blocks of at most this many rows
 _CHUNK_ROWS = 1 << 18
-# complex terms in one block (128 float lanes) of numpy's pairwise sum
-_PAIRWISE_TERMS = 64
 # A value shares its rounded key only with values within 1e-9 in both
 # coordinates, so within (1 + _SLANT) * 1e-9 along p = re + _SLANT * im.
 # _NEAR covers that and the float error of p and of its gaps while every
@@ -288,12 +286,13 @@ def dedupe_values(values: Iterable[complex] | np.ndarray) -> np.ndarray:
     near[order[:-1][close]] = True
     keep = ~near
     # of equal values next to each other in p order, only the first
-    # occurrence is keyed
+    # occurrence is keyed; the values between two equal ones in p order
+    # share their p, so equal values are near and stay next to each other
+    # among the near ones
+    order = order[near[order]]
     ordered = arr[order]
     runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    first_seen = np.zeros(len(arr), dtype=bool)
-    first_seen[np.minimum.reduceat(order, runs)] = True
-    crowd = np.flatnonzero(near & first_seen)
+    crowd = np.sort(np.minimum.reduceat(order, runs)) if len(order) else order
     keys = _round_coords(arr[crowd].view(np.float64)).view(complex)  # both parts in one call
     _, first = np.unique(keys, return_index=True, equal_nan=False)  # stable: first occurrences
     keep[crowd[first]] = True
@@ -357,14 +356,13 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     over the rows of elems, by numpy's sum along the row, so a value is
     bitwise the same in either branch and in any block.  The rows go
     through in blocks of block_rows(r), in scratch arrays allocated once
-    per call.  A stack of k > r orbits with r <= _PAIRWISE_TERMS goes
-    through _stacked_sums, whose values are bitwise those of one call per
-    orbit.  Any other stack is summed orbit by orbit: its r passes would
-    outnumber k calls, or its rows span more than one block of numpy's
-    pairwise sum.
+    per call.  A stack of k > r orbits goes through _stacked_sums, which
+    adds each orbit's roots in row order, bitwise in any block; a stack of
+    k <= r orbits is summed orbit by orbit, since its r term passes would
+    outnumber k calls.
     """
     r, d = elems.shape[-2:]
-    if elems.ndim == 3 and (len(elems) <= r or r > _PAIRWISE_TERMS):
+    if elems.ndim == 3 and len(elems) <= r:
         return np.array([root_sums(n, e, block) for e in elems]).reshape(len(elems), len(block))
     top = d * (n - 1) ** 2
     periodic = top < block_rows(1)  # the table, top + 1 roots long, fits in one block
@@ -393,53 +391,18 @@ def root_sums(n: int, elems: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_add(r: int, term: Callable[[int, np.ndarray], None], acc: np.ndarray, out: np.ndarray) -> None:
-    """out = the sum of terms 0 .. r-1, r <= _PAIRWISE_TERMS, entry by entry,
-    in the order numpy's complex add.reduce adds the terms of one row.
-
-    term(p, a) writes term p into the array a; acc holds min(r, 4) + 1
-    scratch arrays of out's shape.  A row of at most 128 float lanes is one
-    block of numpy's pairwise sum: fewer than four terms are added in
-    order; otherwise terms 0-3 start four accumulators, term p goes into
-    accumulator p mod 4 while a full group of four remains, the
-    accumulators are added as (a0 + a1) + (a2 + a3) and the leftover terms
-    in order.  The reduction then adds the sum to its initial 0.0.
-    """
-    if r < 4:
-        total, spare = acc[0], acc[1]
-        term(0, total)
-        for p in range(1, r):
-            term(p, spare)
-            total += spare
-    else:
-        total, spare = acc[0], acc[4]
-        for p in range(4):
-            term(p, acc[p])
-        full = r - r % 4
-        for p in range(4, full):
-            term(p, spare)
-            acc[p % 4] += spare
-        total += acc[1]
-        acc[2] += acc[3]
-        total += acc[2]
-        for p in range(full, r):
-            term(p, spare)
-            total += spare
-    np.add(total, 0.0, out=out)
-
-
 def _stacked_sums(n: int, elems: np.ndarray, block: np.ndarray, table: np.ndarray, periodic: bool) -> np.ndarray:
-    """root_sums of a (k, r, d) stack of orbits, r <= _PAIRWISE_TERMS, as
-    (k, rows), in root_sums' branch (periodic or not) and its root table.
+    """root_sums of a (k, r, d) stack of orbits as (k, rows), in root_sums'
+    branch (periodic or not) and its root table.
 
     Each term position p is one (orbits, rows) block: the p-th rows of a
     block of orbits times the block's points, by the same exact matmul as
     root_sums, cast to indices (periodic) or reduced mod n, gathered from
-    `table` and added by _pairwise_add in the order of numpy's row sum, so
-    each value is bitwise root_sums of its own orbit.  Blocks hold up to
-    block_rows(1) points and block_rows(4 * points) orbits, so that the
-    four accumulators hold one block of values together, in scratch
-    arrays allocated once per call.
+    `table` and added in place onto 0.0 in `out`, p = 0, ..., r-1, so each
+    value has the same bits in any block.  Blocks hold up to block_rows(1)
+    points and block_rows(4 * points) orbits, in scratch arrays allocated
+    once per call: with block_rows(points) orbits, build_table(10, 4) took
+    28-30 ms, not 20.3-20.7 ms (2-CPU x86-64).
     """
     k, r, d = elems.shape
     kind = np.float64 if periodic else np.int64
@@ -449,7 +412,7 @@ def _stacked_sums(n: int, elems: np.ndarray, block: np.ndarray, table: np.ndarra
     ys = np.empty((d, rows), dtype=kind)
     dots = np.empty(orbits * rows, dtype=kind)
     idx = np.empty(orbits * rows, dtype=np.intp) if periodic else dots
-    acc = np.empty((min(r, 4) + 1, orbits * rows), dtype=complex)
+    terms = np.empty(orbits * rows, dtype=complex)
     out = np.empty((k, len(block)), dtype=complex)
     for lo in range(0, len(block), rows):
         m = min(rows, len(block) - lo)
@@ -457,17 +420,17 @@ def _stacked_sums(n: int, elems: np.ndarray, block: np.ndarray, table: np.ndarra
         for first in range(0, k, orbits):
             shape = (min(orbits, k - first), m)
             size = shape[0] * m
-            dot, ind = dots[:size].reshape(shape), idx[:size].reshape(shape)
-
-            def term(p: int, into: np.ndarray) -> None:
+            dot, ind, term = dots[:size].reshape(shape), idx[:size].reshape(shape), terms[:size].reshape(shape)
+            total = out[first : first + shape[0], lo : lo + m]
+            total[...] = 0.0
+            for p in range(r):
                 np.matmul(xs[p, first : first + shape[0]], ys[:, :m], out=dot)
                 if periodic:
                     np.copyto(ind, dot, casting="unsafe")
                 else:
                     np.mod(dot, n, out=ind)
-                np.take(table, ind, out=into, mode="clip")
-
-            _pairwise_add(r, term, acc[:, :size].reshape((-1, *shape)), out[first : first + shape[0], lo : lo + m])
+                np.take(table, ind, out=term, mode="clip")
+                total += term
     return out
 
 
@@ -476,7 +439,7 @@ def values_on_block(rep: OrbitRep, block: np.ndarray, elems: np.ndarray | None =
     the orbit's rows in the order of orbit_array(rep), is that array unless
     the caller has them.  table.build_table instead passes a (k, r, d)
     stack of k orbits of r elements each, at rep's n, and gets their values
-    as (k, rows), each row bitwise that of its own orbit (root_sums)."""
+    as (k, rows), summed by root_sums' rule for a stack."""
     return root_sums(rep.n, orbit_array(rep) if elems is None else elems, block)
 
 

@@ -63,8 +63,8 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     orbit's elements and size come from one orbits.orbit_arrays pass, its
     rows in the order of orbits.orbit_array.  The orbits of one size go to
     values_on_block as (orbits, size, d) stacks of up to block_rows(N)
-    orbits, so that each call's values fill at most one block; each row is
-    bitwise that of a call on its own orbit's array.
+    orbits, so that each call's values fill at most one block and are
+    summed by evaluate.root_sums' rule for their stack.
     """
     count = orbit_count(n, d)
     BudgetExceeded.check(count * count, budget)

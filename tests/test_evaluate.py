@@ -402,25 +402,21 @@ def test_values_on_block_scratch_stays_block_sized():
     assert_kernel_bitwise(rep, ys[::37])
 
 
-@pytest.mark.parametrize("r", range(1, evaluate._PAIRWISE_TERMS + 1))
-def test_pairwise_add_is_numpy_row_sum(r):
-    # if numpy changes the order of its pairwise sum, this fails by name
-    rng = np.random.default_rng(r)
-    parts = rng.standard_normal((2, 60, r)) * 10.0 ** rng.integers(-12, 12, (2, 60, r))
-    parts[rng.random(parts.shape) < 0.15] = 0.0
-    parts[rng.random(parts.shape) < 0.15] = -0.0
-    terms = np.empty((60, r), dtype=complex)
-    terms.real, terms.imag = parts
-    acc = np.empty((min(r, 4) + 1, 60), dtype=complex)
-    out = np.empty(60, dtype=complex)
-    evaluate._pairwise_add(r, lambda p, into: np.copyto(into, terms[:, p]), acc, out)
-    assert out.tobytes() == terms.sum(axis=-1).tobytes()
+def in_order_sums(n, stack, block):
+    """Each orbit's roots at each row of block, added in the order of the
+    orbit's rows onto zeros: the values of a stack of more orbits than
+    elements."""
+    terms = roots_of_unity(n)[(stack.astype(np.int64) @ block.T.astype(np.int64)) % n]  # (k, r, rows)
+    out = np.zeros((len(stack), len(block)), dtype=complex)
+    for p in range(stack.shape[1]):
+        out += terms[:, p]
+    return out
 
 
 @pytest.mark.parametrize("cells, rows", [(60, 100), (400, 30)])  # blocks split the rows, or the stack
 @pytest.mark.parametrize("n, d", [(5, 3), (30, 2)])  # top = d(n-1)^2 below both caps, above both
 @pytest.mark.parametrize(
-    "k, r", [(k, r) for k in range(1, 6) for r in (1, 2, 3, 4, 7, 65)] + [(r + 1, r) for r in (5, 9, 24, 64)]
+    "k, r", [(k, r) for k in range(1, 6) for r in (1, 2, 3, 4, 7, 65)] + [(r + 1, r) for r in (5, 9, 24, 64, 65, 120)]
 )
 def test_stacked_root_sums_is_one_call_per_orbit(k, r, n, d, cells, rows, monkeypatch):
     rng = np.random.default_rng(k * 1000 + r)
@@ -431,10 +427,13 @@ def test_stacked_root_sums_is_one_call_per_orbit(k, r, n, d, cells, rows, monkey
     real = evaluate._stacked_sums
     monkeypatch.setattr(evaluate, "_stacked_sums", lambda *args: stacked.append(args[1].shape) or real(*args))
     got = evaluate.root_sums(n, stack, block)
-    want = np.array([evaluate.root_sums(n, elems, block) for elems in stack])
+    if k > r:
+        want = in_order_sums(n, stack, block)
+    else:
+        want = np.array([evaluate.root_sums(n, elems, block) for elems in stack])
     assert got.shape == (k, rows) and got.tobytes() == want.tobytes()
-    # only a stack of more orbits than terms, at most 64 of them, takes the term-by-term loop
-    assert stacked == ([(k, r, d)] if k > r <= evaluate._PAIRWISE_TERMS else [])
+    # only a stack of more orbits than terms takes the term-by-term loop
+    assert stacked == ([(k, r, d)] if k > r else [])
 
 
 def full_sweep_image(rep):
@@ -688,8 +687,20 @@ _coords = st.sampled_from(
 ) | st.floats(min_value=-2, max_value=2, allow_nan=False).map(lambda v: round(v, 10))
 
 
+class _NoTwins:
+    """Stands in for st.data() in an @example, which takes values only:
+    every draw is 0, so no twins are inserted."""
+
+    def draw(self, strategy):
+        return 0
+
+
+_SAME_P = [1 + 0j, 0.382 + 1j, -0.236 + 2j, 0.691 + 0.5j]  # p = re + 0.618 im = 1.0 exactly
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.builds(complex, _coords, _coords), max_size=60), st.data())
+@example([_SAME_P[i] for i in (0, 1, 2, 3, 1, 0, 3, 2, 0, 3, 1, 2)], _NoTwins())  # repeats among values of one p
 def test_dedupe_values_matches_reference(vals, data):
     # exact repeats of earlier values, values 1e-9 off in both coordinates
     # and conjugates, each placed anywhere in the list

@@ -107,20 +107,22 @@ HYPOCYCLOID_GOLDEN = [
 
 
 # The supercharacter table's JSON, printed and written to a file, so that a
-# row-by-row writer must give the bytes of one json.dumps call.  (7, 4) sums
-# every orbit size (1, 4, 6, 12, 24) term by term in the stacked kernel's
-# pairwise order; (5, 5) sums its sizes 1 to 20 so and its sizes 30, 60 and
-# 120 (no more orbits than elements, or over 64 elements) along each row.  A
-# list of its own, so the ids of GOLDEN cases do not change.
+# row-by-row writer must give the bytes of one json.dumps call.  (7, 4) adds
+# the roots of every orbit size (1, 4, 6, 12, 24) in the order of the orbit's
+# rows, as a stack of more orbits than elements; (5, 5) adds its sizes 1 to
+# 20 so and its sizes 30, 60 and 120 (no more orbits than elements) by one
+# call per orbit.  (4, 3) stacks only orbits of 1 and 3 elements, where
+# numpy's row sum also adds in row order.  A list of its own, so the ids of
+# GOLDEN cases do not change.
 TABLE_GOLDEN = [
     (["table", "4", "3"], "d1f283f2b7733737ae509a99b3c79fb3772d09be6bd37b4cdc06e64cf7dfa662", None),
     (
         ["table", "6", "3", "-o", "table.json"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "4ea6afce58a239abb5e6b7dd8e840ea0c582caf050ab0b8011e952e3e57a545c",
+        "da23a8f1064c89a42b3d638555b1afa8d3737db8ec6719b313682c001432f3cd",
     ),
-    (["table", "7", "4"], "e5a276b3b1bfdcc718d74d97bd77c871cfc9d7fe99e503c5922add3d32aa83ef", None),
-    (["table", "5", "5"], "951d870006cc9cd2b5ca1f3eb16c50347f366dab6e56ebdc9ce561d4e1494e31", None),
+    (["table", "7", "4"], "c996df78c8839356bcd72a63e1bdaf8bb63d0f0b0fadaf5eb5c1260bfc43189e", None),
+    (["table", "5", "5"], "7efa7f0d93bfa9b4ca7e5f4709c65b81dcf1b8971fa4b81117f99c7267fc955e", None),
 ]
 
 

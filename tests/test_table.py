@@ -13,8 +13,9 @@ import symchar
 from symchar import orbits
 from symchar.errors import BudgetExceeded
 from symchar.evaluate import DEFAULT_BUDGET, values_on_block
-from symchar.orbits import enumerate_orbits, negate_orbit, orbit_size
+from symchar.orbits import enumerate_orbits, negate_orbit, orbit_array, orbit_size
 from symchar.table import build_table, build_unitary
+from test_evaluate import in_order_sums
 
 
 def negation_index(tab):
@@ -58,21 +59,59 @@ def reference_residuals(tab):
 
 @pytest.mark.parametrize("n, d", [(7, 4), (10, 4), (5, 5), (2, 9)])
 def test_table_is_each_orbit_on_the_representatives(n, d):
-    # the one-pass orbit arrays and the stacked kernel give each row bitwise
-    # as one call on the orbit's own array does, with orbits of 1 to 126 elements
+    # the one-pass orbit arrays and the stacked kernel give each stack of
+    # build_table's (one size, block_rows(N) orbits) with more orbits than
+    # elements its in-order sums, and any other stack one call per orbit,
+    # bitwise, with orbits of 1 to 126 elements
     tab = build_table(n, d)
     reps = np.array([rep.entries for rep in enumerate_orbits(n, d)], dtype=np.int64)
     assert tab.orbits == tuple(enumerate_orbits(n, d))
     assert tab.sizes.tolist() == [orbit_size(rep) for rep in tab.orbits]
-    want = np.array([values_on_block(rep, reps) for rep in tab.orbits])
-    assert np.array_equal(tab.values.view(float), want.view(float))
+    step = orbits.block_rows(len(reps))
+    for size in sorted(set(tab.sizes.tolist())):
+        group = np.flatnonzero(tab.sizes == size)
+        for lo in range(0, len(group), step):
+            which = group[lo : lo + step]
+            if len(which) > size:
+                want = in_order_sums(n, np.array([orbit_array(tab.orbits[i]) for i in which]), reps)
+            else:
+                want = np.array([values_on_block(tab.orbits[i], reps) for i in which])
+            assert tab.values[which].tobytes() == want.tobytes()
+    one_call = np.array([values_on_block(rep, reps) for rep in tab.orbits])
+    assert np.abs(tab.values - one_call).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(7, 4), (5, 5), (2, 9)])
 def test_table_is_each_orbit_in_small_blocks(n, d, monkeypatch):
-    # 60-cell blocks split every call's rows and stack, and take the mod-n branch
+    # 60-cell blocks split every call's rows and take the mod-n branch; at
+    # N > 60 every stack is one orbit
     monkeypatch.setattr(orbits, "_BLOCK_CELLS", 60)
     test_table_is_each_orbit_on_the_representatives(n, d)
+
+
+@pytest.mark.parametrize("n, d", [(7, 4), (5, 5)])
+def test_table_is_each_orbit_in_split_stacks(n, d, monkeypatch):
+    # with 2,000-cell blocks some calls stack more orbits than elements and
+    # some do not, and the kernel splits each stack into blocks of 2 or 3
+    # orbits
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 2000)
+    test_table_is_each_orbit_on_the_representatives(n, d)
+
+
+def test_table_output_per_blas_thread_count():
+    # the matmuls are exact and the sums in a fixed order, so the thread
+    # count cannot move a bit
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "symchar.cli", "table", "7", "4"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def assert_residuals_match_whole_array_formula(n, d):
