@@ -62,9 +62,13 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     The N^2 evaluations count against budget before any work.  Every
     orbit's elements and size come from one orbits.orbit_arrays pass, its
     rows in the order of orbits.orbit_array.  The orbits of one size go to
-    values_on_block as (orbits, size, d) stacks of up to block_rows(N)
-    orbits, so that each call's values fill at most one block and are
-    summed by evaluate.root_sums' rule for their stack.
+    values_on_block as (orbits, size, d) stacks of per = block_rows(N)
+    orbits, the last one shorter, and evaluate.root_sums adds a stack of
+    more orbits than elements in row order, any other orbit by orbit.
+    Where the size has more orbits than elements, per is at least size + 1
+    and a last stack of no more orbits than elements joins the one before,
+    so that all its stacks take one rule and no value depends on the block
+    size.
     """
     count = orbit_count(n, d)
     BudgetExceeded.check(count * count, budget)
@@ -73,11 +77,13 @@ def build_table(n: int, d: int, budget: int = DEFAULT_BUDGET) -> SuperTable:
     starts = np.cumsum(sizes) - sizes
     reps = points[starts]  # an orbit's first row is its representative
     values = np.empty((count, count), dtype=complex)
-    step = block_rows(count)  # orbits per call, whose values fill one block
+    step = block_rows(count)  # orbits whose values fill one block
     for size in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == size)
-        for lo in range(0, len(group), step):
-            which = group[lo : lo + step]
+        stacked = len(group) > size  # then every stack has more orbits than elements
+        per = max(step, size + 1) if stacked else step
+        ends = range(per, len(group) - size if stacked else len(group), per)  # a short last stack joins the one before
+        for which in np.split(group, list(ends)):
             elems = points[starts[which, None] + np.arange(size)]  # (orbits, size, d)
             values[which] = values_on_block(orbits[which[0]], reps, elems)
     return SuperTable(n, d, orbits, sizes, values)

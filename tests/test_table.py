@@ -57,45 +57,45 @@ def reference_residuals(tab):
     return float(np.abs(u - u.T).max()), float(np.abs(gram - np.eye(len(u))).max()), u
 
 
-@pytest.mark.parametrize("n, d", [(7, 4), (10, 4), (5, 5), (2, 9)])
+@pytest.mark.parametrize("n, d", [(7, 4), (10, 4), (12, 4), (5, 5), (2, 9)])
 def test_table_is_each_orbit_on_the_representatives(n, d):
-    # the one-pass orbit arrays and the stacked kernel give each stack of
-    # build_table's (one size, block_rows(N) orbits) with more orbits than
-    # elements its in-order sums, and any other stack one call per orbit,
-    # bitwise, with orbits of 1 to 126 elements
+    # the one-pass orbit arrays and the stacked kernel give each size group
+    # with more orbits than elements its in-order sums, and any other group
+    # one call per orbit, bitwise, with orbits of 1 to 126 elements; at
+    # (12, 4) the 495 orbits of 24 elements fill more than ten blocks
     tab = build_table(n, d)
     reps = np.array([rep.entries for rep in enumerate_orbits(n, d)], dtype=np.int64)
     assert tab.orbits == tuple(enumerate_orbits(n, d))
     assert tab.sizes.tolist() == [orbit_size(rep) for rep in tab.orbits]
-    step = orbits.block_rows(len(reps))
     for size in sorted(set(tab.sizes.tolist())):
         group = np.flatnonzero(tab.sizes == size)
-        for lo in range(0, len(group), step):
-            which = group[lo : lo + step]
-            if len(which) > size:
-                want = in_order_sums(n, np.array([orbit_array(tab.orbits[i]) for i in which]), reps)
-            else:
-                want = np.array([values_on_block(tab.orbits[i], reps) for i in which])
-            assert tab.values[which].tobytes() == want.tobytes()
+        if len(group) > size:
+            want = in_order_sums(n, np.array([orbit_array(tab.orbits[i]) for i in group]), reps)
+        else:
+            want = np.array([values_on_block(tab.orbits[i], reps) for i in group])
+        assert tab.values[group].tobytes() == want.tobytes()
     one_call = np.array([values_on_block(rep, reps) for rep in tab.orbits])
     assert np.abs(tab.values - one_call).max() <= 1e-12
 
 
+def assert_table_bytes_in_blocks(cells, n, d, monkeypatch):
+    default = build_table(n, d).values.tobytes()
+    monkeypatch.setattr(orbits, "_BLOCK_CELLS", cells)
+    assert build_table(n, d).values.tobytes() == default
+
+
 @pytest.mark.parametrize("n, d", [(7, 4), (5, 5), (2, 9)])
 def test_table_is_each_orbit_in_small_blocks(n, d, monkeypatch):
-    # 60-cell blocks split every call's rows and take the mod-n branch; at
-    # N > 60 every stack is one orbit
-    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 60)
-    test_table_is_each_orbit_on_the_representatives(n, d)
+    # 60-cell blocks split every call's rows, take the mod-n branch and
+    # stack one orbit per kernel block
+    assert_table_bytes_in_blocks(60, n, d, monkeypatch)
 
 
-@pytest.mark.parametrize("n, d", [(7, 4), (5, 5)])
+@pytest.mark.parametrize("n, d", [(7, 4), (5, 5), (10, 4)])
 def test_table_is_each_orbit_in_split_stacks(n, d, monkeypatch):
-    # with 2,000-cell blocks some calls stack more orbits than elements and
-    # some do not, and the kernel splits each stack into blocks of 2 or 3
-    # orbits
-    monkeypatch.setattr(orbits, "_BLOCK_CELLS", 2000)
-    test_table_is_each_orbit_on_the_representatives(n, d)
+    # 2,000-cell blocks cut the size groups into other stacks than the
+    # default blocks, which the kernel splits into blocks of 2 or 3 orbits
+    assert_table_bytes_in_blocks(2000, n, d, monkeypatch)
 
 
 def test_table_output_per_blas_thread_count():
